@@ -1,33 +1,7 @@
-"""Optional just-in-time compilation for the enumeration kernels.
+"""Kernel backend flag, kept for callers that record the run conditions.
 
-The kernels are written as plain loops over numpy arrays, so the same
-function body runs either compiled through numba or interpreted.  Setting
-VKBR_PURE_PYTHON=1 (or numba's own NUMBA_DISABLE_JIT) selects the
-interpreted path; a missing numba falls back silently.
+The enumeration kernels in _kernels are vectorised numpy with no compiled
+alternative, so nothing is ever compiled just in time.
 """
 
-import os
-
-
-def _identity_jit(*args, **kwargs):
-    """Stand-in for numba.njit that returns the function unchanged."""
-    if args and callable(args[0]):
-        return args[0]
-
-    def wrap(func):
-        return func
-
-    return wrap
-
-
-try:
-    if os.environ.get("VKBR_PURE_PYTHON", "0") not in ("", "0"):
-        raise ImportError("pure python path requested")
-    if "NUMBA_DISABLE_JIT" in os.environ:
-        raise ImportError("numba jit disabled")
-    from numba import njit
-
-    JIT_ENABLED = True
-except ImportError:
-    njit = _identity_jit
-    JIT_ENABLED = False
+JIT_ENABLED = False

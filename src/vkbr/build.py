@@ -49,12 +49,16 @@ def find_switch_set(d: Diagram):
     offset = [0] * n  # parity of i relative to parent[i]
 
     def find(i: int) -> tuple[int, int]:
-        if parent[i] == i:
-            return i, 0
-        root, above = find(parent[i])
-        parent[i] = root
-        offset[i] ^= above
-        return root, offset[i]
+        path = []
+        while parent[i] != i:
+            path.append(i)
+            i = parent[i]
+        parity = 0
+        for j in reversed(path):  # nearest the root first
+            parity ^= offset[j]
+            parent[j] = i
+            offset[j] = parity
+        return i, parity
 
     for comp in components(d):
         passes = [(ci, over) for ci, over in comp]

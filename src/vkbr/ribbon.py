@@ -145,6 +145,29 @@ class RibbonGraph:
     def full_subset(self) -> int:
         return (1 << len(self.edges)) - 1
 
+    def sweep_arrays(self):
+        """The arguments of _kernels.subgraph_sweep for this graph.
+
+        (v, e, vert_off, vert_darts, edge_u, edge_w, edge_of_dart, partner):
+        dart ids are positions in the concatenated rotations, so vert_darts
+        is the identity and vert_off delimits each vertex's darts;
+        edge_u/edge_w are the vertices of each edge's first and second dart.
+        """
+        ends = [
+            [self._dart_vertex[self._dart_ids[edge.darts[side]]] for edge in self.edges]
+            for side in (0, 1)
+        ]
+        return (
+            self.vertex_count,
+            self.edge_count,
+            np.array(self._vert_off, dtype=np.int32),
+            np.arange(len(self._dart_ids), dtype=np.int32),
+            np.array(ends[0], dtype=np.int32),
+            np.array(ends[1], dtype=np.int32),
+            np.array(self._edge_of_dart, dtype=np.int32),
+            np.array(self._partner, dtype=np.int32),
+        )
+
     def negative_mask(self) -> int:
         """Bitmask of the negative edges."""
         mask = 0
@@ -309,28 +332,13 @@ def _sweep_histogram(g: RibbonGraph):
     v = g.vertex_count
     e = g.edge_count
     check_enumeration_size(e, f"subgraph sweep of a {e}-edge ribbon graph")
-    n_darts = len(g._dart_ids)
-    vert_off = np.array(g._vert_off, dtype=np.int32)
-    vert_darts = np.arange(n_darts, dtype=np.int32)
-    edge_u = np.array(
-        [g._dart_vertex[g._dart_ids[edge.darts[0]]] for edge in g.edges],
-        dtype=np.int32,
-    )
-    edge_w = np.array(
-        [g._dart_vertex[g._dart_ids[edge.darts[1]]] for edge in g.edges],
-        dtype=np.int32,
-    )
-    edge_of_dart = np.array(g._edge_of_dart, dtype=np.int32)
-    partner = np.array(g._partner, dtype=np.int32)
-    k_arr, bc_arr = subgraph_sweep(
-        v, e, vert_off, vert_darts, edge_u, edge_w, edge_of_dart, partner
-    )
+    k_arr, bc_arr = subgraph_sweep(*g.sweep_arrays())
     n_masks = 1 << e
     e_f = popcounts(n_masks)
     neg = g.negative_mask()
     if neg:
         masks = np.arange(n_masks, dtype=np.int64)
-        e_neg = _mask_popcount(masks & neg)
+        e_neg = np.bitwise_count(masks & neg).astype(np.int64)
     else:
         e_neg = np.zeros(n_masks, dtype=np.int64)
     bc_max = 2 * e + v
@@ -343,18 +351,6 @@ def _sweep_histogram(g: RibbonGraph):
         rest, k = divmod(rest, v + 1)
         ef, eneg = divmod(rest, e + 1)
         yield (ef, eneg, k, bc), int(hist[flat])
-
-
-def _mask_popcount(masks: np.ndarray) -> np.ndarray:
-    """Bit counts of an arbitrary int64 mask array."""
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(masks).astype(np.int64)
-    out = np.zeros(masks.shape, dtype=np.int64)
-    work = masks.copy()
-    while work.any():
-        out += work & 1
-        work >>= 1
-    return out
 
 
 def br_poly(g: RibbonGraph) -> LaurentPoly:

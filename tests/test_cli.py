@@ -9,7 +9,7 @@ import pytest
 
 from vkbr import fixtures
 from vkbr.cli import main
-from vkbr.diagram import parse_diagram
+from vkbr.diagram import apply_switches, format_diagram, is_alternating, parse_diagram
 from vkbr.ribbon import parse_ribbon, tutte_via_br
 
 
@@ -87,6 +87,47 @@ class TestColorable:
         path.write_text(fixtures.VIRTUAL_HOPF)
         code, out, _ = run(capsys, "colorable", str(path))
         assert code == 3 and out.strip() == "not colorable"
+
+
+def _switched_closed_braid(n, switched):
+    """The closed 2-braid sigma_1^n with the given crossings switched.
+
+    One strand passes crossings 0..n-1 twice (n odd), alternately under
+    and over, so every crossing lands in one parity group.
+    """
+    text = "".join(
+        f"X w{(c - 1) % n} u{(c - 1) % n} u{c} w{c} o=1\n" for c in range(n)
+    )
+    return format_diagram(apply_switches(parse_diagram(text), switched))
+
+
+class TestLongStrands:
+    """A 4001-crossing single strand once overflowed the recursion limit."""
+
+    N = 4001
+    SWITCHED = tuple(range(0, N, 3))
+
+    @pytest.fixture
+    def braid(self, tmp_path):
+        path = tmp_path / "braid.txt"
+        path.write_text(_switched_closed_braid(self.N, self.SWITCHED))
+        return str(path)
+
+    def test_colorable(self, capsys, braid):
+        code, out, _ = run(capsys, "--json", "colorable", braid)
+        assert code == 0
+        switches = json.loads(out)["switches"]
+        assert switches == list(self.SWITCHED)
+        d = parse_diagram(_switched_closed_braid(self.N, self.SWITCHED))
+        assert is_alternating(apply_switches(d, switches))
+
+    def test_build_signed(self, capsys, braid):
+        code, out, _ = run(capsys, "build-signed", braid)
+        assert code == 0
+        g = parse_ribbon(out)
+        assert (g.vertex_count, g.edge_count) == (2, self.N)
+        negative = {i for i, edge in enumerate(g.edges) if edge.sign < 0}
+        assert negative == set(self.SWITCHED)
 
 
 class TestBuildCommands:

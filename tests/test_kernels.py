@@ -1,58 +1,51 @@
-"""The compiled and interpreted enumeration kernels agree."""
+"""The vectorised enumeration kernels agree with the per-index traces."""
 
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from helpers import random_ribbon
-from vkbr._accel import JIT_ENABLED
-from vkbr._kernels import (
-    _state_delta_sweep_py,
-    _subgraph_sweep_py,
-    popcounts,
-    state_delta_sweep,
-    subgraph_sweep,
-)
+from vkbr import _kernels
+from vkbr._kernels import popcounts, state_delta_sweep, subgraph_sweep
 from vkbr.diagram import _arc_mate, parse_diagram, split_stats
 from vkbr.randgen import random_diagram
-from vkbr.ribbon import subgraph_stats
+from vkbr.ribbon import RibbonGraph, subgraph_stats
 
 
-def _sweep_arrays(g):
-    n_darts = len(g._dart_ids)
-    return (
-        g.vertex_count,
-        g.edge_count,
-        np.array(g._vert_off, dtype=np.int32),
-        np.arange(n_darts, dtype=np.int32),
-        np.array(
-            [g._dart_vertex[g._dart_ids[e.darts[0]]] for e in g.edges], dtype=np.int32
-        ),
-        np.array(
-            [g._dart_vertex[g._dart_ids[e.darts[1]]] for e in g.edges], dtype=np.int32
-        ),
-        np.array(g._edge_of_dart, dtype=np.int32),
-        np.array(g._partner, dtype=np.int32),
-    )
+def _check_states(d):
+    deltas = state_delta_sweep(len(d.crossings), _arc_mate(d))
+    assert deltas.dtype == np.int16
+    assert deltas.shape == (1 << len(d.crossings),)
+    for state in range(1 << len(d.crossings)):
+        assert deltas[state] + d.free_loops == split_stats(d, state).delta
+
+
+def _check_subgraphs(g):
+    k_arr, bc_arr = subgraph_sweep(*g.sweep_arrays())
+    assert k_arr.dtype == bc_arr.dtype == np.int16
+    assert k_arr.shape == bc_arr.shape == (1 << g.edge_count,)
+    for mask in range(1 << g.edge_count):
+        stats = subgraph_stats(g, mask)
+        assert (k_arr[mask], bc_arr[mask]) == (stats.k, stats.bc)
 
 
 class TestStateSweep:
     def test_matches_pure_reference_trace(self):
         for seed in range(10):
-            d = random_diagram(1 + seed % 7, seed)
-            deltas = state_delta_sweep(len(d.crossings), _arc_mate(d))
-            for state in range(1 << len(d.crossings)):
-                assert deltas[state] == split_stats(d, state).delta
+            _check_states(random_diagram(1 + seed % 7, seed))
 
-    def test_compiled_equals_interpreted(self):
-        for seed in range(10):
-            d = random_diagram(1 + seed % 7, seed)
-            args = (len(d.crossings), _arc_mate(d))
-            assert np.array_equal(state_delta_sweep(*args), _state_delta_sweep_py(*args))
+    def test_every_state_across_chunks(self):
+        # 4096 states x 48 ports spans several chunks of CHUNK_ELEMS.
+        d = random_diagram(12, 5)
+        assert (1 << 12) * 4 * 12 > 2 * _kernels.CHUNK_ELEMS
+        _check_states(d)
+
+    @pytest.mark.parametrize("chunk", [2, 16, 64])
+    def test_tiny_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(_kernels, "CHUNK_ELEMS", chunk)
+        for seed in range(4):
+            _check_states(random_diagram(2 + seed, 40 + seed))
 
     def test_zero_crossings(self):
         d = parse_diagram("O 1\n")
@@ -64,20 +57,28 @@ class TestSubgraphSweep:
     def test_matches_pure_reference_trace(self):
         rng = random.Random(21)
         for _ in range(10):
-            g = random_ribbon(rng, rng.randint(1, 4), rng.randint(0, 6))
-            k_arr, bc_arr = subgraph_sweep(*_sweep_arrays(g))
-            for mask in range(1 << g.edge_count):
-                stats = subgraph_stats(g, mask)
-                assert (k_arr[mask], bc_arr[mask]) == (stats.k, stats.bc)
+            _check_subgraphs(random_ribbon(rng, rng.randint(1, 4), rng.randint(0, 6)))
 
-    def test_compiled_equals_interpreted(self):
-        rng = random.Random(22)
-        for _ in range(10):
-            g = random_ribbon(rng, rng.randint(1, 4), rng.randint(0, 6))
-            args = _sweep_arrays(g)
-            k1, bc1 = subgraph_sweep(*args)
-            k2, bc2 = _subgraph_sweep_py(*args)
-            assert np.array_equal(k1, k2) and np.array_equal(bc1, bc2)
+    def test_every_subgraph_across_chunks(self):
+        # Dart-less vertices, loops and parallel edges all occur here.
+        rng = random.Random(23)
+        graphs = [random_ribbon(rng, v, rng.randint(11, 12)) for v in (2, 7, 16)]
+        assert any(not darts for g in graphs for _, darts in g.vertices)
+        assert any(np.any(u == w) for u, w in (g.sweep_arrays()[4:6] for g in graphs))
+        for g in graphs:
+            _check_subgraphs(g)
+
+    @pytest.mark.parametrize("chunk", [2, 16, 64])
+    def test_tiny_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(_kernels, "CHUNK_ELEMS", chunk)
+        rng = random.Random(chunk)
+        for _ in range(4):
+            _check_subgraphs(random_ribbon(rng, rng.randint(1, 5), rng.randint(0, 7)))
+
+    def test_zero_edges(self):
+        g = RibbonGraph([("u", ()), ("w", ())], [])
+        k_arr, bc_arr = subgraph_sweep(*g.sweep_arrays())
+        assert k_arr.tolist() == [2] and bc_arr.tolist() == [2]
 
 
 class TestPopcounts:
@@ -86,29 +87,3 @@ class TestPopcounts:
         assert out.shape == (1024,)
         for mask in (0, 1, 2, 3, 255, 512, 1023):
             assert out[mask] == bin(mask).count("1")
-
-
-class TestInterpreterFallback:
-    def test_env_flag_disables_compilation(self):
-        # Run in a subprocess so the flag is seen at import time.
-        code = (
-            "from vkbr._accel import JIT_ENABLED\n"
-            "assert not JIT_ENABLED\n"
-            "from vkbr.diagram import kauffman_bracket, parse_diagram\n"
-            "print(kauffman_bracket(parse_diagram('X a b b a o=1\\n')))\n"
-        )
-        env = dict(os.environ, VKBR_PURE_PYTHON="1")
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "A + B*d"
-
-    def test_default_environment_compiles_when_possible(self):
-        if os.environ.get("VKBR_PURE_PYTHON", "0") not in ("", "0"):
-            pytest.skip("interpreter-only run requested via environment")
-        if "NUMBA_DISABLE_JIT" in os.environ:
-            pytest.skip("compilation disabled via environment")
-        assert JIT_ENABLED
-        assert state_delta_sweep is not _state_delta_sweep_py
-        assert subgraph_sweep is not _subgraph_sweep_py
