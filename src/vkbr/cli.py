@@ -4,7 +4,8 @@ Every subcommand reads the text formats documented in the diagram and
 ribbon modules ("-" reads standard input) and prints canonical text, or a
 JSON report with --json.  Exit codes: 0 success (and identities equal),
 1 an identity check failed, 2 malformed or unsuitable input, 3 the
-diagram cannot be made alternating where that was required.
+diagram cannot be made alternating where that was required, 4 an internal
+error (a one-line message, no traceback).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import sys
 
 from . import fixtures
 from .build import (
-    NotAlternatingError,
     NotColorableError,
     build_ribbon,
     build_signed,
@@ -23,36 +23,26 @@ from .build import (
     find_switch_set,
 )
 from .diagram import (
-    DiagramError,
     jones,
     kauffman_bracket,
     parse_diagram,
     format_diagram,
 )
-from .laurent import PolyError
-from .limits import SizeLimitError
 from .randgen import KINDS, MAX_RANDOM_CROSSINGS, random_diagram
 from .ribbon import (
-    RibbonError,
     br_poly,
     format_ribbon,
     genus,
     graph_stats,
     parse_ribbon,
-    signed_br_poly,
     tutte_via_br,
 )
 from .verify import verify_jones, verify_main, verify_signed
 
-_INPUT_ERRORS = (
-    DiagramError,
-    RibbonError,
-    PolyError,
-    SizeLimitError,
-    NotAlternatingError,
-    OSError,
-    ValueError,
-)
+# DiagramError, RibbonError, PolyError, SizeLimitError and
+# NotAlternatingError are all ValueErrors.
+_INPUT_ERRORS = (ValueError, OSError)
+_VERIFY = {"main": verify_main, "signed": verify_signed, "jones": verify_jones}
 
 
 def _read(path: str) -> str:
@@ -127,7 +117,7 @@ def _cmd_build_signed(args):
 
 def _cmd_br_poly(args):
     g = _ribbon(args.file)
-    poly = signed_br_poly(g) if args.signed else br_poly(g)
+    poly = br_poly(g, signed=args.signed)
     payload = {"br_poly": str(poly), "signed": bool(args.signed), "stats": graph_stats(g)}
     return 0, payload, [str(poly)]
 
@@ -145,16 +135,7 @@ def _cmd_genus(args):
 
 
 def _cmd_verify(args):
-    d = _diagram(args.file)
-    if args.mode == "main":
-        report = verify_main(d)
-        graph = build_ribbon(d)
-    elif args.mode == "signed":
-        report = verify_signed(d)
-        graph = build_signed(d)[0]
-    else:
-        report = verify_jones(d)
-        graph = build_signed(d)[0]
+    report = _VERIFY[args.mode](_diagram(args.file))
     payload = {
         "mode": args.mode,
         "left": str(report.left),
@@ -164,7 +145,7 @@ def _cmd_verify(args):
         "n": report.n,
         "k": report.k,
         "switches": list(report.switches),
-        "stats": graph_stats(graph),
+        "stats": report.stats,
     }
     lines = [
         f"left:  {report.left}",
@@ -292,6 +273,9 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of vkbr, not of the input
+        print(f"error: internal: {exc!r}", file=sys.stderr)
+        return 4
     if args.json:
         payload["command"] = args.command
         print(json.dumps(payload, sort_keys=True))

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import popcounts, state_delta_sweep
+from ._kernels import histogram, popcounts, state_delta_sweep
 from .laurent import LaurentPoly
 from .limits import check_enumeration_size
 
@@ -50,7 +50,17 @@ _LABEL = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
 class DiagramError(ValueError):
-    """Malformed diagram data."""
+    """Malformed diagram data.
+
+    `crossing` is the index of the crossing at fault when there is one;
+    the message then starts with "crossing N: " before `detail`.
+    """
+
+    def __init__(self, detail: str, crossing: int | None = None):
+        prefix = "" if crossing is None else f"crossing {crossing}: "
+        super().__init__(prefix + detail)
+        self.detail = detail
+        self.crossing = crossing
 
 
 @dataclass(frozen=True)
@@ -99,27 +109,20 @@ class Diagram:
     def __post_init__(self):
         if self.free_loops < 0:
             raise DiagramError(f"free loop count must be nonnegative, got {self.free_loops}")
-        incoming: dict[str, int] = {}
-        outgoing: dict[str, int] = {}
-        for ci, c in enumerate(self.crossings):
-            for port in range(4):
-                label = c.ports[port]
-                side = incoming if port in (0, c.over_in) else outgoing
-                if label in side:
-                    kind = "incoming" if side is incoming else "outgoing"
-                    raise DiagramError(f"arc {label!r} occurs twice as {kind}")
-                side[label] = ci
-        dangling = set(incoming) ^ set(outgoing)
+        in_slot, out_slot = _slot_maps(self)
+        dangling = set(in_slot) ^ set(out_slot)
         if dangling:
-            raise DiagramError(f"dangling arcs: {', '.join(sorted(dangling))}")
+            label = min(dangling)
+            if label in in_slot:
+                raise DiagramError(f"arc {label!r} never leaves a crossing", in_slot[label][0])
+            raise DiagramError(f"arc {label!r} never enters a crossing", out_slot[label][0])
 
 
 def parse_diagram(text: str) -> Diagram:
     """Parse the diagram file format; errors name the offending line."""
     crossings: list[Crossing] = []
+    crossing_lines: list[int] = []
     free_loops = 0
-    incoming: dict[str, int] = {}
-    outgoing: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -138,17 +141,8 @@ def parse_diagram(text: str) -> Diagram:
                 raise DiagramError(
                     f"line {lineno}: expected o=1 or o=3, got {tokens[5]!r}"
                 )
-            over_in = int(tokens[5][2:])
-            for port, label in enumerate(labels):
-                side = incoming if port in (0, over_in) else outgoing
-                if label in side:
-                    kind = "incoming" if side is incoming else "outgoing"
-                    raise DiagramError(
-                        f"line {lineno}: arc {label!r} already used as {kind} "
-                        f"on line {side[label]}"
-                    )
-                side[label] = lineno
-            crossings.append(Crossing(tuple(labels), over_in))
+            crossings.append(Crossing(tuple(labels), int(tokens[5][2:])))
+            crossing_lines.append(lineno)
         elif tokens[0] == "O":
             if len(tokens) != 2 or not tokens[1].isdigit():
                 raise DiagramError(
@@ -159,15 +153,12 @@ def parse_diagram(text: str) -> Diagram:
             raise DiagramError(
                 f"line {lineno}: unknown directive {tokens[0]!r} (expected X or O)"
             )
-    for label in sorted(set(incoming) - set(outgoing)):
-        raise DiagramError(
-            f"line {incoming[label]}: arc {label!r} never leaves a crossing"
-        )
-    for label in sorted(set(outgoing) - set(incoming)):
-        raise DiagramError(
-            f"line {outgoing[label]}: arc {label!r} never enters a crossing"
-        )
-    return Diagram(tuple(crossings), free_loops)
+    try:
+        return Diagram(tuple(crossings), free_loops)
+    except DiagramError as exc:
+        if exc.crossing is None:
+            raise
+        raise DiagramError(f"line {crossing_lines[exc.crossing]}: {exc.detail}") from None
 
 
 def format_diagram(d: Diagram) -> str:
@@ -185,16 +176,21 @@ def format_diagram(d: Diagram) -> str:
 
 
 def _slot_maps(d: Diagram):
-    """Maps label -> (crossing, port) for incoming and outgoing ports."""
+    """Maps label -> (crossing, port) for incoming and outgoing ports.
+
+    Raises DiagramError naming the crossing where a label occurs a second
+    time as incoming or as outgoing.
+    """
     in_slot: dict[str, tuple[int, int]] = {}
     out_slot: dict[str, tuple[int, int]] = {}
     for ci, c in enumerate(d.crossings):
         for port in range(4):
             label = c.ports[port]
-            if port in (0, c.over_in):
-                in_slot[label] = (ci, port)
-            else:
-                out_slot[label] = (ci, port)
+            side = in_slot if port in (0, c.over_in) else out_slot
+            if label in side:
+                kind = "incoming" if side is in_slot else "outgoing"
+                raise DiagramError(f"arc {label!r} occurs twice as {kind}", ci)
+            side[label] = (ci, port)
     return in_slot, out_slot
 
 
@@ -328,21 +324,22 @@ def kauffman_bracket(d: Diagram) -> LaurentPoly:
     """The bracket state sum as an exact polynomial in A, B, d."""
     n = len(d.crossings)
     check_enumeration_size(n, f"bracket of a {n}-crossing diagram")
-    deltas = state_delta_sweep(n, _arc_mate(d)).astype(np.int64)
-    alphas = n - popcounts(1 << n)
-    dmax = int(deltas.max()) if n else 0
-    keys = alphas * (dmax + 1) + deltas
-    hist = np.bincount(keys, minlength=(n + 1) * (dmax + 1))
-    terms: dict[tuple[int, int, int], int] = {}
-    for flat in np.flatnonzero(hist):
-        alpha, delta = divmod(int(flat), dmax + 1)
-        exps = (4 * alpha, 4 * (n - alpha), 4 * (delta + d.free_loops - 1))
-        terms[exps] = int(hist[flat])
+    deltas = state_delta_sweep(n, _arc_mate(d))
+    terms = {
+        (4 * alpha, 4 * (n - alpha), 4 * (delta + d.free_loops - 1)): count
+        for (alpha, delta), count in histogram(n - popcounts(1 << n), deltas)
+    }
     return LaurentPoly(BRACKET_VARS, terms)
 
 
 def jones(d: Diagram) -> LaurentPoly:
-    """The Jones polynomial in t^(1/4), via the bracket."""
+    """The Jones polynomial in t^(1/4), via the bracket.
+
+    The empty diagram has none: its bracket d^-1 needs 1/d, which is not a
+    Laurent polynomial in t^(1/4).
+    """
+    if not d.crossings and not d.free_loops:
+        raise DiagramError("the empty diagram has no Jones polynomial (its bracket is d^-1)")
     w = writhe(d)
     value = kauffman_bracket(d).substitute(
         {

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import popcounts, subgraph_sweep
+from ._kernels import histogram, subgraph_sweep
 from .laurent import LaurentPoly
 from .limits import check_enumeration_size
 
@@ -148,19 +148,28 @@ class RibbonGraph:
     def sweep_arrays(self):
         """The arguments of _kernels.subgraph_sweep for this graph.
 
-        (v, e, vert_off, vert_darts, edge_u, edge_w, edge_of_dart, partner):
-        dart ids are positions in the concatenated rotations, so vert_darts
-        is the identity and vert_off delimits each vertex's darts;
-        edge_u/edge_w are the vertices of each edge's first and second dart.
+        (v, e, vert_off, vert_darts, edge_u, edge_w, edge_of_dart, partner)
+        over the v vertices that carry darts, renumbered in order; the
+        dart-less ones are left out, as the kernel requires.  Dart ids are
+        positions in the concatenated rotations, so vert_darts is the
+        identity and vert_off delimits each vertex's darts; edge_u/edge_w
+        are the vertices of each edge's first and second dart.
         """
+        live = [vi for vi, (_, darts) in enumerate(self.vertices) if darts]
+        renumber = {vi: i for i, vi in enumerate(live)}
         ends = [
-            [self._dart_vertex[self._dart_ids[edge.darts[side]]] for edge in self.edges]
+            [
+                renumber[self._dart_vertex[self._dart_ids[edge.darts[side]]]]
+                for edge in self.edges
+            ]
             for side in (0, 1)
         ]
         return (
-            self.vertex_count,
+            len(live),
             self.edge_count,
-            np.array(self._vert_off, dtype=np.int32),
+            np.array(
+                [self._vert_off[vi] for vi in live] + [len(self._dart_ids)], dtype=np.int32
+            ),
             np.arange(len(self._dart_ids), dtype=np.int32),
             np.array(ends[0], dtype=np.int32),
             np.array(ends[1], dtype=np.int32),
@@ -229,10 +238,7 @@ def parse_ribbon(text: str) -> RibbonGraph:
             raise RibbonError(
                 f"line {lineno}: unknown directive {tokens[0]!r} (expected V or E)"
             )
-    try:
-        return RibbonGraph(vertices, edges)
-    except RibbonError as exc:
-        raise RibbonError(f"{exc}") from None
+    return RibbonGraph(vertices, edges)
 
 
 def format_ribbon(g: RibbonGraph) -> str:
@@ -323,68 +329,40 @@ def graph_stats(g: RibbonGraph) -> dict[str, int]:
 # -- rank polynomials ---------------------------------------------------
 
 
-def _sweep_histogram(g: RibbonGraph):
-    """Counts of (e_F, e_F-minus, k, bc) over all spanning subgraphs.
+def br_poly(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
+    """The rank polynomial R_G(x, y, z), or with `signed` its signed variant.
 
-    Yields ((e_f, e_neg, k, bc), count) with count summed over subgraphs
-    sharing those statistics.
+    The signed variant shifts the x and y exponents by s(F) =
+    (e-(F) - e-(F complement)) / 2 in half-integers, which the exponent
+    lattice absorbs exactly; with no negative edges s(F) = 0 and both
+    agree.  The sweep leaves out dart-less vertices, which change no
+    exponent: each adds one to v, k(F) and bc(F) alike.  k(G) is the least
+    k(F), since adding edges never splits a component.
     """
-    v = g.vertex_count
     e = g.edge_count
     check_enumeration_size(e, f"subgraph sweep of a {e}-edge ribbon graph")
-    k_arr, bc_arr = subgraph_sweep(*g.sweep_arrays())
-    n_masks = 1 << e
-    e_f = popcounts(n_masks)
-    neg = g.negative_mask()
-    if neg:
-        masks = np.arange(n_masks, dtype=np.int64)
-        e_neg = np.bitwise_count(masks & neg).astype(np.int64)
-    else:
-        e_neg = np.zeros(n_masks, dtype=np.int64)
-    bc_max = 2 * e + v
-    key = (
-        (e_f * (e + 1) + e_neg) * (v + 1) + k_arr.astype(np.int64)
-    ) * (bc_max + 1) + bc_arr.astype(np.int64)
-    hist = np.bincount(key, minlength=(e + 1) * (e + 1) * (v + 1) * (bc_max + 1))
-    for flat in np.flatnonzero(hist):
-        rest, bc = divmod(int(flat), bc_max + 1)
-        rest, k = divmod(rest, v + 1)
-        ef, eneg = divmod(rest, e + 1)
-        yield (ef, eneg, k, bc), int(hist[flat])
-
-
-def br_poly(g: RibbonGraph) -> LaurentPoly:
-    """The rank polynomial R_G(x, y, z), ignoring edge signs."""
-    r_g = g.vertex_count - subgraph_stats(g, g.full_subset).k
+    neg = g.negative_mask() if signed else 0
+    arrays = g.sweep_arrays()
+    v = arrays[0]
+    k_arr, bc_arr = subgraph_sweep(*arrays)
+    masks = np.arange(1 << e, dtype=np.int64)
+    rows = list(
+        histogram(np.bitwise_count(masks), np.bitwise_count(masks & neg), k_arr, bc_arr)
+    )
+    k_g = min(k for (_, _, k, _), _ in rows)
+    e_neg_total = neg.bit_count()
     terms: dict[tuple[int, int, int], int] = {}
-    for (ef, _, k, bc), count in _sweep_histogram(g):
-        r_f = g.vertex_count - k
-        n_f = ef - r_f
-        exps = (4 * (r_g - r_f), 4 * n_f, 4 * (k - bc + n_f))
+    for (ef, eneg, k, bc), count in rows:
+        n_f = ef - v + k
+        s_quarter = 2 * (2 * eneg - e_neg_total)
+        exps = (4 * (k - k_g) + s_quarter, 4 * n_f - s_quarter, 4 * (k - bc + n_f))
         terms[exps] = terms.get(exps, 0) + count
     return LaurentPoly(BR_VARS, terms)
 
 
 def signed_br_poly(g: RibbonGraph) -> LaurentPoly:
-    """The signed rank polynomial; x and y exponents shift by s(F).
-
-    s(F) = (e-(F) - e-(F complement)) / 2 in half-integers; the exponent
-    lattice absorbs them exactly.
-    """
-    r_g = g.vertex_count - subgraph_stats(g, g.full_subset).k
-    e_neg_total = bin(g.negative_mask()).count("1")
-    terms: dict[tuple[int, int, int], int] = {}
-    for (ef, eneg, k, bc), count in _sweep_histogram(g):
-        r_f = g.vertex_count - k
-        n_f = ef - r_f
-        s_quarter = 2 * (2 * eneg - e_neg_total)
-        exps = (
-            4 * (r_g - r_f) + s_quarter,
-            4 * n_f - s_quarter,
-            4 * (k - bc + n_f),
-        )
-        terms[exps] = terms.get(exps, 0) + count
-    return LaurentPoly(BR_VARS, terms)
+    """The signed rank polynomial: br_poly(g, signed=True)."""
+    return br_poly(g, signed=True)
 
 
 def tutte_via_br(g: RibbonGraph) -> LaurentPoly:

@@ -32,32 +32,32 @@ from .diagram import (
     writhe,
 )
 from .laurent import LaurentPoly
-from .ribbon import (
-    RibbonGraph,
-    br_poly,
-    genus,
-    signed_br_poly,
-    subgraph_stats,
-    tutte_via_br,
-)
+from .ribbon import RibbonGraph, br_poly, graph_stats, tutte_via_br
 
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Both sides of an identity check and the prefactor exponents used."""
+    """Both sides of an identity check, the ribbon graph behind the right
+    side with its graph_stats, and the crossings switched to build it."""
 
     left: LaurentPoly
     right: LaurentPoly
     equal: bool
-    r: int
-    n: int
-    k: int
+    graph: RibbonGraph
+    stats: dict[str, int]
     switches: tuple[int, ...] = ()
 
+    @property
+    def r(self) -> int:
+        return self.stats["r"]
 
-def _graph_rnk(g: RibbonGraph) -> tuple[int, int, int]:
-    stats = subgraph_stats(g, g.full_subset)
-    return stats.r, g.edge_count - stats.r, stats.k
+    @property
+    def n(self) -> int:
+        return self.stats["n"]
+
+    @property
+    def k(self) -> int:
+        return self.stats["k"]
 
 
 def bracket_from_graph(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
@@ -66,8 +66,8 @@ def bracket_from_graph(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
     Multiplies the (signed) rank polynomial, evaluated at x = Bd/A,
     y = Ad/B, z = 1/d, by the monomial A^r B^n d^(k-1).
     """
-    poly = signed_br_poly(g) if signed else br_poly(g)
-    r, n, k = _graph_rnk(g)
+    poly = br_poly(g, signed=signed)
+    stats = graph_stats(g)
     assembled = poly.substitute(
         {
             "x": LaurentPoly.monomial(BRACKET_VARS, 1, A=-1, B=1, d=1),
@@ -76,8 +76,17 @@ def bracket_from_graph(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
         },
         BRACKET_VARS,
     )
-    prefactor = LaurentPoly.monomial(BRACKET_VARS, 1, A=r, B=n, d=k - 1)
+    prefactor = LaurentPoly.monomial(
+        BRACKET_VARS, 1, A=stats["r"], B=stats["n"], d=stats["k"] - 1
+    )
     return prefactor * assembled
+
+
+def _jones_prefactor(w: int, stats: dict[str, int]) -> LaurentPoly:
+    """(-1)^w t^((3w-r+n)/4), shared by both graph routes to Jones."""
+    return LaurentPoly.monomial(
+        JONES_VARS, -1 if w % 2 else 1, t=Fraction(3 * w - stats["r"] + stats["n"], 4)
+    )
 
 
 def jones_from_graph(g: RibbonGraph, w: int) -> LaurentPoly:
@@ -87,20 +96,17 @@ def jones_from_graph(g: RibbonGraph, w: int) -> LaurentPoly:
     D^(a+b-c+k-1) with D = -t^(1/2) - t^(-1/2); the global prefactor is
     (-1)^w t^((3w-r+n)/4).
     """
-    poly = signed_br_poly(g)
-    r, n, k = _graph_rnk(g)
+    poly = br_poly(g, signed=True)
+    stats = graph_stats(g)
     big_d = LaurentPoly.parse("-t^(1/2) - t^(-1/2)", JONES_VARS)
     total = LaurentPoly.zero(JONES_VARS)
     for (a, b, c), coeff in poly.terms():
-        d_power = a + b - c + k - 1  # equals bc(F) - 1, a nonnegative integer
+        d_power = a + b - c + stats["k"] - 1  # equals bc(F) - 1, a nonnegative integer
         total = total + (
             LaurentPoly.monomial(JONES_VARS, coeff, t=(a - b) / 2)
             * big_d ** int(d_power)
         )
-    prefactor = LaurentPoly.monomial(
-        JONES_VARS, -1 if w % 2 else 1, t=Fraction(3 * w - r + n, 4)
-    )
-    return prefactor * total
+    return _jones_prefactor(w, stats) * total
 
 
 def jones_via_tutte(g: RibbonGraph, w: int) -> LaurentPoly:
@@ -110,11 +116,11 @@ def jones_via_tutte(g: RibbonGraph, w: int) -> LaurentPoly:
     polynomial carries no z and no sign shifts; evaluates the Tutte
     polynomial at (-t, -t^-1).
     """
-    if genus(g) != 0:
+    stats = graph_stats(g)
+    if stats["genus"] != 0:
         raise ValueError("the Tutte route needs a genus-0 ribbon graph")
     if g.negative_mask():
         raise ValueError("the Tutte route needs all edge signs positive")
-    r, n, k = _graph_rnk(g)
     value = tutte_via_br(g).substitute(
         {
             "x": LaurentPoly.parse("-t", JONES_VARS),
@@ -123,34 +129,38 @@ def jones_via_tutte(g: RibbonGraph, w: int) -> LaurentPoly:
         JONES_VARS,
     )
     big_d = LaurentPoly.parse("-t^(1/2) - t^(-1/2)", JONES_VARS)
-    prefactor = LaurentPoly.monomial(
-        JONES_VARS, -1 if w % 2 else 1, t=Fraction(3 * w - r + n, 4)
-    )
-    return prefactor * big_d ** (k - 1) * value
+    return _jones_prefactor(w, stats) * big_d ** (stats["k"] - 1) * value
+
+
+def _verify(d: Diagram, mode: str, switches=None) -> VerifyReport:
+    """The one body of the three checks; mode is "main", "signed" or "jones".
+
+    Builds the graph once; the left side never sees it.
+    """
+    if mode == "main":
+        g, used = build_ribbon(d), ()
+    else:
+        g, used = build_signed(d, switches)
+    stats = graph_stats(g)
+    if mode == "jones":
+        left = jones(d)
+        right = jones_from_graph(g, writhe(d))
+    else:
+        left = kauffman_bracket(d)
+        right = bracket_from_graph(g, signed=mode == "signed")
+    return VerifyReport(left, right, left == right, g, stats, used)
 
 
 def verify_main(d: Diagram) -> VerifyReport:
     """Check the bracket identity for an alternating diagram."""
-    g = build_ribbon(d)
-    left = kauffman_bracket(d)
-    right = bracket_from_graph(g)
-    r, n, k = _graph_rnk(g)
-    return VerifyReport(left, right, left == right, r, n, k)
+    return _verify(d, "main")
 
 
 def verify_signed(d: Diagram, switches=None) -> VerifyReport:
     """Check the signed bracket identity for a switchable diagram."""
-    g, used = build_signed(d, switches)
-    left = kauffman_bracket(d)
-    right = bracket_from_graph(g, signed=True)
-    r, n, k = _graph_rnk(g)
-    return VerifyReport(left, right, left == right, r, n, k, used)
+    return _verify(d, "signed", switches)
 
 
 def verify_jones(d: Diagram, switches=None) -> VerifyReport:
     """Check the Jones assembly against the direct bracket route."""
-    g, used = build_signed(d, switches)
-    left = jones(d)
-    right = jones_from_graph(g, writhe(d))
-    r, n, k = _graph_rnk(g)
-    return VerifyReport(left, right, left == right, r, n, k, used)
+    return _verify(d, "jones", switches)

@@ -71,6 +71,57 @@ class TestPolynomialCommands:
         assert code == 0 and out.strip() == "1"
 
 
+class TestDartlessVertices:
+    """40000 dart-less vertices once overflowed the sweep's int16 counts."""
+
+    @pytest.fixture
+    def bare(self, tmp_path):
+        path = tmp_path / "bare.txt"
+        path.write_text("".join(f"V u{i} :\n" for i in range(40000)))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["br-poly", "tutte"])
+    def test_polynomial_is_one(self, capsys, bare, command):
+        code, out, err = run(capsys, command, bare)
+        assert (code, out, err) == (0, "1\n", "")
+
+    def test_signed_polynomial_is_one(self, capsys, bare):
+        code, out, _ = run(capsys, "br-poly", "--signed", bare)
+        assert (code, out) == (0, "1\n")
+
+
+class TestEmptyDiagram:
+    """Every diagram command on an empty file: (exit code, first line of
+    stdout, first line of stderr)."""
+
+    NO_JONES = "error: the empty diagram has no Jones polynomial (its bracket is d^-1)"
+    EXPECTED = {
+        ("bracket",): (0, "d^-1", ""),
+        ("jones",): (2, "", NO_JONES),
+        ("colorable",): (0, "colorable; switches: none", ""),
+        ("build-ribbon",): (0, "", ""),
+        ("build-signed",): (0, "", ""),
+        ("verify", "--main"): (0, "left:  d^-1", ""),
+        ("verify", "--signed"): (0, "left:  d^-1", ""),
+        ("verify", "--jones"): (2, "", NO_JONES),
+    }
+
+    @pytest.mark.parametrize("argv", sorted(EXPECTED), ids=" ".join)
+    def test_first_line_and_exit_code(self, capsys, tmp_path, argv):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        code, out, err = run(capsys, *argv, str(path))
+        first = (out.splitlines() or [""])[0], (err.splitlines() or [""])[0]
+        assert (code, *first) == self.EXPECTED[argv]
+
+    def test_verify_keeps_the_bracket_of_no_curves(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        code, out, _ = run(capsys, "verify", "--signed", str(path))
+        assert code == 0
+        assert out.splitlines()[1:] == ["right: d^-1", "equal: yes (r=0, n=0, k=0)"]
+
+
 class TestColorable:
     def test_alternating(self, capsys, sample_knot):
         code, out, _ = run(capsys, "colorable", sample_knot)
@@ -276,6 +327,16 @@ class TestErrorsAndSelftest:
         path.write_text("X a b o=1\n")
         code, _, err = run(capsys, "bracket", str(path))
         assert code == 2 and "line 1" in err
+
+    def test_unexpected_exception_exits_4_in_one_line(self, capsys, monkeypatch, sample_knot):
+        def broken(_):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(vkbr.cli, "kauffman_bracket", broken)
+        code, out, err = run(capsys, "bracket", sample_knot)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: internal: ") and "boom" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_selftest_passes(self, capsys):
         code, out, _ = run(capsys, "selftest")

@@ -95,6 +95,17 @@ class TestParsing:
         with pytest.raises(DiagramError, match="'c'|'a'"):
             parse_diagram(text)
 
+    def test_dangling_arc_names_its_line(self):
+        text = "X a b b a o=1\n\n# comment\nX c d d e o=1\n"
+        with pytest.raises(DiagramError, match=r"^line 4: arc 'c' never leaves a crossing$"):
+            parse_diagram(text)
+
+    def test_direct_construction_names_the_crossing(self):
+        crossings = (Crossing(("a", "b", "b", "a"), 1), Crossing(("a", "c", "c", "a"), 1))
+        with pytest.raises(DiagramError, match="^crossing 1: arc 'a' occurs twice") as exc:
+            Diagram(crossings)
+        assert exc.value.crossing == 1
+
     def test_direct_construction_validates(self):
         with pytest.raises(DiagramError):
             Crossing(("a", "b", "b", "a"), 2)

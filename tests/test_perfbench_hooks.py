@@ -1,0 +1,76 @@
+"""The benchmark's hooks into vkbr still resolve.
+
+perfbench/tracing.py wraps vkbr functions by (module, attribute) name, and
+the perfbench scripts import names from vkbr.  A rename in vkbr would
+break `perfbench/run.py --trace 1` without failing any other test, so both
+are checked here against the live package.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _vkbr_uses(path):
+    """(dotted path, attribute) for each name a script imports from vkbr,
+    and for each attribute it reads off a vkbr module it imported."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found, modules = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "vkbr":
+            for alias in node.names:
+                found.append((node.module, alias.name))
+                modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "vkbr":
+                    found.append((alias.name, None))
+                    modules[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                found.append((modules[node.value.id], node.attr))
+    return found
+
+
+def _lookup(dotted, attr):
+    """Import `dotted` (a module, or a module's attribute) and read `attr`."""
+    try:
+        target = importlib.import_module(dotted)
+    except ModuleNotFoundError:
+        module_name, _, name = dotted.rpartition(".")
+        target = getattr(importlib.import_module(module_name), name)
+    if attr is None:
+        return target
+    if not hasattr(target, attr):
+        return importlib.import_module(f"{dotted}.{attr}")  # a submodule
+    return getattr(target, attr)
+
+
+def test_every_traced_layer_resolves_to_a_callable():
+    layers = _load_tracing().LAYERS
+    targets = [target for _, targets in layers.values() for target in targets]
+    assert targets
+    for module_name, attr in targets:
+        owner, _, name = f"{module_name}.{attr}".rpartition(".")
+        assert callable(_lookup(owner, name)), (module_name, attr)
+
+
+@pytest.mark.parametrize("script", ["workloads.py", "oracle.py", "run.py"])
+def test_every_name_used_from_vkbr_exists(script):
+    uses = _vkbr_uses(PERFBENCH / script)
+    assert uses
+    for dotted, attr in uses:
+        _lookup(dotted, attr)
