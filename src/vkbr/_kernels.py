@@ -1,7 +1,7 @@
-"""Enumeration kernels behind the bracket and rank-polynomial sums.
+"""The two routes to the bracket and rank-polynomial sums.
 
-Each kernel sweeps an exponential index space and records small integer
-statistics per index; histogram counts the distinct rows of those
+The sweeps go through an exponential index space and record small
+integer statistics per index; histogram counts the distinct rows of those
 statistics, and the exact polynomial assembly happens afterwards in
 ordinary Python integers.  Indices are processed a chunk at a time with
 numpy array operations: a chunk holds every combination of the low bits
@@ -11,6 +11,11 @@ Both sweeps reduce to counting the cycles of a batch of permutations, one
 per row, which _chunk_cycle_counts does by min-label pointer doubling.
 Every work array holds at most about CHUNK_ELEMS values, whatever the size
 of the sweep.
+
+frontier_histogram gives the same rows by contracting the crossings or
+edges one at a time, with a table whose size depends on the width of the
+frontier rather than on the number of indices; frontier_plan orders the
+sites and frontier_pays picks the route.
 """
 
 from __future__ import annotations
@@ -176,3 +181,249 @@ def histogram(*columns):
             rest, digit = divmod(rest, span)
             row.append(low + digit)
         yield tuple(reversed(row)), int(counts[flat])
+
+
+# -- frontier contraction -------------------------------------------------
+
+# Measured costs of frontier contraction, in sweep indices (frontier_pays).
+FRONTIER_STEP_COST = 48
+FRONTIER_KEY_COST = 3
+# How a site joins its ports 0..3, as partner tables indexed by whether
+# the site is chosen: unchosen joins {0,1} and {2,3}, chosen {0,3} and {1,2}.
+_JOINS = ((1, 0, 3, 2), (3, 2, 1, 0))
+# What the arc at a site's port reaches: a port that is not yet processed,
+# another port of the same site, or an open port of the processed set.
+_FRESH, _SELF, _OPEN = range(3)
+
+
+def frontier_plan(arc_mate, site_ports, site_verts=()):
+    """The greedy site order of frontier_histogram, and a bound on its work.
+
+    Next comes the unprocessed site with the most arcs into the processed
+    set, ties going to the lowest index.  The bound sums, over the steps
+    of that order, a bound on the keys of the table after the step: at
+    most 2^step, and at most the pairings of the open ports times the
+    partitions of the open vertices.
+    """
+    n = len(site_ports)
+    site_of = _site_of(site_ports)
+    links = [[site_of[int(arc_mate[p])] for p in ports] for ports in site_ports]
+    left = _vertex_degrees(site_verts)
+    bell = _bell_numbers(len(left))
+    into = [0] * n
+    done = [False] * n
+    order = []
+    open_ports = 0
+    open_verts = set()
+    bound = 0
+    for step in range(1, n + 1):
+        s = max((i for i in range(n) if not done[i]), key=lambda i: (into[i], -i))
+        done[s] = True
+        order.append(s)
+        for t in links[s]:
+            if t == s:
+                continue
+            if done[t]:
+                open_ports -= 1
+            else:
+                open_ports += 1
+                into[t] += 1
+        for vert in site_verts[s] if site_verts else ():
+            left[vert] -= 1
+            open_verts.add(vert)
+        open_verts = {vert for vert in open_verts if left[vert]}
+        pairings = 1
+        for odd in range(1, open_ports, 2):
+            pairings *= odd
+        bound += min(1 << step, pairings * bell[len(open_verts)])
+    return order, bound
+
+
+def frontier_pays(n_sites, bound):
+    """Whether frontier contraction should beat the sweep over 2^n_sites
+    indices, given frontier_plan's bound on its table keys.
+
+    Costs are in sweep indices (about 1 us each on a 2-core VM with numpy
+    2.4, the sweep's fixed cost spread over them at 5-9 sites); there a
+    frontier step cost about FRONTIER_STEP_COST of them and a table key of
+    the bound about FRONTIER_KEY_COST.
+    """
+    return FRONTIER_STEP_COST * n_sites + FRONTIER_KEY_COST * bound < (1 << n_sites)
+
+
+def frontier_histogram(arc_mate, site_ports, order, site_verts=(), negative=0):
+    """The rows (chosen, negative chosen, components, loops) of every way of
+    choosing sites, with their counts, in increasing order of rows.
+
+    A site is four ports; arc_mate pairs every port with another.  A
+    chosen site joins its ports {0,3} and {1,2}, an unchosen one {0,1} and
+    {2,3}; loops counts the closed cycles of arcs and joins.  With
+    site_verts, site s also joins vertices site_verts[s] when chosen, and
+    components counts the classes of the vertices that any site touches.
+    `negative` is a bitmask of sites; negative chosen counts those chosen.
+
+    The sites are taken in `order` (from frontier_plan).  The table maps
+    (pairing of the open ports, partition of the open vertices) to counts
+    of the rows so far, where a port is open when its site is processed
+    and its arc's other end is not, and a vertex is open when some of its
+    sites are processed and some are not.  Each row is one mixed-radix
+    integer, so adding a site shifts a whole count table by one offset.
+    """
+    n = len(site_ports)
+    site_of = _site_of(site_ports)
+    left = _vertex_degrees(site_verts)
+    unit_comp = 2 * n + 1  # loops <= joins
+    unit_neg = unit_comp * (len(left) + 1)
+    unit_chosen = unit_neg * (negative.bit_count() + 1)
+    open_ports, open_verts = [], []
+    table = {((), ()): {0: 1}}
+    for s in order:
+        open_ports, port_step = _port_step(arc_mate, site_of, s, site_ports[s], open_ports)
+        ends = site_verts[s] if site_verts else ()
+        for vert in ends:
+            left[vert] -= 1
+        open_verts, vert_step = _vert_step(open_verts, ends, left)
+        port_next = {pair: tuple(port_step(pair, join) for join in _JOINS)
+                     for pair in {pair for pair, _ in table}}
+        vert_next = {blocks: (vert_step(blocks, False), vert_step(blocks, True))
+                     for blocks in {blocks for _, blocks in table}}
+        on = unit_chosen + (unit_neg if (negative >> s) & 1 else 0)
+        grown = {}
+        for (pair, blocks), counts in table.items():
+            for chosen in (0, 1):
+                new_pair, loops = port_next[pair][chosen]
+                new_blocks, comps = vert_next[blocks][chosen]
+                shift = loops + comps * unit_comp + chosen * on
+                target = grown.get((new_pair, new_blocks))
+                if target is None:
+                    grown[new_pair, new_blocks] = {row + shift: c for row, c in counts.items()}
+                else:
+                    for row, c in counts.items():
+                        target[row + shift] = target.get(row + shift, 0) + c
+        table = grown
+    (counts,) = table.values()
+    rows = []
+    for row in sorted(counts):
+        chosen, rest = divmod(row, unit_chosen)
+        neg, rest = divmod(rest, unit_neg)
+        rows.append(((chosen, neg, *divmod(rest, unit_comp)), counts[row]))
+    return rows
+
+
+def _site_of(site_ports):
+    return {p: s for s, ports in enumerate(site_ports) for p in ports}
+
+
+def _port_step(arc_mate, site_of, s, ports, open_ports):
+    """Open ports after site s, and the step of one pairing of the open
+    ports before it: step(pairing, join) = (pairing after, loops closed).
+
+    A pairing lists, by position in the open ports, its partner's
+    position.  The ports before that stay open keep their order, and the
+    site's ports whose arcs leave the processed set follow.
+    """
+    at = {p: i for i, p in enumerate(open_ports)}
+    attached = {}  # open position -> the site's port its arc reaches
+    kind, where, fresh = [], [], []
+    for q, p in enumerate(ports):
+        m = int(arc_mate[p])
+        if site_of[m] == s:
+            kind.append(_SELF)
+            where.append(ports.index(m))
+        elif m in at:
+            kind.append(_OPEN)
+            where.append(at[m])
+            attached[at[m]] = q
+        else:
+            kind.append(_FRESH)
+            where.append(None)
+            fresh.append(q)
+    kept = [i for i in range(len(open_ports)) if i not in attached]
+    moved = {i: j for j, i in enumerate(kept)}
+    for j, q in enumerate(fresh, len(kept)):
+        where[q] = j
+    width = len(kept) + len(fresh)
+
+    def walk(x, pair, join, seen):
+        """Enter the site at port x and follow the path: the open position
+        where it ends, or None when it closes up at x."""
+        start = x
+        while True:
+            y = join[x]
+            seen[x] = seen[y] = True
+            if kind[y] == _FRESH:
+                return where[y]
+            if kind[y] == _SELF:
+                x = where[y]
+            else:
+                j = pair[where[y]]
+                if j not in attached:
+                    return moved[j]
+                x = attached[j]
+            if x == start:
+                return None
+
+    def step(pair, join):
+        new = [0] * width
+        seen = [False] * 4
+        for i in kept:
+            j = pair[i]
+            new[moved[i]] = walk(attached[j], pair, join, seen) if j in attached else moved[j]
+        for q in fresh:
+            new[where[q]] = walk(q, pair, join, seen)
+        loops = 0
+        for q in range(4):
+            if not seen[q]:
+                walk(q, pair, join, seen)
+                loops += 1
+        return tuple(new), loops
+
+    return [open_ports[i] for i in kept] + [ports[q] for q in fresh], step
+
+
+def _vert_step(open_verts, ends, left):
+    """Open vertices after a site with end vertices `ends`, and the step of
+    one partition of the open vertices before it:
+    step(blocks, chosen) = (blocks after, classes closed).
+
+    A partition labels each open vertex, in order, by its class, classes
+    numbered in order of first appearance.  `left` counts the sites still
+    to come at each vertex.
+    """
+    grown = open_verts + [v for v in dict.fromkeys(ends) if v not in open_verts]
+    stay = [i for i, v in enumerate(grown) if left[v]]
+    ends_at = [grown.index(v) for v in ends]
+    fresh_labels = tuple(range(len(open_verts), len(grown)))
+
+    def step(blocks, chosen):
+        labels = blocks + fresh_labels
+        if chosen and ends_at:
+            a, b = (labels[i] for i in ends_at)
+            labels = tuple(a if label == b else label for label in labels)
+        staying = {labels[i] for i in stay}
+        closed = len(set(labels) - staying)
+        names = {}
+        return tuple(names.setdefault(labels[i], len(names)) for i in stay), closed
+
+    return [grown[i] for i in stay], step
+
+
+def _vertex_degrees(site_verts):
+    """Site ends at each vertex; a site with both ends at one vertex counts twice."""
+    degrees = [0] * (1 + max((max(ends) for ends in site_verts), default=-1))
+    for ends in site_verts:
+        for vert in ends:
+            degrees[vert] += 1
+    return degrees
+
+
+def _bell_numbers(count):
+    """Bell numbers B_0 .. B_count, by the Bell triangle."""
+    bell, row = [1], [1]
+    for _ in range(count):
+        new = [row[-1]]
+        for x in row:
+            new.append(new[-1] + x)
+        row = new
+        bell.append(row[0])
+    return bell

@@ -23,6 +23,7 @@ from .build import (
     find_switch_set,
 )
 from .diagram import (
+    bracket_routes,
     jones,
     kauffman_bracket,
     parse_diagram,
@@ -31,6 +32,7 @@ from .diagram import (
 from .randgen import KINDS, MAX_RANDOM_CROSSINGS, random_diagram
 from .ribbon import (
     br_poly,
+    br_poly_routes,
     format_ribbon,
     genus,
     graph_stats,
@@ -169,6 +171,10 @@ def _selftest_cases():
     for name, text in fixtures.DIAGRAMS.items():
         d = parse_diagram(text)
         colorable = find_switch_set(d) is not None
+        routes = [bracket_routes(d)]
+        if colorable:
+            routes.append(br_poly_routes(build_signed(d)[0], signed=True))
+        yield f"{name}: frontier route equals sweep", all(a == b for a, b in routes)
         if name == "virtual-hopf":
             yield f"{name}: reports not colorable", not colorable
             continue
@@ -187,6 +193,8 @@ def _selftest_cases():
         str(br_poly(g)) == "x*y + x + y^2*z^2 + 3*y + 2",
     )
     yield "sample-ribbon: genus", genus(g) == 1
+    frontier, sweep = br_poly_routes(g, signed=True)
+    yield "sample-ribbon: frontier route equals sweep", frontier == sweep
 
 
 def _cmd_selftest(args):

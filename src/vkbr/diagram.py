@@ -39,9 +39,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import histogram, popcounts, state_delta_sweep
+from ._kernels import (
+    frontier_histogram,
+    frontier_pays,
+    frontier_plan,
+    histogram,
+    popcounts,
+    state_delta_sweep,
+)
 from .laurent import LaurentPoly
-from .limits import check_enumeration_size
+from .limits import check_enumeration_size, check_sweep_memory
 
 BRACKET_VARS = ("A", "B", "d")
 JONES_VARS = ("t",)
@@ -321,13 +328,57 @@ def state_table(d: Diagram) -> tuple[StateStats, ...]:
 
 
 def kauffman_bracket(d: Diagram) -> LaurentPoly:
-    """The bracket state sum as an exact polynomial in A, B, d."""
+    """The bracket state sum as an exact polynomial in A, B, d.
+
+    The states are summed by frontier contraction when its planned work
+    is below the sweep's (_kernels.frontier_pays), else by the sweep.
+    """
+    n, mate, order, bound = _plan(d)
+    rows = _frontier_rows(mate, order) if frontier_pays(n, bound) else _sweep_rows(mate)
+    return _bracket_poly(d, rows)
+
+
+def bracket_routes(d: Diagram) -> tuple[LaurentPoly, LaurentPoly]:
+    """The bracket by frontier contraction and by the sweep, both run
+    whichever route kauffman_bracket would pick; the two must be equal."""
+    _, mate, order, _ = _plan(d)
+    return _bracket_poly(d, _frontier_rows(mate, order)), _bracket_poly(d, _sweep_rows(mate))
+
+
+def _plan(d: Diagram):
+    """(n, arc pairing, frontier order, frontier work bound), after the cap check."""
     n = len(d.crossings)
     check_enumeration_size(n, f"bracket of a {n}-crossing diagram")
-    deltas = state_delta_sweep(n, _arc_mate(d))
+    mate = _arc_mate(d)
+    return (n, mate, *frontier_plan(mate, _crossing_sites(n)))
+
+
+def _crossing_sites(n: int):
+    """Crossing c as a frontier site: its ports 4c+p, listed from port 1
+    so that the site's chosen join is the A-splitting {0,1}, {2,3} and its
+    unchosen join the B-splitting {0,3}, {1,2}."""
+    return [(4 * c + 1, 4 * c + 2, 4 * c + 3, 4 * c) for c in range(n)]
+
+
+def _frontier_rows(mate: np.ndarray, order):
+    """((alpha, curves), count) over all states, free loops excluded, by
+    frontier contraction of the crossings in `order`."""
+    rows = frontier_histogram(mate, _crossing_sites(len(mate) // 4), order)
+    return [((alpha, curves), count) for (alpha, _, _, curves), count in rows]
+
+
+def _sweep_rows(mate: np.ndarray):
+    """The rows of _frontier_rows, from the state sweep."""
+    n = len(mate) // 4
+    check_sweep_memory(n, f"state sweep of a {n}-crossing diagram")
+    return histogram(n - popcounts(1 << n), state_delta_sweep(n, mate))
+
+
+def _bracket_poly(d: Diagram, rows) -> LaurentPoly:
+    n = len(d.crossings)
     terms = {
         (4 * alpha, 4 * (n - alpha), 4 * (delta + d.free_loops - 1)): count
-        for (alpha, delta), count in histogram(n - popcounts(1 << n), deltas)
+        for (alpha, delta), count in rows
     }
     return LaurentPoly(BRACKET_VARS, terms)
 

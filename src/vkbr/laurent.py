@@ -206,15 +206,15 @@ class LaurentPoly:
             raise PolyError("use substitute() for fractional powers")
         if power < 0:
             return self._fractional_power(Fraction(power))
-        result = LaurentPoly.one(self.variables)
+        result = None
         base = self
-        k = power
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        while power:
+            if power & 1:
+                result = base if result is None else result * base
+            power >>= 1
+            if power:
+                base = base * base
+        return LaurentPoly.one(self.variables) if result is None else result
 
     def _fractional_power(self, power: Fraction) -> "LaurentPoly":
         """self**power for a single-term self; power may be any quarter rational.
@@ -223,15 +223,17 @@ class LaurentPoly:
         coefficient power stays an integer, e.g. coefficient 1 with any
         power, or -1 with an integer power.
         """
-        if power.denominator == 1 and power >= 0:
-            return self ** int(power)
         if len(self._terms) != 1:
+            if power.denominator == 1 and power >= 0:
+                return self ** int(power)
             raise PolyError(
                 f"power {power} of a {len(self._terms)}-term polynomial is not "
                 "a Laurent polynomial"
             )
         (exps, coeff), = self._terms.items()
-        if coeff == 1:
+        if power.denominator == 1 and power >= 0:
+            new_coeff = coeff ** int(power)
+        elif coeff == 1:
             new_coeff = 1
         elif coeff == -1 and power.denominator == 1:
             new_coeff = -1 if int(power) % 2 else 1
@@ -278,15 +280,45 @@ class LaurentPoly:
                     f"expected {variables}"
                 )
             values[name] = value
-        result = LaurentPoly.zero(variables)
+        # Single-term replacements fold into each term's monomial.  The
+        # terms are then grouped by their powers of the other replacements,
+        # taken in increasing order, so each group costs one product per
+        # power it carries, and each such power is computed once, from the
+        # power one below when that is known.
+        powers: dict[tuple[str, int], LaurentPoly] = {}
+
+        def power(name: str, q: int) -> "LaurentPoly":
+            if (name, q) not in powers:
+                value = values[name]
+                below = powers.get((name, q - 4)) if len(value._terms) > 1 else None
+                powers[name, q] = (
+                    value._fractional_power(Fraction(q, 4)) if below is None else below * value
+                )
+            return powers[name, q]
+
+        groups: dict[tuple[tuple[str, int], ...], dict[tuple[int, ...], int]] = {}
         for exps, coeff in self._terms.items():
-            term = LaurentPoly.constant(variables, coeff)
+            mono = (0,) * len(variables)
+            rest = []
             for name, q in zip(self.variables, exps):
                 if not q:
                     continue
-                term = term * values[name]._fractional_power(Fraction(q, 4))
-            result = result + term
-        return result
+                if len(values[name]._terms) == 1:
+                    ((m_exps, m_coeff),) = power(name, q)._terms.items()
+                    mono = tuple(a + b for a, b in zip(mono, m_exps))
+                    coeff *= m_coeff
+                else:
+                    rest.append((name, q))
+            group = groups.setdefault(tuple(rest), {})
+            group[mono] = group.get(mono, 0) + coeff
+        result: dict[tuple[int, ...], int] = {}
+        for rest, terms in sorted(groups.items()):
+            part = LaurentPoly(variables, terms)
+            for name, q in rest:
+                part = part * power(name, q)
+            for exps, coeff in part._terms.items():
+                result[exps] = result.get(exps, 0) + coeff
+        return LaurentPoly(variables, result)
 
     # -- canonical text form ------------------------------------------
 

@@ -35,9 +35,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import histogram, subgraph_sweep
+from ._kernels import (
+    frontier_histogram,
+    frontier_pays,
+    frontier_plan,
+    histogram,
+    subgraph_sweep,
+)
 from .laurent import LaurentPoly
-from .limits import check_enumeration_size
+from .limits import check_enumeration_size, check_sweep_memory
 
 BR_VARS = ("x", "y", "z")
 TUTTE_VARS = ("x", "y")
@@ -335,20 +341,79 @@ def br_poly(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
     The signed variant shifts the x and y exponents by s(F) =
     (e-(F) - e-(F complement)) / 2 in half-integers, which the exponent
     lattice absorbs exactly; with no negative edges s(F) = 0 and both
-    agree.  The sweep leaves out dart-less vertices, which change no
-    exponent: each adds one to v, k(F) and bc(F) alike.  k(G) is the least
-    k(F), since adding edges never splits a component.
+    agree.  The subgraphs are summed by frontier contraction when its
+    planned work is below the sweep's (_kernels.frontier_pays), else by
+    the sweep.  Both leave out dart-less vertices, which change no
+    exponent: each adds one to v, k(F) and bc(F) alike.  k(G) is the
+    least k(F), since adding edges never splits a component.
     """
+    e, neg, sites, order, bound = _plan(g, signed)
+    if frontier_pays(e, bound):
+        return _rank_poly(g, _frontier_rows(sites, order, neg), neg)
+    return _rank_poly(g, _sweep_rows(g, neg), neg)
+
+
+def br_poly_routes(g: RibbonGraph, signed: bool = False) -> tuple[LaurentPoly, LaurentPoly]:
+    """br_poly by frontier contraction and by the sweep, both run whichever
+    route br_poly would pick; the two must be equal."""
+    _, neg, sites, order, _ = _plan(g, signed)
+    frontier = _frontier_rows(sites, order, neg)
+    return _rank_poly(g, frontier, neg), _rank_poly(g, _sweep_rows(g, neg), neg)
+
+
+def _plan(g: RibbonGraph, signed: bool):
+    """(e, negative mask, frontier sites, frontier order, work bound),
+    after the cap check."""
     e = g.edge_count
     check_enumeration_size(e, f"subgraph sweep of a {e}-edge ribbon graph")
-    neg = g.negative_mask() if signed else 0
-    arrays = g.sweep_arrays()
-    v = arrays[0]
-    k_arr, bc_arr = subgraph_sweep(*arrays)
+    sites = _frontier_sites(g)
+    return (e, g.negative_mask() if signed else 0, sites, *frontier_plan(*sites))
+
+
+def _frontier_sites(g: RibbonGraph):
+    """(arc_mate, site_ports, site_verts): the edges of g as frontier sites.
+
+    Dart x has ports 2x (in) and 2x+1 (out), and an arc joins x's out port
+    to the in port of rot(x), the next dart counterclockwise at its
+    vertex.  The site of an edge with darts x, x' lists the ports x in,
+    x out, x' in, x' out, so its chosen join (x in to x' out, x' in to
+    x out) steps from x to rot(x') as the face permutation of a subgraph
+    holding the edge does, and its unchosen join steps from x to rot(x):
+    the closed loops are the boundary components.  site_verts holds each
+    edge's two end vertices.
+    """
+    mate = [0] * (2 * len(g._dart_ids))
+    for x, vi in enumerate(g._dart_vertex):
+        nxt = x + 1 if x + 1 < g._vert_off[vi + 1] else g._vert_off[vi]
+        mate[2 * x + 1] = 2 * nxt
+        mate[2 * nxt] = 2 * x + 1
+    ports, verts = [], []
+    for edge in g.edges:
+        a, b = (g._dart_ids[dart] for dart in edge.darts)
+        ports.append((2 * a, 2 * a + 1, 2 * b, 2 * b + 1))
+        verts.append((g._dart_vertex[a], g._dart_vertex[b]))
+    return mate, ports, verts
+
+
+def _frontier_rows(sites, order, neg: int):
+    """(e(F), e-(F), k(F), bc(F)) with their counts over the subgraphs, by
+    frontier contraction of the edges in `order`."""
+    mate, ports, verts = sites
+    return frontier_histogram(mate, ports, order, verts, neg)
+
+
+def _sweep_rows(g: RibbonGraph, neg: int):
+    """The rows of _frontier_rows, from the subgraph sweep."""
+    e = g.edge_count
+    check_sweep_memory(e, f"subgraph sweep of a {e}-edge ribbon graph")
+    k_arr, bc_arr = subgraph_sweep(*g.sweep_arrays())
     masks = np.arange(1 << e, dtype=np.int64)
-    rows = list(
-        histogram(np.bitwise_count(masks), np.bitwise_count(masks & neg), k_arr, bc_arr)
-    )
+    return histogram(np.bitwise_count(masks), np.bitwise_count(masks & neg), k_arr, bc_arr)
+
+
+def _rank_poly(g: RibbonGraph, rows, neg: int) -> LaurentPoly:
+    rows = list(rows)
+    v = sum(bool(darts) for _, darts in g.vertices)
     k_g = min(k for (_, _, k, _), _ in rows)
     e_neg_total = neg.bit_count()
     terms: dict[tuple[int, int, int], int] = {}

@@ -60,14 +60,15 @@ class VerifyReport:
         return self.stats["k"]
 
 
-def bracket_from_graph(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
+def bracket_from_graph(g: RibbonGraph, signed: bool = False, stats=None) -> LaurentPoly:
     """Assemble a bracket polynomial from a ribbon graph.
 
     Multiplies the (signed) rank polynomial, evaluated at x = Bd/A,
-    y = Ad/B, z = 1/d, by the monomial A^r B^n d^(k-1).
+    y = Ad/B, z = 1/d, by the monomial A^r B^n d^(k-1).  `stats` is
+    graph_stats(g), computed here when not given.
     """
     poly = br_poly(g, signed=signed)
-    stats = graph_stats(g)
+    stats = graph_stats(g) if stats is None else stats
     assembled = poly.substitute(
         {
             "x": LaurentPoly.monomial(BRACKET_VARS, 1, A=-1, B=1, d=1),
@@ -89,23 +90,27 @@ def _jones_prefactor(w: int, stats: dict[str, int]) -> LaurentPoly:
     )
 
 
-def jones_from_graph(g: RibbonGraph, w: int) -> LaurentPoly:
+def jones_from_graph(g: RibbonGraph, w: int, stats=None) -> LaurentPoly:
     """Assemble a Jones polynomial from a signed ribbon graph and writhe.
 
     Per term x^a y^b z^c the contribution is t^((a-b)/2) times
     D^(a+b-c+k-1) with D = -t^(1/2) - t^(-1/2); the global prefactor is
-    (-1)^w t^((3w-r+n)/4).
+    (-1)^w t^((3w-r+n)/4).  The terms are grouped by their power of D and
+    the groups summed by Horner's rule, one product per power.  `stats`
+    is graph_stats(g), computed here when not given.
     """
     poly = br_poly(g, signed=True)
-    stats = graph_stats(g)
+    stats = graph_stats(g) if stats is None else stats
     big_d = LaurentPoly.parse("-t^(1/2) - t^(-1/2)", JONES_VARS)
-    total = LaurentPoly.zero(JONES_VARS)
+    groups: dict[int, dict[tuple[int], int]] = {}
     for (a, b, c), coeff in poly.terms():
-        d_power = a + b - c + stats["k"] - 1  # equals bc(F) - 1, a nonnegative integer
-        total = total + (
-            LaurentPoly.monomial(JONES_VARS, coeff, t=(a - b) / 2)
-            * big_d ** int(d_power)
-        )
+        d_power = int(a + b - c + stats["k"] - 1)  # equals bc(F) - 1, a nonnegative integer
+        group = groups.setdefault(d_power, {})
+        t_quarters = (int(2 * (a - b)),)  # t^((a-b)/2) in quarter units
+        group[t_quarters] = group.get(t_quarters, 0) + coeff
+    total = LaurentPoly.zero(JONES_VARS)
+    for d_power in range(max(groups, default=-1), -1, -1):
+        total = total * big_d + LaurentPoly(JONES_VARS, groups.get(d_power))
     return _jones_prefactor(w, stats) * total
 
 
@@ -135,7 +140,8 @@ def jones_via_tutte(g: RibbonGraph, w: int) -> LaurentPoly:
 def _verify(d: Diagram, mode: str, switches=None) -> VerifyReport:
     """The one body of the three checks; mode is "main", "signed" or "jones".
 
-    Builds the graph once; the left side never sees it.
+    Builds the graph and its graph_stats once; the left side never sees
+    them.
     """
     if mode == "main":
         g, used = build_ribbon(d), ()
@@ -144,10 +150,10 @@ def _verify(d: Diagram, mode: str, switches=None) -> VerifyReport:
     stats = graph_stats(g)
     if mode == "jones":
         left = jones(d)
-        right = jones_from_graph(g, writhe(d))
+        right = jones_from_graph(g, writhe(d), stats)
     else:
         left = kauffman_bracket(d)
-        right = bracket_from_graph(g, signed=mode == "signed")
+        right = bracket_from_graph(g, mode == "signed", stats)
     return VerifyReport(left, right, left == right, g, stats, used)
 
 

@@ -60,3 +60,9 @@ def _components(n_verts: int, endpoints) -> int:
                 labels[u] = labels[w] = low
                 changed = True
     return len(set(labels))
+
+
+def closed_braid(n: int) -> str:
+    """Diagram text of the closed 2-braid sigma_1^n, crossing c meeting only
+    crossings c-1 and c+1 (mod n)."""
+    return "".join(f"X w{(c - 1) % n} u{(c - 1) % n} u{c} w{c} o=1\n" for c in range(n))

@@ -1,0 +1,298 @@
+"""Frontier contraction against the sweeps and the per-index traces, and
+the choice between the two routes."""
+
+import random
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import vkbr
+from helpers import closed_braid, random_ribbon
+from vkbr import diagram, fixtures, limits, ribbon
+from vkbr._kernels import frontier_pays
+from vkbr.build import NotColorableError, build_signed, find_switch_set
+from vkbr.cli import main
+from vkbr.diagram import (
+    Diagram,
+    bracket_routes,
+    kauffman_bracket,
+    parse_diagram,
+    split_stats,
+)
+from vkbr.laurent import LaurentPoly
+from vkbr.limits import SizeLimitError
+from vkbr.randgen import KINDS, random_diagram
+from vkbr.ribbon import (
+    RibbonGraph,
+    br_poly,
+    br_poly_routes,
+    parse_ribbon,
+    subgraph_stats,
+)
+from vkbr.verify import verify_jones, verify_main, verify_signed
+
+
+COLORABLE = [
+    name for name, text in sorted(fixtures.DIAGRAMS.items())
+    if find_switch_set(parse_diagram(text)) is not None
+]
+
+
+def diagram_rows(d):
+    """((alpha, curves), count) rows of a diagram: (frontier, sweep)."""
+    _, mate, order, _ = diagram._plan(d)
+    return diagram._frontier_rows(mate, order), list(diagram._sweep_rows(mate))
+
+
+def traced_diagram_rows(d):
+    """The same rows from split_stats, one call per state."""
+    counts = Counter()
+    for state in range(1 << len(d.crossings)):
+        stats = split_stats(d, state)
+        counts[stats.alpha, stats.delta - d.free_loops] += 1
+    return sorted(counts.items())
+
+
+def graph_rows(g, signed=True):
+    """((e(F), e-(F), k(F), bc(F)), count) rows of a graph: (frontier, sweep)."""
+    _, neg, sites, order, _ = ribbon._plan(g, signed)
+    return ribbon._frontier_rows(sites, order, neg), list(ribbon._sweep_rows(g, neg))
+
+
+def traced_graph_rows(g):
+    """The signed rows from subgraph_stats, one call per subgraph; both
+    routes leave out the dart-less vertices."""
+    bare = sum(not darts for _, darts in g.vertices)
+    neg = g.negative_mask()
+    counts = Counter()
+    for mask in range(1 << g.edge_count):
+        stats = subgraph_stats(g, mask)
+        row = (mask.bit_count(), (mask & neg).bit_count(), stats.k - bare, stats.bc - bare)
+        counts[row] += 1
+    return sorted(counts.items())
+
+
+def assert_diagram_routes_agree(d, traced=True):
+    frontier, sweep = diagram_rows(d)
+    assert frontier == sweep
+    if traced:
+        assert frontier == traced_diagram_rows(d)
+
+
+def assert_graph_routes_agree(g, traced=True):
+    frontier, sweep = graph_rows(g)
+    assert frontier == sweep
+    unsigned_frontier, unsigned_sweep = graph_rows(g, signed=False)
+    assert unsigned_frontier == unsigned_sweep
+    if traced:
+        assert frontier == traced_graph_rows(g)
+
+
+def disjoint_union(*texts):
+    """Diagram text of the given diagrams side by side, arcs renamed apart."""
+    lines = []
+    for i, text in enumerate(texts):
+        d = parse_diagram(text)
+        for c in d.crossings:
+            lines.append(f"X {' '.join(f'p{i}_{a}' for a in c.ports)} o={c.over_in}\n")
+        if d.free_loops:
+            lines.append(f"O {d.free_loops}\n")
+    return "".join(lines)
+
+
+class TestDiagramRoutes:
+    @pytest.mark.parametrize("name", sorted(fixtures.DIAGRAMS))
+    def test_every_fixture(self, name):
+        assert_diagram_routes_agree(parse_diagram(fixtures.DIAGRAMS[name]))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", range(11))
+    def test_random_diagrams(self, kind, n):
+        for seed in range(3):
+            d = random_diagram(n, seed, kind)
+            assert_diagram_routes_agree(d, traced=n <= 7)
+            try:
+                g, _ = build_signed(d)
+            except NotColorableError:
+                continue
+            assert_graph_routes_agree(g, traced=n <= 7)
+
+    def test_empty_diagram(self):
+        d = Diagram(())
+        assert diagram_rows(d) == ([((0, 0), 1)], [((0, 0), 1)])
+        assert str(kauffman_bracket(d)) == "d^-1"
+
+    def test_free_loops_only(self):
+        d = parse_diagram("O 3\n")
+        assert_diagram_routes_agree(d)
+        assert str(kauffman_bracket(d)) == "d^2"
+
+    @pytest.mark.parametrize("text", [fixtures.NEGATIVE_KINK, fixtures.POSITIVE_KINK,
+                                      "X a a b c o=3\nX b d c d o=3\n"])
+    def test_kinks(self, text):
+        # Arcs from a crossing back to itself.
+        assert_diagram_routes_agree(parse_diagram(text))
+
+    def test_disconnected_diagram(self):
+        d = parse_diagram(disjoint_union(
+            fixtures.TREFOIL, fixtures.HOPF_LINK, fixtures.POSITIVE_KINK, "O 2\n"
+        ))
+        assert_diagram_routes_agree(d)
+        frontier, sweep = bracket_routes(d)
+        assert frontier == sweep
+
+    def test_bracket_routes_agree_past_the_traces(self):
+        d = parse_diagram(closed_braid(13))
+        frontier, sweep = bracket_routes(d)
+        assert frontier == sweep == kauffman_bracket(d)
+
+
+class TestGraphRoutes:
+    def test_sample_ribbon(self):
+        g = parse_ribbon(fixtures.SAMPLE_RIBBON)
+        assert_graph_routes_agree(g)
+        frontier, sweep = br_poly_routes(g)
+        assert str(frontier) == str(sweep) == "x*y + x + y^2*z^2 + 3*y + 2"
+
+    @pytest.mark.parametrize("name", COLORABLE)
+    def test_graph_of_every_colorable_fixture(self, name):
+        g, _ = build_signed(parse_diagram(fixtures.DIAGRAMS[name]))
+        assert_graph_routes_agree(g)
+
+    def test_zero_edges(self):
+        g = RibbonGraph([("u", ()), ("w", ())], [])
+        assert graph_rows(g) == ([((0, 0, 0, 0), 1)], [((0, 0, 0, 0), 1)])
+        assert br_poly_routes(g) == (LaurentPoly.one(ribbon.BR_VARS),) * 2
+
+    def test_random_graphs(self):
+        # Loops, dart-less vertices, several components and negative edges
+        # all occur among these.
+        rng = random.Random(31)
+        graphs = [random_ribbon(rng, rng.randint(1, 7), rng.randint(0, 9), signed=True)
+                  for _ in range(60)]
+        assert any(not darts for g in graphs for _, darts in g.vertices)
+        assert any(u == w for g in graphs for u, w in zip(*g.sweep_arrays()[4:6]))
+        assert any(g.negative_mask() for g in graphs)
+        assert any(subgraph_stats(g, g.full_subset).k - sum(not darts for _, darts in g.vertices) > 1
+                   for g in graphs)
+        for g in graphs:
+            assert_graph_routes_agree(g, traced=g.edge_count <= 6)
+
+    def test_two_components(self):
+        text = fixtures.SAMPLE_RIBBON + fixtures.SAMPLE_RIBBON.replace(
+            "u", "u2").replace("w", "w2").replace("a", "f").replace("b", "g").replace("c", "h")
+        g = parse_ribbon(text)
+        assert subgraph_stats(g, g.full_subset).k == 2
+        assert_graph_routes_agree(g)
+        assert br_poly(g) == br_poly(parse_ribbon(fixtures.SAMPLE_RIBBON)) ** 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_verts=st.integers(1, 6),
+        n_edges=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_frontier_equals_sweep(self, n_verts, n_edges, seed):
+        g = random_ribbon(random.Random(seed), n_verts, n_edges, signed=True)
+        assert_graph_routes_agree(g, traced=False)
+
+
+def _forbid_sweeps(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(vkbr.diagram, "state_delta_sweep", refuse)
+    monkeypatch.setattr(vkbr.ribbon, "subgraph_sweep", refuse)
+
+
+def _count_sweeps(monkeypatch):
+    calls = Counter()
+    for module, name in ((vkbr.diagram, "state_delta_sweep"), (vkbr.ribbon, "subgraph_sweep")):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestRouteChoice:
+    def test_closed_braid_verifies_without_a_sweep(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "braid.txt"
+        path.write_text(closed_braid(13))
+        _forbid_sweeps(monkeypatch)
+        code = main(["verify", "--jones", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "equal: yes" in out
+
+    def test_small_inputs_go_to_the_sweeps(self, monkeypatch):
+        d = parse_diagram(fixtures.TREFOIL)
+        calls = _count_sweeps(monkeypatch)
+        assert verify_signed(d).equal
+        assert calls == {"state_delta_sweep": 1, "subgraph_sweep": 1}
+
+    def test_rule(self):
+        assert not frontier_pays(3, 3)
+        assert not frontier_pays(7, 20)
+        assert frontier_pays(13, 36)
+        assert not frontier_pays(13, 1 << 12)
+
+
+class TestSweepMemoryCheck:
+    def test_probe_reports_a_size(self):
+        size = limits.physical_memory()
+        assert size is None or size > 0
+
+    def test_refuses_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(limits, "physical_memory", lambda: 100)
+        _forbid_sweeps(monkeypatch)
+        with pytest.raises(SizeLimitError, match="physical memory"):
+            kauffman_bracket(parse_diagram(fixtures.TREFOIL))
+        with pytest.raises(SizeLimitError, match="physical memory"):
+            br_poly(parse_ribbon(fixtures.SAMPLE_RIBBON))
+
+    def test_cli_exits_2(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(limits, "physical_memory", lambda: 100)
+        path = tmp_path / "trefoil.txt"
+        path.write_text(fixtures.TREFOIL)
+        assert main(["bracket", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: state sweep of a 3-crossing diagram") and "physical memory" in err
+
+    def test_raised_cap_sweep_refused(self, monkeypatch):
+        # 2^40 indices: refused from the estimate, nothing allocated.
+        monkeypatch.setenv("VKBR_MAX_CROSSINGS", "40")
+        monkeypatch.setattr(limits, "physical_memory", lambda: 1 << 34)
+        _forbid_sweeps(monkeypatch)
+        mate = diagram._arc_mate(parse_diagram(closed_braid(40)))
+        with pytest.raises(SizeLimitError, match="40-crossing"):
+            diagram._sweep_rows(mate)
+
+    def test_frontier_route_needs_no_sweep_memory(self, monkeypatch):
+        monkeypatch.setattr(limits, "physical_memory", lambda: 100)
+        d = parse_diagram(closed_braid(13))
+        assert verify_jones(d).equal
+
+    def test_unknown_memory_allows_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(limits, "physical_memory", lambda: None)
+        assert str(kauffman_bracket(parse_diagram(fixtures.NEGATIVE_KINK))) == "A + B*d"
+
+
+class TestStatsOnce:
+    @pytest.mark.parametrize("check", [verify_main, verify_signed, verify_jones])
+    def test_one_trace_per_verify(self, monkeypatch, check):
+        calls = []
+        original = ribbon.subgraph_stats
+
+        def counted(g, subset):
+            calls.append(subset)
+            return original(g, subset)
+
+        monkeypatch.setattr(ribbon, "subgraph_stats", counted)
+        assert check(parse_diagram(fixtures.SAMPLE_KNOT)).equal
+        assert len(calls) == 1

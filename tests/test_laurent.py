@@ -219,6 +219,52 @@ class TestSubstitution:
         )
         assert shifted == parse_poly("x^2", xy)
 
+    def test_grouped_substitution_matches_term_by_term(self):
+        # Two multi-term replacements and one single-term replacement with a
+        # sign and negative powers, against the plain product of each
+        # term's powers.
+        xyz = ("x", "y", "z")
+        sub = {
+            "x": parse_poly("t + 2 - t^-1", T),
+            "y": parse_poly("-t^(1/2)", T),
+            "z": parse_poly("1 - t^(3/4)", T),
+        }
+        rng = random.Random(8)
+        for _ in range(20):
+            terms = {}
+            for _ in range(rng.randrange(1, 12)):
+                exps = (4 * rng.randrange(5), 4 * rng.randrange(-2, 3), 4 * rng.randrange(4))
+                terms[exps] = rng.randrange(-9, 10)
+            p = LaurentPoly(xyz, terms)
+            expected = LaurentPoly.zero(T)
+            for exps, coeff in p.terms():
+                term = LaurentPoly.constant(T, coeff)
+                for name, e in zip(xyz, exps):
+                    if e:
+                        term = term * sub[name]._fractional_power(e)
+                expected = expected + term
+            assert p.substitute(sub, T) == expected
+
+    def test_substitution_computes_each_power_once(self, monkeypatch):
+        calls = []
+        original = LaurentPoly._fractional_power
+
+        def counted(self, power):
+            calls.append((str(self), power))
+            return original(self, power)
+
+        monkeypatch.setattr(LaurentPoly, "_fractional_power", counted)
+        bracket = mono(1, A=2, d=3) + mono(2, B=2, d=3) + mono(1, A=2, B=1, d=1)
+        bracket.substitute(
+            {
+                "A": LaurentPoly.monomial(T, 1, t=Fraction(-1, 4)),
+                "B": LaurentPoly.monomial(T, 1, t=Fraction(1, 4)),
+                "d": parse_poly("-t^(1/2) - t^(-1/2)", T),
+            },
+            T,
+        )
+        assert len(calls) == len(set(calls))
+
     def test_substitution_values_compose_to_one(self):
         # The three bracket-side substitution monomials satisfy x*y*z^2 = 1.
         x = LaurentPoly.monomial(ABD, 1, B=1, d=1, A=-1)
