@@ -1,7 +1,8 @@
 """Kernel backend flag, kept for callers that record the run conditions.
 
-The enumeration kernels in _kernels are vectorised numpy with no compiled
-alternative, so nothing is ever compiled just in time.
+Frontier contraction in _kernels is pure Python and the reference sweeps
+are vectorised numpy, with no compiled alternative, so nothing is ever
+compiled just in time.
 """
 
 JIT_ENABLED = False

@@ -1,26 +1,25 @@
 """The two routes to the bracket and rank-polynomial sums.
 
-The sweeps go through an exponential index space and record small
-integer statistics per index; histogram counts the distinct rows of those
-statistics, and the exact polynomial assembly happens afterwards in
-ordinary Python integers.  Indices are processed a chunk at a time with
-numpy array operations: a chunk holds every combination of the low bits
-under one fixed setting of the high bits, with one row per index.
+frontier_histogram computes both sums: it contracts the crossings or
+edges one at a time, in the order frontier_plan gives, with a table whose
+size depends on the width of the frontier rather than on the number of
+states or subgraphs.  It needs nothing but Python integers.
 
-Both sweeps reduce to counting the cycles of a batch of permutations, one
-per row, which _chunk_cycle_counts does by min-label pointer doubling.
-Every work array holds at most about CHUNK_ELEMS values, whatever the size
-of the sweep.
-
-frontier_histogram gives the same rows by contracting the crossings or
-edges one at a time, with a table whose size depends on the width of the
-frontier rather than on the number of indices; frontier_plan orders the
-sites and frontier_pays picks the route.
+The sweeps are the brute-force reference it is checked against.  They go
+through the exponential index space and record small integer statistics
+per index; histogram counts the distinct rows of those statistics, and
+the exact polynomial assembly happens afterwards in ordinary Python
+integers.  Indices are processed a chunk at a time with numpy array
+operations: a chunk holds every combination of the low bits under one
+fixed setting of the high bits, with one row per index.  Both sweeps
+reduce to counting the cycles of a batch of permutations, one per row,
+which _chunk_cycle_counts does by min-label pointer doubling.  Every work
+array holds at most about CHUNK_ELEMS values, whatever the size of the
+sweep.  numpy is imported only when a sweep runs, so a process that never
+calls one never loads it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 # Elements per work array of one chunk (128 KiB as int32, 256 KiB as intp).
 CHUNK_ELEMS = 1 << 15
@@ -45,6 +44,8 @@ def _chunk_cycle_counts(n_bits, bit_of, off, on, width, max_cycle):
     freed memory to the system.  Indices are in range by construction;
     mode="wrap" only skips numpy's check.
     """
+    import numpy as np
+
     fit = (CHUNK_ELEMS // max(width, 1)).bit_length() - 1
     n_low = max(0, min(n_bits, fit))
     rows = np.arange(1 << n_low, dtype=np.intp)[:, None]
@@ -78,6 +79,8 @@ def state_delta_sweep(n_crossings, arc_mate):
     splits into two L-cycles of arc_mate o connector, so curves are half
     its cycles.  Returns int16[2^n], indexed by state.
     """
+    import numpy as np
+
     n = int(n_crossings)
     arc_mate = np.asarray(arc_mate, dtype=np.int32)
     ports = np.arange(arc_mate.shape[0], dtype=np.int32)
@@ -109,6 +112,8 @@ def subgraph_sweep(n_verts, n_edges, vert_off, vert_darts, edge_u, edge_w,
     of mask with the class of edge_u[j] merged into that of edge_w[j],
     starting from a union-find over the chunk's fixed high edges.
     """
+    import numpy as np
+
     v = int(n_verts)
     e = int(n_edges)
     vert_off = np.asarray(vert_off, dtype=np.int32)
@@ -141,6 +146,8 @@ def subgraph_sweep(n_verts, n_edges, vert_off, vert_darts, edge_u, edge_w,
 def _high_edge_labels(n_verts, edge_u, edge_w, mask):
     """int32[1, v]: each vertex labelled by a root vertex of its component
     in the subgraph of the edges set in `mask`."""
+    import numpy as np
+
     parent = list(range(n_verts))
 
     def find(i):
@@ -155,8 +162,10 @@ def _high_edge_labels(n_verts, edge_u, edge_w, mask):
     return np.array([[find(i) for i in range(n_verts)]], dtype=np.int32)
 
 
-def popcounts(n_masks: int) -> np.ndarray:
+def popcounts(n_masks: int):
     """Bit counts of 0 .. n_masks-1 as an int64 array."""
+    import numpy as np
+
     return np.bitwise_count(np.arange(n_masks, dtype=np.uint64)).astype(np.int64)
 
 
@@ -168,6 +177,8 @@ def histogram(*columns):
     value, so the count array spans only the product of the columns'
     ranges, however large their values.
     """
+    import numpy as np
+
     lows = [int(col.min()) for col in columns]
     spans = [int(col.max()) - low + 1 for col, low in zip(columns, lows)]
     key = np.zeros(len(columns[0]), dtype=np.int64)
@@ -185,9 +196,6 @@ def histogram(*columns):
 
 # -- frontier contraction -------------------------------------------------
 
-# Measured costs of frontier contraction, in sweep indices (frontier_pays).
-FRONTIER_STEP_COST = 48
-FRONTIER_KEY_COST = 3
 # How a site joins its ports 0..3, as partner tables indexed by whether
 # the site is chosen: unchosen joins {0,1} and {2,3}, chosen {0,3} and {1,2}.
 _JOINS = ((1, 0, 3, 2), (3, 2, 1, 0))
@@ -196,59 +204,24 @@ _JOINS = ((1, 0, 3, 2), (3, 2, 1, 0))
 _FRESH, _SELF, _OPEN = range(3)
 
 
-def frontier_plan(arc_mate, site_ports, site_verts=()):
-    """The greedy site order of frontier_histogram, and a bound on its work.
-
-    Next comes the unprocessed site with the most arcs into the processed
-    set, ties going to the lowest index.  The bound sums, over the steps
-    of that order, a bound on the keys of the table after the step: at
-    most 2^step, and at most the pairings of the open ports times the
-    partitions of the open vertices.
-    """
+def frontier_plan(arc_mate, site_ports):
+    """The greedy site order of frontier_histogram: next comes the
+    unprocessed site with the most arcs into the processed set, ties going
+    to the lowest index."""
     n = len(site_ports)
     site_of = _site_of(site_ports)
-    links = [[site_of[int(arc_mate[p])] for p in ports] for ports in site_ports]
-    left = _vertex_degrees(site_verts)
-    bell = _bell_numbers(len(left))
+    links = [[site_of[arc_mate[p]] for p in ports] for ports in site_ports]
     into = [0] * n
     done = [False] * n
     order = []
-    open_ports = 0
-    open_verts = set()
-    bound = 0
-    for step in range(1, n + 1):
+    for _ in range(n):
         s = max((i for i in range(n) if not done[i]), key=lambda i: (into[i], -i))
         done[s] = True
         order.append(s)
         for t in links[s]:
-            if t == s:
-                continue
-            if done[t]:
-                open_ports -= 1
-            else:
-                open_ports += 1
+            if not done[t]:
                 into[t] += 1
-        for vert in site_verts[s] if site_verts else ():
-            left[vert] -= 1
-            open_verts.add(vert)
-        open_verts = {vert for vert in open_verts if left[vert]}
-        pairings = 1
-        for odd in range(1, open_ports, 2):
-            pairings *= odd
-        bound += min(1 << step, pairings * bell[len(open_verts)])
-    return order, bound
-
-
-def frontier_pays(n_sites, bound):
-    """Whether frontier contraction should beat the sweep over 2^n_sites
-    indices, given frontier_plan's bound on its table keys.
-
-    Costs are in sweep indices (about 1 us each on a 2-core VM with numpy
-    2.4, the sweep's fixed cost spread over them at 5-9 sites); there a
-    frontier step cost about FRONTIER_STEP_COST of them and a table key of
-    the bound about FRONTIER_KEY_COST.
-    """
-    return FRONTIER_STEP_COST * n_sites + FRONTIER_KEY_COST * bound < (1 << n_sites)
+    return order
 
 
 def frontier_histogram(arc_mate, site_ports, order, site_verts=(), negative=0):
@@ -415,15 +388,3 @@ def _vertex_degrees(site_verts):
         for vert in ends:
             degrees[vert] += 1
     return degrees
-
-
-def _bell_numbers(count):
-    """Bell numbers B_0 .. B_count, by the Bell triangle."""
-    bell, row = [1], [1]
-    for _ in range(count):
-        new = [row[-1]]
-        for x in row:
-            new.append(new[-1] + x)
-        row = new
-        bell.append(row[0])
-    return bell

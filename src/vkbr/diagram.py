@@ -37,11 +37,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from ._kernels import (
     frontier_histogram,
-    frontier_pays,
     frontier_plan,
     histogram,
     popcounts,
@@ -275,10 +272,10 @@ def apply_switches(d: Diagram, indices) -> Diagram:
 # -- state sum ----------------------------------------------------------
 
 
-def _arc_mate(d: Diagram) -> np.ndarray:
-    """Port-to-port arc matching as an int32 array over port ids 4c+p."""
+def _arc_mate(d: Diagram) -> list[int]:
+    """Port-to-port arc matching as a list over port ids 4c+p."""
     in_slot, out_slot = _slot_maps(d)
-    mate = np.full(4 * len(d.crossings), -1, dtype=np.int32)
+    mate = [-1] * (4 * len(d.crossings))
     for label, (ci, port) in out_slot.items():
         cj, qort = in_slot[label]
         mate[4 * ci + port] = 4 * cj + qort
@@ -328,29 +325,25 @@ def state_table(d: Diagram) -> tuple[StateStats, ...]:
 
 
 def kauffman_bracket(d: Diagram) -> LaurentPoly:
-    """The bracket state sum as an exact polynomial in A, B, d.
-
-    The states are summed by frontier contraction when its planned work
-    is below the sweep's (_kernels.frontier_pays), else by the sweep.
-    """
-    n, mate, order, bound = _plan(d)
-    rows = _frontier_rows(mate, order) if frontier_pays(n, bound) else _sweep_rows(mate)
-    return _bracket_poly(d, rows)
+    """The bracket state sum as an exact polynomial in A, B, d, with the
+    states summed by frontier contraction."""
+    mate, order = _plan(d)
+    return _bracket_poly(d, _frontier_rows(mate, order))
 
 
 def bracket_routes(d: Diagram) -> tuple[LaurentPoly, LaurentPoly]:
-    """The bracket by frontier contraction and by the sweep, both run
-    whichever route kauffman_bracket would pick; the two must be equal."""
-    _, mate, order, _ = _plan(d)
+    """The bracket by frontier contraction, as kauffman_bracket computes
+    it, and by the reference state sweep; the two must be equal."""
+    mate, order = _plan(d)
     return _bracket_poly(d, _frontier_rows(mate, order)), _bracket_poly(d, _sweep_rows(mate))
 
 
 def _plan(d: Diagram):
-    """(n, arc pairing, frontier order, frontier work bound), after the cap check."""
+    """(arc pairing, frontier order), after the cap check."""
     n = len(d.crossings)
     check_enumeration_size(n, f"bracket of a {n}-crossing diagram")
     mate = _arc_mate(d)
-    return (n, mate, *frontier_plan(mate, _crossing_sites(n)))
+    return mate, frontier_plan(mate, _crossing_sites(n))
 
 
 def _crossing_sites(n: int):
@@ -360,15 +353,15 @@ def _crossing_sites(n: int):
     return [(4 * c + 1, 4 * c + 2, 4 * c + 3, 4 * c) for c in range(n)]
 
 
-def _frontier_rows(mate: np.ndarray, order):
+def _frontier_rows(mate: list[int], order):
     """((alpha, curves), count) over all states, free loops excluded, by
     frontier contraction of the crossings in `order`."""
     rows = frontier_histogram(mate, _crossing_sites(len(mate) // 4), order)
     return [((alpha, curves), count) for (alpha, _, _, curves), count in rows]
 
 
-def _sweep_rows(mate: np.ndarray):
-    """The rows of _frontier_rows, from the state sweep."""
+def _sweep_rows(mate: list[int]):
+    """The rows of _frontier_rows, from the reference state sweep."""
     n = len(mate) // 4
     check_sweep_memory(n, f"state sweep of a {n}-crossing diagram")
     return histogram(n - popcounts(1 << n), state_delta_sweep(n, mate))

@@ -33,11 +33,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ._kernels import (
     frontier_histogram,
-    frontier_pays,
     frontier_plan,
     histogram,
     subgraph_sweep,
@@ -152,7 +149,8 @@ class RibbonGraph:
         return (1 << len(self.edges)) - 1
 
     def sweep_arrays(self):
-        """The arguments of _kernels.subgraph_sweep for this graph.
+        """The arguments of _kernels.subgraph_sweep, the reference route,
+        for this graph.
 
         (v, e, vert_off, vert_darts, edge_u, edge_w, edge_of_dart, partner)
         over the v vertices that carry darts, renumbered in order; the
@@ -161,6 +159,8 @@ class RibbonGraph:
         identity and vert_off delimits each vertex's darts; edge_u/edge_w
         are the vertices of each edge's first and second dart.
         """
+        import numpy as np
+
         live = [vi for vi, (_, darts) in enumerate(self.vertices) if darts]
         renumber = {vi: i for i, vi in enumerate(live)}
         ends = [
@@ -341,33 +341,29 @@ def br_poly(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
     The signed variant shifts the x and y exponents by s(F) =
     (e-(F) - e-(F complement)) / 2 in half-integers, which the exponent
     lattice absorbs exactly; with no negative edges s(F) = 0 and both
-    agree.  The subgraphs are summed by frontier contraction when its
-    planned work is below the sweep's (_kernels.frontier_pays), else by
-    the sweep.  Both leave out dart-less vertices, which change no
-    exponent: each adds one to v, k(F) and bc(F) alike.  k(G) is the
-    least k(F), since adding edges never splits a component.
+    agree.  The subgraphs are summed by frontier contraction, which
+    leaves out dart-less vertices: they change no exponent, as each adds
+    one to v, k(F) and bc(F) alike.  k(G) is the least k(F), since adding
+    edges never splits a component.
     """
-    e, neg, sites, order, bound = _plan(g, signed)
-    if frontier_pays(e, bound):
-        return _rank_poly(g, _frontier_rows(sites, order, neg), neg)
-    return _rank_poly(g, _sweep_rows(g, neg), neg)
+    neg, sites, order = _plan(g, signed)
+    return _rank_poly(g, _frontier_rows(sites, order, neg), neg)
 
 
 def br_poly_routes(g: RibbonGraph, signed: bool = False) -> tuple[LaurentPoly, LaurentPoly]:
-    """br_poly by frontier contraction and by the sweep, both run whichever
-    route br_poly would pick; the two must be equal."""
-    _, neg, sites, order, _ = _plan(g, signed)
+    """br_poly by frontier contraction, as br_poly computes it, and by the
+    reference subgraph sweep; the two must be equal."""
+    neg, sites, order = _plan(g, signed)
     frontier = _frontier_rows(sites, order, neg)
     return _rank_poly(g, frontier, neg), _rank_poly(g, _sweep_rows(g, neg), neg)
 
 
 def _plan(g: RibbonGraph, signed: bool):
-    """(e, negative mask, frontier sites, frontier order, work bound),
-    after the cap check."""
+    """(negative mask, frontier sites, frontier order), after the cap check."""
     e = g.edge_count
     check_enumeration_size(e, f"subgraph sweep of a {e}-edge ribbon graph")
-    sites = _frontier_sites(g)
-    return (e, g.negative_mask() if signed else 0, sites, *frontier_plan(*sites))
+    mate, ports, _ = sites = _frontier_sites(g)
+    return g.negative_mask() if signed else 0, sites, frontier_plan(mate, ports)
 
 
 def _frontier_sites(g: RibbonGraph):
@@ -403,7 +399,10 @@ def _frontier_rows(sites, order, neg: int):
 
 
 def _sweep_rows(g: RibbonGraph, neg: int):
-    """The rows of _frontier_rows, from the subgraph sweep."""
+    """The rows of _frontier_rows, from the reference subgraph sweep,
+    which leaves out dart-less vertices too."""
+    import numpy as np
+
     e = g.edge_count
     check_sweep_memory(e, f"subgraph sweep of a {e}-edge ribbon graph")
     k_arr, bc_arr = subgraph_sweep(*g.sweep_arrays())

@@ -1,9 +1,12 @@
-"""Shared test utilities: random ribbon graphs and an independent Tutte oracle."""
+"""Shared test utilities: random ribbon graphs, an independent Tutte
+oracle, and the command lines that must run without the sweeps."""
 
 import random
 
+from vkbr.build import build_signed, find_switch_set
+from vkbr.diagram import is_alternating, parse_diagram
 from vkbr.laurent import LaurentPoly
-from vkbr.ribbon import Edge, RibbonGraph
+from vkbr.ribbon import Edge, RibbonGraph, format_ribbon
 
 
 def random_ribbon(rng: random.Random, n_verts: int, n_edges: int, signed=False):
@@ -66,3 +69,32 @@ def closed_braid(n: int) -> str:
     """Diagram text of the closed 2-braid sigma_1^n, crossing c meeting only
     crossings c-1 and c+1 (mod n)."""
     return "".join(f"X w{(c - 1) % n} u{(c - 1) % n} u{c} w{c} o=1\n" for c in range(n))
+
+
+def production_calls(text: str):
+    """(argv, stdin text, exit code) for every subcommand but `random` and
+    `selftest` on one diagram, and on its signed graph when it has one.
+
+    Each argv reads its input from stdin.  The exit code is 0 where the
+    input suits the command; else 2 for a diagram that must alternate,
+    and 3 for one that must become alternating by switches.
+    """
+    d = parse_diagram(text)
+    colorable = find_switch_set(d) is not None
+    alternating = 0 if is_alternating(d) else 2
+    switched = 0 if colorable else 3
+    calls = [
+        (["bracket", "-"], text, 0),
+        (["jones", "-"], text, 0),
+        (["colorable", "-"], text, switched),
+        (["build-ribbon", "-"], text, alternating),
+        (["build-signed", "-"], text, switched),
+        (["verify", "--main", "-"], text, alternating),
+        (["verify", "--signed", "-"], text, switched),
+        (["verify", "--jones", "-"], text, switched),
+    ]
+    if colorable:
+        graph = format_ribbon(build_signed(d)[0])
+        for argv in (["br-poly"], ["br-poly", "--signed"], ["tutte"], ["genus"]):
+            calls.append((argv + ["-"], graph, 0))
+    return calls

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import vkbr
+from helpers import production_calls
 from vkbr import fixtures
 from vkbr.cli import main
 from vkbr.diagram import apply_switches, format_diagram, is_alternating, parse_diagram
@@ -418,3 +419,52 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["command"] == "bracket"
+
+
+def imported_modules(argv, stdin=""):
+    """(exit code, names of the modules imported) of one ``python -X
+    importtime -m vkbr.cli`` run of this tree."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "vkbr.cli", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return proc.returncode, {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+def loads_numpy(modules):
+    return any(name.split(".")[0] == "numpy" for name in modules)
+
+
+STARTUP_CALLS = production_calls(fixtures.SAMPLE_KNOT)
+
+
+class TestStartup:
+    """numpy serves only the reference sweeps, so the production commands
+    start without loading it."""
+
+    def test_import_leaves_numpy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, vkbr.cli; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize(
+        "argv, stdin, code",
+        STARTUP_CALLS,
+        ids=[" ".join(argv[:-1]) for argv, _, _ in STARTUP_CALLS],
+    )
+    def test_production_command_leaves_numpy_unloaded(self, argv, stdin, code):
+        returncode, modules = imported_modules(argv, stdin)
+        assert returncode == code
+        assert "vkbr.diagram" in modules and not loads_numpy(modules)
+
+    def test_selftest_loads_numpy_and_passes(self):
+        returncode, modules = imported_modules(["selftest"])
+        assert returncode == 0 and loads_numpy(modules)

@@ -1,7 +1,9 @@
-"""Frontier contraction against the sweeps and the per-index traces, and
-the choice between the two routes."""
+"""Frontier contraction against the sweeps and the per-index traces; the
+sweeps run only as the reference."""
 
+import io
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -9,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vkbr
-from helpers import closed_braid, random_ribbon
+from helpers import closed_braid, production_calls, random_ribbon
 from vkbr import diagram, fixtures, limits, ribbon
-from vkbr._kernels import frontier_pays
 from vkbr.build import NotColorableError, build_signed, find_switch_set
 from vkbr.cli import main
 from vkbr.diagram import (
     Diagram,
     bracket_routes,
+    format_diagram,
     kauffman_bracket,
     parse_diagram,
     split_stats,
@@ -42,7 +44,7 @@ COLORABLE = [
 
 def diagram_rows(d):
     """((alpha, curves), count) rows of a diagram: (frontier, sweep)."""
-    _, mate, order, _ = diagram._plan(d)
+    mate, order = diagram._plan(d)
     return diagram._frontier_rows(mate, order), list(diagram._sweep_rows(mate))
 
 
@@ -57,7 +59,7 @@ def traced_diagram_rows(d):
 
 def graph_rows(g, signed=True):
     """((e(F), e-(F), k(F), bc(F)), count) rows of a graph: (frontier, sweep)."""
-    _, neg, sites, order, _ = ribbon._plan(g, signed)
+    neg, sites, order = ribbon._plan(g, signed)
     return ribbon._frontier_rows(sites, order, neg), list(ribbon._sweep_rows(g, neg))
 
 
@@ -221,6 +223,9 @@ def _count_sweeps(monkeypatch):
 
 
 class TestRouteChoice:
+    """Production commands go by frontier contraction alone; the sweeps
+    run only in the reference routes."""
+
     def test_closed_braid_verifies_without_a_sweep(self, monkeypatch, capsys, tmp_path):
         path = tmp_path / "braid.txt"
         path.write_text(closed_braid(13))
@@ -230,17 +235,25 @@ class TestRouteChoice:
         assert code == 0
         assert "equal: yes" in out
 
-    def test_small_inputs_go_to_the_sweeps(self, monkeypatch):
+    def test_reference_routes_run_each_sweep_once(self, monkeypatch):
         d = parse_diagram(fixtures.TREFOIL)
         calls = _count_sweeps(monkeypatch)
-        assert verify_signed(d).equal
+        frontier, sweep = bracket_routes(d)
+        assert frontier == sweep
+        frontier, sweep = br_poly_routes(build_signed(d)[0], signed=True)
+        assert frontier == sweep
         assert calls == {"state_delta_sweep": 1, "subgraph_sweep": 1}
 
-    def test_rule(self):
-        assert not frontier_pays(3, 3)
-        assert not frontier_pays(7, 20)
-        assert frontier_pays(13, 36)
-        assert not frontier_pays(13, 1 << 12)
+    def test_no_production_command_sweeps(self, monkeypatch, capsys):
+        texts = list(fixtures.DIAGRAMS.values()) + [
+            format_diagram(random_diagram(n, 0, kind)) for kind in KINDS for n in range(8)
+        ]
+        _forbid_sweeps(monkeypatch)
+        for text in texts:
+            for argv, stdin, code in production_calls(text):
+                monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+                assert main(argv) == code, (argv, text, capsys.readouterr().err)
+            capsys.readouterr()
 
 
 class TestSweepMemoryCheck:
@@ -252,17 +265,17 @@ class TestSweepMemoryCheck:
         monkeypatch.setattr(limits, "physical_memory", lambda: 100)
         _forbid_sweeps(monkeypatch)
         with pytest.raises(SizeLimitError, match="physical memory"):
-            kauffman_bracket(parse_diagram(fixtures.TREFOIL))
+            diagram._sweep_rows(diagram._arc_mate(parse_diagram(fixtures.TREFOIL)))
         with pytest.raises(SizeLimitError, match="physical memory"):
-            br_poly(parse_ribbon(fixtures.SAMPLE_RIBBON))
+            ribbon._sweep_rows(parse_ribbon(fixtures.SAMPLE_RIBBON), 0)
 
-    def test_cli_exits_2(self, monkeypatch, capsys, tmp_path):
+    def test_cli_exits_2(self, monkeypatch, capsys):
+        # selftest is the one subcommand that runs the sweeps; the Hopf
+        # link is the first fixture whose sweep needs more than 100 bytes.
         monkeypatch.setattr(limits, "physical_memory", lambda: 100)
-        path = tmp_path / "trefoil.txt"
-        path.write_text(fixtures.TREFOIL)
-        assert main(["bracket", str(path)]) == 2
+        assert main(["selftest"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: state sweep of a 3-crossing diagram") and "physical memory" in err
+        assert err.startswith("error: state sweep of a 2-crossing diagram") and "physical memory" in err
 
     def test_raised_cap_sweep_refused(self, monkeypatch):
         # 2^40 indices: refused from the estimate, nothing allocated.
@@ -280,7 +293,10 @@ class TestSweepMemoryCheck:
 
     def test_unknown_memory_allows_the_sweep(self, monkeypatch):
         monkeypatch.setattr(limits, "physical_memory", lambda: None)
-        assert str(kauffman_bracket(parse_diagram(fixtures.NEGATIVE_KINK))) == "A + B*d"
+        calls = _count_sweeps(monkeypatch)
+        frontier, sweep = bracket_routes(parse_diagram(fixtures.NEGATIVE_KINK))
+        assert str(frontier) == str(sweep) == "A + B*d"
+        assert calls == {"state_delta_sweep": 1}
 
 
 class TestStatsOnce:

@@ -300,12 +300,27 @@ class TestTutte:
         rng = random.Random(13)
         for _ in range(15):
             g = random_ribbon(rng, rng.randint(1, 4), rng.randint(0, 6))
-            endpoints = [
-                (g._dart_vertex[g._dart_ids[e.darts[0]]],
-                 g._dart_vertex[g._dart_ids[e.darts[1]]])
-                for e in g.edges
-            ]
-            assert tutte_via_br(g) == tutte_whitney(g.vertex_count, endpoints)
+            assert tutte_via_br(g) == tutte_whitney(g.vertex_count, _endpoints(g))
+
+    def test_random_matches_networkx(self):
+        # A third oracle, written apart from this package; networkx is not
+        # a dependency.
+        nx = pytest.importorskip("networkx")
+        sympy = pytest.importorskip("sympy")
+        x, y = sympy.symbols("x y")
+        rng = random.Random(14)
+        graphs = [random_ribbon(rng, rng.randint(1, 4), rng.randint(0, 8)) for _ in range(20)]
+        loops = parallel = False
+        for g in graphs:
+            ends = [tuple(sorted(pair)) for pair in _endpoints(g)]
+            loops |= any(u == w for u, w in ends)
+            parallel |= any(u != w and ends.count((u, w)) > 1 for u, w in ends)
+            multigraph = nx.MultiGraph(ends)
+            multigraph.add_nodes_from(range(g.vertex_count))
+            expected = sympy.Poly(sympy.expand(nx.tutte_polynomial(multigraph)), x, y)
+            got = {tuple(map(int, exps)): c for exps, c in tutte_via_br(g).terms()}
+            assert got == expected.as_dict()
+        assert loops and parallel
 
     def test_variables(self):
         g = parse_ribbon(SAMPLE)
@@ -324,6 +339,14 @@ class TestConstruction:
         g2 = parse_ribbon("V u : a1 a2\nE a : a1 a2\n")
         assert g1 == g2
         assert g1 != parse_ribbon(NEGATIVE_LOOP)
+
+
+def _endpoints(g: RibbonGraph):
+    """The end vertices of each edge, as vertex indices."""
+    return [
+        (g._dart_vertex[g._dart_ids[e.darts[0]]], g._dart_vertex[g._dart_ids[e.darts[1]]])
+        for e in g.edges
+    ]
 
 
 def _disjoint_union(g1: RibbonGraph, g2: RibbonGraph) -> RibbonGraph:
