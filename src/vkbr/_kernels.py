@@ -1,9 +1,10 @@
 """The two routes to the bracket and rank-polynomial sums.
 
-frontier_histogram computes both sums: it contracts the crossings or
-edges one at a time, in the order frontier_plan gives, with a table whose
-size depends on the width of the frontier rather than on the number of
-states or subgraphs.  It needs nothing but Python integers.
+frontier_histogram computes both sums, and the graph side of the bracket
+identity at its own point: it contracts the crossings or edges one at a
+time, in the order frontier_plan gives, with a table whose size depends
+on the width of the frontier rather than on the number of states or
+subgraphs.  It needs nothing but Python integers.
 
 The sweeps are the brute-force reference it is checked against.  They go
 through the exponential index space and record small integer statistics
@@ -224,16 +225,19 @@ def frontier_plan(arc_mate, site_ports):
     return order
 
 
-def frontier_histogram(arc_mate, site_ports, order, site_verts=(), negative=0):
-    """The rows (chosen, negative chosen, components, loops) of every way of
-    choosing sites, with their counts, in increasing order of rows.
+def frontier_histogram(arc_mate, site_ports, order, site_shift, site_verts=()):
+    """The rows (shift, components, loops) of every way of choosing sites,
+    with their counts, in increasing order of rows.
 
     A site is four ports; arc_mate pairs every port with another.  A
     chosen site joins its ports {0,3} and {1,2}, an unchosen one {0,1} and
-    {2,3}; loops counts the closed cycles of arcs and joins.  With
-    site_verts, site s also joins vertices site_verts[s] when chosen, and
-    components counts the classes of the vertices that any site touches.
-    `negative` is a bitmask of sites; negative chosen counts those chosen.
+    {2,3}; loops counts the closed cycles of arcs and joins.  shift sums
+    site_shift[s] over the chosen sites s, integers the caller picks: one
+    each counts the chosen sites, and a caller that needs more than one
+    count packs them into mixed-radix units and decodes the sums itself.
+    With site_verts, site s also joins vertices site_verts[s] when chosen,
+    and components counts the classes of the vertices that any site
+    touches; without it, components is 0.
 
     The sites are taken in `order` (from frontier_plan).  The table maps
     (pairing of the open ports, partition of the open vertices) to counts
@@ -246,8 +250,7 @@ def frontier_histogram(arc_mate, site_ports, order, site_verts=(), negative=0):
     site_of = _site_of(site_ports)
     left = _vertex_degrees(site_verts)
     unit_comp = 2 * n + 1  # loops <= joins
-    unit_neg = unit_comp * (len(left) + 1)
-    unit_chosen = unit_neg * (negative.bit_count() + 1)
+    unit_shift = unit_comp * (len(left) + 1)
     open_ports, open_verts = [], []
     table = {((), ()): {0: 1}}
     for s in order:
@@ -260,26 +263,32 @@ def frontier_histogram(arc_mate, site_ports, order, site_verts=(), negative=0):
                      for pair in {pair for pair, _ in table}}
         vert_next = {blocks: (vert_step(blocks, False), vert_step(blocks, True))
                      for blocks in {blocks for _, blocks in table}}
-        on = unit_chosen + (unit_neg if (negative >> s) & 1 else 0)
+        on = site_shift[s] * unit_shift
         grown = {}
         for (pair, blocks), counts in table.items():
-            for chosen in (0, 1):
-                new_pair, loops = port_next[pair][chosen]
-                new_blocks, comps = vert_next[blocks][chosen]
-                shift = loops + comps * unit_comp + chosen * on
-                target = grown.get((new_pair, new_blocks))
+            ports_after = port_next[pair]
+            verts_after = vert_next[blocks]
+            for chosen in (1, 0):
+                new_pair, loops = ports_after[chosen]
+                new_blocks, comps = verts_after[chosen]
+                shift = loops + comps * unit_comp + (on if chosen else 0)
+                key = new_pair, new_blocks
+                target = grown.get(key)
                 if target is None:
-                    grown[new_pair, new_blocks] = {row + shift: c for row, c in counts.items()}
+                    # The unchosen branch is the last to read counts, so
+                    # with no shift it takes the dict itself.
+                    grown[key] = (counts if not (chosen or shift) else
+                                  {row + shift: c for row, c in counts.items()})
                 else:
                     for row, c in counts.items():
-                        target[row + shift] = target.get(row + shift, 0) + c
+                        row += shift
+                        target[row] = target.get(row, 0) + c
         table = grown
     (counts,) = table.values()
     rows = []
     for row in sorted(counts):
-        chosen, rest = divmod(row, unit_chosen)
-        neg, rest = divmod(rest, unit_neg)
-        rows.append(((chosen, neg, *divmod(rest, unit_comp)), counts[row]))
+        shift, rest = divmod(row, unit_shift)  # floors, so a negative shift decodes too
+        rows.append(((shift, *divmod(rest, unit_comp)), counts[row]))
     return rows
 
 
@@ -312,10 +321,13 @@ def _port_step(arc_mate, site_of, s, ports, open_ports):
             where.append(None)
             fresh.append(q)
     kept = [i for i in range(len(open_ports)) if i not in attached]
-    moved = {i: j for j, i in enumerate(kept)}
+    moved = [None] * len(open_ports)  # open position -> position after, None if attached
+    for j, i in enumerate(kept):
+        moved[i] = j
     for j, q in enumerate(fresh, len(kept)):
         where[q] = j
-    width = len(kept) + len(fresh)
+    entries = list(attached.items())
+    tail = [None] * len(fresh)
 
     def walk(x, pair, join, seen):
         """Enter the site at port x and follow the path: the open position
@@ -330,20 +342,28 @@ def _port_step(arc_mate, site_of, s, ports, open_ports):
                 x = where[y]
             else:
                 j = pair[where[y]]
-                if j not in attached:
+                if moved[j] is not None:
                     return moved[j]
                 x = attached[j]
             if x == start:
                 return None
 
     def step(pair, join):
-        new = [0] * width
+        # A kept position keeps its partner's new position, unless the
+        # partner is attached to the site: then a path through the site
+        # joins it to its other end, as it does the site's fresh ports.
+        new = [moved[pair[i]] for i in kept] + tail
         seen = [False] * 4
-        for i in kept:
-            j = pair[i]
-            new[moved[i]] = walk(attached[j], pair, join, seen) if j in attached else moved[j]
+        for a, q in entries:
+            i = moved[pair[a]]
+            if i is not None and not seen[q]:
+                end = walk(q, pair, join, seen)
+                new[i], new[end] = end, i
         for q in fresh:
-            new[where[q]] = walk(q, pair, join, seen)
+            if not seen[q]:
+                i = where[q]
+                end = walk(q, pair, join, seen)
+                new[i], new[end] = end, i
         loops = 0
         for q in range(4):
             if not seen[q]:

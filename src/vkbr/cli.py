@@ -28,6 +28,7 @@ from .diagram import (
     kauffman_bracket,
     parse_diagram,
     format_diagram,
+    writhe,
 )
 from .randgen import KINDS, MAX_RANDOM_CROSSINGS, random_diagram
 from .ribbon import (
@@ -39,7 +40,15 @@ from .ribbon import (
     parse_ribbon,
     tutte_via_br,
 )
-from .verify import verify_jones, verify_main, verify_signed
+from .verify import (
+    bracket_from_graph,
+    bracket_via_rank_poly,
+    jones_from_graph,
+    jones_via_rank_poly,
+    verify_jones,
+    verify_main,
+    verify_signed,
+)
 
 # DiagramError, RibbonError, PolyError, SizeLimitError and
 # NotAlternatingError are all ValueErrors.
@@ -138,10 +147,11 @@ def _cmd_genus(args):
 
 def _cmd_verify(args):
     report = _VERIFY[args.mode](_diagram(args.file))
+    left, right = str(report.left), str(report.right)
     payload = {
         "mode": args.mode,
-        "left": str(report.left),
-        "right": str(report.right),
+        "left": left,
+        "right": right,
         "equal": report.equal,
         "r": report.r,
         "n": report.n,
@@ -150,8 +160,8 @@ def _cmd_verify(args):
         "stats": report.stats,
     }
     lines = [
-        f"left:  {report.left}",
-        f"right: {report.right}",
+        f"left:  {left}",
+        f"right: {right}",
         f"equal: {'yes' if report.equal else 'NO'} (r={report.r}, n={report.n}, k={report.k})",
     ]
     if report.switches:
@@ -173,8 +183,15 @@ def _selftest_cases():
         colorable = find_switch_set(d) is not None
         routes = [bracket_routes(d)]
         if colorable:
-            routes.append(br_poly_routes(build_signed(d)[0], signed=True))
+            g = build_signed(d)[0]
+            routes.append(br_poly_routes(g, signed=True))
         yield f"{name}: frontier route equals sweep", all(a == b for a, b in routes)
+        if colorable:
+            yield (
+                f"{name}: graph side equals substituted rank polynomial",
+                bracket_from_graph(g, signed=True) == bracket_via_rank_poly(g, signed=True)
+                and jones_from_graph(g, writhe(d)) == jones_via_rank_poly(g, writhe(d)),
+            )
         if name == "virtual-hopf":
             yield f"{name}: reports not colorable", not colorable
             continue

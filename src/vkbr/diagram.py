@@ -356,8 +356,9 @@ def _crossing_sites(n: int):
 def _frontier_rows(mate: list[int], order):
     """((alpha, curves), count) over all states, free loops excluded, by
     frontier contraction of the crossings in `order`."""
-    rows = frontier_histogram(mate, _crossing_sites(len(mate) // 4), order)
-    return [((alpha, curves), count) for (alpha, _, _, curves), count in rows]
+    n = len(mate) // 4
+    rows = frontier_histogram(mate, _crossing_sites(n), order, [1] * n)
+    return [((alpha, curves), count) for (alpha, _, curves), count in rows]
 
 
 def _sweep_rows(mate: list[int]):

@@ -358,10 +358,31 @@ def br_poly_routes(g: RibbonGraph, signed: bool = False) -> tuple[LaurentPoly, L
     return _rank_poly(g, frontier, neg), _rank_poly(g, _sweep_rows(g, neg), neg)
 
 
-def _plan(g: RibbonGraph, signed: bool):
-    """(negative mask, frontier sites, frontier order), after the cap check."""
+def identity_rows(g: RibbonGraph, signed: bool = False):
+    """((alpha(F), bc(F)), count) over the spanning subgraphs F of g, by
+    frontier contraction over the edges alone, with no vertex partitions.
+
+    alpha(F) counts the positive edges in F and the negative edges outside
+    it; without `signed` every edge counts as positive.  bc(F) counts the
+    boundary components of F, each dart-less vertex adding one.  These
+    are all the bracket identity needs of F: at x = Bd/A, y = Ad/B,
+    z = 1/d a closed vertex class weighs x y z^2 = 1, so k(F) drops out,
+    and F's term of A^r B^n d^(k-1) R_G is A^alpha B^(e-alpha) d^(bc-1).
+    alpha starts from the number of negative edges, and a chosen edge
+    adds 1 to it, or -1 when negative.
+    """
+    neg, (mate, ports, _), order = _plan(g, signed, "bracket")
+    shifts = [-1 if (neg >> s) & 1 else 1 for s in range(g.edge_count)]
+    bare = sum(not darts for _, darts in g.vertices)
+    rows = frontier_histogram(mate, ports, order, shifts)
+    return [((neg.bit_count() + shift, loops + bare), count) for (shift, _, loops), count in rows]
+
+
+def _plan(g: RibbonGraph, signed: bool, what: str = "rank polynomial"):
+    """(negative mask, frontier sites, frontier order), after the cap check
+    on the computation `what`."""
     e = g.edge_count
-    check_enumeration_size(e, f"subgraph sweep of a {e}-edge ribbon graph")
+    check_enumeration_size(e, f"{what} of a {e}-edge ribbon graph")
     mate, ports, _ = sites = _frontier_sites(g)
     return g.negative_mask() if signed else 0, sites, frontier_plan(mate, ports)
 
@@ -393,9 +414,13 @@ def _frontier_sites(g: RibbonGraph):
 
 def _frontier_rows(sites, order, neg: int):
     """(e(F), e-(F), k(F), bc(F)) with their counts over the subgraphs, by
-    frontier contraction of the edges in `order`."""
+    frontier contraction of the edges in `order`.  A chosen edge shifts
+    its row by one unit of e(F), plus one of e-(F) when negative."""
     mate, ports, verts = sites
-    return frontier_histogram(mate, ports, order, verts, neg)
+    unit_chosen = neg.bit_count() + 1  # e-(F) <= e-(G)
+    shifts = [unit_chosen + ((neg >> s) & 1) for s in range(len(ports))]
+    return [((*divmod(shift, unit_chosen), k, bc), count)
+            for (shift, k, bc), count in frontier_histogram(mate, ports, order, shifts, verts)]
 
 
 def _sweep_rows(g: RibbonGraph, neg: int):

@@ -6,15 +6,27 @@ The bracket of an alternating diagram equals
 
 for its ribbon graph G, and the same shape holds for switchable diagrams
 with the signed polynomial of the signed graph.  The check computes both
-sides by disjoint code paths (state sum on the left, subgraph sum plus
-substitution on the right) and compares canonical polynomials exactly.
+sides by disjoint code paths (state sum over the crossings on the left,
+subgraph sum over the edges on the right) and compares canonical
+polynomials exactly.
+
+The right side is evaluated at the identity's own point, never built as
+R_G.  At x = Bd/A, y = Ad/B, z = 1/d a closed vertex class weighs
+x y z^2 = 1, so the component count k(F) drops out of every subgraph's
+term, and F contributes A^alpha B^(e-alpha) d^(bc(F)-1), where alpha
+counts the positive edges in F and the negative edges outside it.  So the
+subgraph sum needs only (alpha, bc) rows, which ribbon.identity_rows
+counts by frontier contraction with no vertex partitions.
 
 The Jones polynomial admits the same treatment.  The substitution values
 factor over D = -t^(1/2) - t^(-1/2) as x = D t^(1/2), y = D t^(-1/2),
-z = 1/D, so a term x^a y^b z^c of the signed polynomial contributes
-t^((a-b)/2) D^(a+b-c); together with the d^(k-1) prefactor the D exponent
-comes to bc(F) - 1 >= 0, and the whole right side is assembled without
-ever dividing.
+z = 1/D, and again x y z^2 = 1: F contributes t^((r-alpha)/2) D^(bc(F)-1)
+under the prefactor (-1)^w t^((3w-r+n)/4), and the whole right side is
+assembled without ever dividing.
+
+bracket_via_rank_poly and jones_via_rank_poly keep the assembly through
+the whole rank polynomial, substituted term by term, as the reference
+the direct evaluation is checked against.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ from .diagram import (
     writhe,
 )
 from .laurent import LaurentPoly
-from .ribbon import RibbonGraph, br_poly, graph_stats, tutte_via_br
+from .ribbon import RibbonGraph, br_poly, graph_stats, identity_rows, tutte_via_br
 
 
 @dataclass(frozen=True)
@@ -60,16 +72,26 @@ class VerifyReport:
         return self.stats["k"]
 
 
-def bracket_from_graph(g: RibbonGraph, signed: bool = False, stats=None) -> LaurentPoly:
-    """Assemble a bracket polynomial from a ribbon graph.
-
-    Multiplies the (signed) rank polynomial, evaluated at x = Bd/A,
-    y = Ad/B, z = 1/d, by the monomial A^r B^n d^(k-1).  `stats` is
-    graph_stats(g), computed here when not given.
+def bracket_from_graph(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
+    """The right side of the bracket identity, A^r B^n d^(k-1) times the
+    (signed) rank polynomial at x = Bd/A, y = Ad/B, z = 1/d, evaluated at
+    that point directly: the sum over spanning subgraphs F of
+    A^alpha(F) B^(e-alpha(F)) d^(bc(F)-1), as identity_rows counts them.
     """
-    poly = br_poly(g, signed=signed)
-    stats = graph_stats(g) if stats is None else stats
-    assembled = poly.substitute(
+    e = g.edge_count
+    return LaurentPoly(
+        BRACKET_VARS,
+        {(4 * alpha, 4 * (e - alpha), 4 * (bc - 1)): count
+         for (alpha, bc), count in identity_rows(g, signed)},
+    )
+
+
+def bracket_via_rank_poly(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
+    """bracket_from_graph by way of the whole rank polynomial: R_G from
+    br_poly, substituted, times A^r B^n d^(k-1).  The reference the direct
+    evaluation is checked against."""
+    stats = graph_stats(g)
+    assembled = br_poly(g, signed=signed).substitute(
         {
             "x": LaurentPoly.monomial(BRACKET_VARS, 1, A=-1, B=1, d=1),
             "y": LaurentPoly.monomial(BRACKET_VARS, 1, A=1, B=-1, d=1),
@@ -84,34 +106,55 @@ def bracket_from_graph(g: RibbonGraph, signed: bool = False, stats=None) -> Laur
 
 
 def _jones_prefactor(w: int, stats: dict[str, int]) -> LaurentPoly:
-    """(-1)^w t^((3w-r+n)/4), shared by both graph routes to Jones."""
+    """(-1)^w t^((3w-r+n)/4), shared by the graph routes to Jones."""
     return LaurentPoly.monomial(
         JONES_VARS, -1 if w % 2 else 1, t=Fraction(3 * w - stats["r"] + stats["n"], 4)
     )
 
 
-def jones_from_graph(g: RibbonGraph, w: int, stats=None) -> LaurentPoly:
-    """Assemble a Jones polynomial from a signed ribbon graph and writhe.
-
-    Per term x^a y^b z^c the contribution is t^((a-b)/2) times
-    D^(a+b-c+k-1) with D = -t^(1/2) - t^(-1/2); the global prefactor is
-    (-1)^w t^((3w-r+n)/4).  The terms are grouped by their power of D and
-    the groups summed by Horner's rule, one product per power.  `stats`
-    is graph_stats(g), computed here when not given.
-    """
-    poly = br_poly(g, signed=True)
-    stats = graph_stats(g) if stats is None else stats
+def _horner_in_d(groups: dict[int, dict[tuple[int], int]]) -> LaurentPoly:
+    """The sum over p of D^p times the t polynomial groups[p], given in
+    quarter exponents, by Horner's rule: one product by D per power."""
+    if min(groups, default=0) < 0:
+        raise ValueError("a graph with no vertices has no Jones polynomial (D^-1)")
     big_d = LaurentPoly.parse("-t^(1/2) - t^(-1/2)", JONES_VARS)
-    groups: dict[int, dict[tuple[int], int]] = {}
-    for (a, b, c), coeff in poly.terms():
-        d_power = int(a + b - c + stats["k"] - 1)  # equals bc(F) - 1, a nonnegative integer
-        group = groups.setdefault(d_power, {})
-        t_quarters = (int(2 * (a - b)),)  # t^((a-b)/2) in quarter units
-        group[t_quarters] = group.get(t_quarters, 0) + coeff
     total = LaurentPoly.zero(JONES_VARS)
     for d_power in range(max(groups, default=-1), -1, -1):
         total = total * big_d + LaurentPoly(JONES_VARS, groups.get(d_power))
-    return _jones_prefactor(w, stats) * total
+    return total
+
+
+def jones_from_graph(g: RibbonGraph, w: int, stats=None) -> LaurentPoly:
+    """The right side of the Jones identity for a signed ribbon graph and
+    writhe, evaluated at its point directly.
+
+    At x = D t^(1/2), y = D t^(-1/2), z = 1/D the term of F in
+    D^(k-1) R'_G is t^((r-alpha(F))/2) D^(bc(F)-1), with alpha and bc as
+    identity_rows counts them; the global prefactor is
+    (-1)^w t^((3w-r+n)/4).  The terms are grouped by their power of D and
+    the groups summed by Horner's rule.  `stats` is graph_stats(g),
+    computed here when not given.
+    """
+    stats = graph_stats(g) if stats is None else stats
+    groups: dict[int, dict[tuple[int], int]] = {}
+    for (alpha, bc), count in identity_rows(g, signed=True):
+        group = groups.setdefault(bc - 1, {})
+        t_quarters = (2 * (stats["r"] - alpha),)
+        group[t_quarters] = group.get(t_quarters, 0) + count
+    return _jones_prefactor(w, stats) * _horner_in_d(groups)
+
+
+def jones_via_rank_poly(g: RibbonGraph, w: int) -> LaurentPoly:
+    """jones_from_graph by way of the whole signed rank polynomial: a term
+    x^a y^b z^c contributes t^((a-b)/2) D^(a+b-c+k-1), whose D exponent
+    is bc(F) - 1.  The reference the direct evaluation is checked against."""
+    stats = graph_stats(g)
+    groups: dict[int, dict[tuple[int], int]] = {}
+    for (a, b, c), coeff in br_poly(g, signed=True).terms():
+        group = groups.setdefault(int(a + b - c + stats["k"] - 1), {})
+        t_quarters = (int(2 * (a - b)),)  # t^((a-b)/2) in quarter units
+        group[t_quarters] = group.get(t_quarters, 0) + coeff
+    return _jones_prefactor(w, stats) * _horner_in_d(groups)
 
 
 def jones_via_tutte(g: RibbonGraph, w: int) -> LaurentPoly:
@@ -153,7 +196,7 @@ def _verify(d: Diagram, mode: str, switches=None) -> VerifyReport:
         right = jones_from_graph(g, writhe(d), stats)
     else:
         left = kauffman_bracket(d)
-        right = bracket_from_graph(g, mode == "signed", stats)
+        right = bracket_from_graph(g, mode == "signed")
     return VerifyReport(left, right, left == right, g, stats, used)
 
 

@@ -71,6 +71,29 @@ def closed_braid(n: int) -> str:
     return "".join(f"X w{(c - 1) % n} u{(c - 1) % n} u{c} w{c} o=1\n" for c in range(n))
 
 
+def torus_braid(p: int, q: int) -> str:
+    """Diagram text of the closed p-braid (sigma_1 ... sigma_(p-1))^q, whose
+    closure is the torus link T(p, q).
+
+    Strand position i carries the arcs s{i}_0, s{i}_1, ..., one per
+    crossing it passes, and the closure joins its last arc to its first.
+    Each crossing lists its ports counterclockwise from the left strand's
+    incoming arc, the over strand entering from the right.
+    """
+    word = [i for _ in range(q) for i in range(p - 1)]
+    passes = [word.count(i - 1) + word.count(i) for i in range(p)]
+    seen = [0] * p
+    lines = []
+    for i in word:
+        a, b = seen[i], seen[i + 1]
+        left_in, left_out = f"s{i}_{a}", f"s{i}_{(a + 1) % passes[i]}"
+        right_in, right_out = f"s{i + 1}_{b}", f"s{i + 1}_{(b + 1) % passes[i + 1]}"
+        lines.append(f"X {left_in} {right_in} {right_out} {left_out} o=1\n")
+        seen[i] += 1
+        seen[i + 1] += 1
+    return "".join(lines)
+
+
 def production_calls(text: str):
     """(argv, stdin text, exit code) for every subcommand but `random` and
     `selftest` on one diagram, and on its signed graph when it has one.

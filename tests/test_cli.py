@@ -339,6 +339,18 @@ class TestErrorsAndSelftest:
         assert err.startswith("error: internal: ") and "boom" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_cap_names_the_computation(self, capsys, monkeypatch, tmp_path):
+        # No command sweeps, so the refusal names what was asked for.
+        monkeypatch.delenv("VKBR_MAX_CROSSINGS", raising=False)
+        darts = [f"a{i}" for i in range(50)]
+        path = tmp_path / "loops.txt"
+        path.write_text(f"V u : {' '.join(darts)}\n" + "".join(
+            f"E e{i} : {darts[2 * i]} {darts[2 * i + 1]}\n" for i in range(25)))
+        code, out, err = run(capsys, "br-poly", str(path))
+        assert (code, out) == (2, "")
+        assert "rank polynomial of a 25-edge ribbon graph" in err
+        assert "sweep" not in err
+
     def test_selftest_passes(self, capsys):
         code, out, _ = run(capsys, "selftest")
         assert code == 0

@@ -1,11 +1,13 @@
 """Both sides of the bracket and Jones identities, computed independently."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from vkbr import fixtures
+from helpers import random_ribbon, torus_braid
+from vkbr import fixtures, ribbon
 from vkbr.build import (
     NotAlternatingError,
     NotColorableError,
@@ -22,12 +24,15 @@ from vkbr.diagram import (
     writhe,
 )
 from vkbr.laurent import LaurentPoly
-from vkbr.randgen import random_diagram
-from vkbr.ribbon import br_poly, genus, parse_ribbon, subgraph_stats
+from vkbr.limits import CAP_ENV_VAR
+from vkbr.randgen import KINDS, random_diagram
+from vkbr.ribbon import RibbonGraph, br_poly, genus, parse_ribbon, subgraph_stats
 from vkbr.verify import (
     VerifyReport,
     bracket_from_graph,
+    bracket_via_rank_poly,
     jones_from_graph,
+    jones_via_rank_poly,
     jones_via_tutte,
     verify_jones,
     verify_main,
@@ -207,6 +212,120 @@ class TestJonesIdentity:
     def test_not_colorable_is_rejected(self):
         with pytest.raises(NotColorableError):
             verify_jones(parse_diagram(fixtures.VIRTUAL_HOPF))
+
+
+def assert_direct_equals_rank_poly(g, w=0):
+    """The right sides evaluated at their points directly against the whole
+    (signed) rank polynomial, substituted: the bracket form signed and
+    unsigned, and the Jones form in powers of D."""
+    for signed in (False, True):
+        assert bracket_from_graph(g, signed) == bracket_via_rank_poly(g, signed)
+    assert jones_from_graph(g, w) == jones_via_rank_poly(g, w)
+
+
+class TestDirectEvaluation:
+    """verify never builds R_G; these keep it in the checks."""
+
+    @pytest.mark.parametrize("name", sorted(fixtures.DIAGRAMS))
+    def test_every_fixture(self, name):
+        d = parse_diagram(fixtures.DIAGRAMS[name])
+        graphs = [build_ribbon(d)] if is_alternating(d) else []
+        try:
+            graphs.append(build_signed(d)[0])
+        except NotColorableError:
+            pass
+        for g in graphs:
+            assert_direct_equals_rank_poly(g, writhe(d))
+
+    def test_sample_ribbon(self):
+        assert_direct_equals_rank_poly(parse_ribbon(fixtures.SAMPLE_RIBBON), 3)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random_diagrams(self, kind):
+        for n in range(11):
+            for seed in range(3):
+                d = random_diagram(n, seed, kind)
+                try:
+                    g, _ = build_signed(d)
+                except NotColorableError:
+                    continue
+                assert_direct_equals_rank_poly(g, writhe(d))
+
+    def test_random_graphs(self):
+        # Loops, dart-less vertices, several components and negative edges
+        # all occur among these.
+        rng = random.Random(7)
+        graphs = [random_ribbon(rng, rng.randint(1, 8), rng.randint(0, 16), signed=True)
+                  for _ in range(40)]
+        assert max(g.edge_count for g in graphs) == 16
+        assert any(not darts for g in graphs for _, darts in g.vertices)
+        assert any(u == w for g in graphs for u, w in zip(*g.sweep_arrays()[4:6]))
+        assert any(g.negative_mask() for g in graphs)
+        assert any(subgraph_stats(g, g.full_subset).k - sum(not darts for _, darts in g.vertices) > 1
+                   for g in graphs)
+        for i, g in enumerate(graphs):
+            assert_direct_equals_rank_poly(g, i - 20)
+
+    def test_verify_builds_no_rank_polynomial(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the rank polynomial was built")
+
+        monkeypatch.setattr(ribbon, "_rank_poly", refuse)
+        d = apply_switches(parse_diagram(fixtures.SAMPLE_KNOT), (1,))
+        assert verify_jones(d).equal
+        # Only the Jones left side, jones(d), substitutes.
+        monkeypatch.setattr(LaurentPoly, "substitute", refuse)
+        assert verify_main(parse_diagram(fixtures.SAMPLE_KNOT)).equal
+        assert verify_signed(d).equal
+
+    def test_dartless_vertices_add_to_the_d_power(self):
+        g = RibbonGraph([("u", ()), ("w", ())], [])
+        assert str(bracket_from_graph(g)) == "d"
+        assert_direct_equals_rank_poly(g)
+
+    def test_no_vertices(self):
+        g = RibbonGraph([], [])
+        assert str(bracket_from_graph(g)) == str(bracket_via_rank_poly(g)) == "d^-1"
+        for route in (jones_from_graph, jones_via_rank_poly):
+            with pytest.raises(ValueError, match="no vertices"):
+                route(g, 0)
+
+
+def torus_knot_jones(p, q):
+    """V(T(p, q)) = t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2)
+    for coprime p, q (Jones, 1987), with the division done on integer
+    coefficient lists."""
+    num = [0] * (p + q + 1)
+    for power, sign in ((0, 1), (p + 1, -1), (q + 1, -1), (p + q, 1)):
+        num[power] += sign
+    quotient = [0] * (p + q - 1)
+    for i in range(len(quotient)):  # divide by 1 - t^2, lowest power first
+        quotient[i] = num[i]
+        num[i + 2] += quotient[i]
+    assert not any(num[len(quotient):]), "1 - t^2 does not divide the numerator"
+    shift = (p - 1) * (q - 1) // 2
+    return LaurentPoly(("t",), {(4 * (i + shift),): c for i, c in enumerate(quotient) if c})
+
+
+class TestTorusKnots:
+    """verify --jones past the default cap, against a closed form that
+    needs no state sum."""
+
+    def test_closed_form_of_small_knots(self):
+        assert str(torus_knot_jones(2, 3)) == "-t^4 + t^3 + t"
+        assert str(torus_knot_jones(3, 4)) == "-t^8 + t^5 + t^3"
+
+    @pytest.mark.parametrize("q", [10, 25, 50])
+    def test_three_strand_torus_knots(self, q, monkeypatch):
+        monkeypatch.setenv(CAP_ENV_VAR, str(2 * q))
+        d = parse_diagram(torus_braid(3, q))
+        report = verify_jones(d)
+        assert report.equal
+        # The braid's crossings all have negative sign here, which gives
+        # the mirror image of the closed form: t -> t^-1.
+        assert writhe(d) == -2 * q
+        mirrored = {(int(-4 * t),): c for (t,), c in torus_knot_jones(3, q).terms()}
+        assert report.left == LaurentPoly(("t",), mirrored)
 
 
 class TestReportShape:
