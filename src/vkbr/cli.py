@@ -23,8 +23,11 @@ from .build import (
     find_switch_set,
 )
 from .diagram import (
+    apply_switches,
     bracket_routes,
+    is_alternating,
     jones,
+    jones_via_bracket,
     kauffman_bracket,
     parse_diagram,
     format_diagram,
@@ -177,9 +180,16 @@ def _cmd_random(args):
     return 0, payload, [text.rstrip("\n")]
 
 
-def _selftest_cases():
+def _selftest_diagrams():
     for name, text in fixtures.DIAGRAMS.items():
-        d = parse_diagram(text)
+        yield name, parse_diagram(text)
+    # No bundled fixture needs a switch, so this is the one signed graph
+    # here with a negative edge.
+    yield "switched-trefoil", apply_switches(parse_diagram(fixtures.TREFOIL), (1,))
+
+
+def _selftest_cases():
+    for name, d in _selftest_diagrams():
         colorable = find_switch_set(d) is not None
         routes = [bracket_routes(d)]
         if colorable:
@@ -192,10 +202,14 @@ def _selftest_cases():
                 bracket_from_graph(g, signed=True) == bracket_via_rank_poly(g, signed=True)
                 and jones_from_graph(g, writhe(d)) == jones_via_rank_poly(g, writhe(d)),
             )
+            yield f"{name}: Jones at its point equals substituted bracket", (
+                jones(d) == jones_via_bracket(d)
+            )
         if name == "virtual-hopf":
             yield f"{name}: reports not colorable", not colorable
             continue
-        yield f"{name}: bracket identity", verify_main(d).equal
+        if is_alternating(d):
+            yield f"{name}: bracket identity", verify_main(d).equal
         yield f"{name}: signed identity", verify_signed(d).equal
         yield f"{name}: both Jones routes agree", verify_jones(d).equal
     d = parse_diagram(fixtures.SAMPLE_KNOT)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from ._kernels import (
     frontier_histogram,
@@ -49,6 +50,8 @@ from .limits import check_enumeration_size, check_sweep_memory
 
 BRACKET_VARS = ("A", "B", "d")
 JONES_VARS = ("t",)
+# D = -t^(1/2) - t^(-1/2), the value of the loop variable d at the Jones point.
+BIG_D = LaurentPoly(JONES_VARS, {(2,): -1, (-2,): -1})
 
 _LABEL = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -378,23 +381,90 @@ def _bracket_poly(d: Diagram, rows) -> LaurentPoly:
 
 
 def jones(d: Diagram) -> LaurentPoly:
-    """The Jones polynomial in t^(1/4), via the bracket.
+    """The Jones polynomial in t^(1/4), the bracket state sum evaluated at
+    its point directly.
+
+    At A = t^(-1/4), B = t^(1/4), d = D = -t^(1/2) - t^(-1/2) a state
+    with alpha A-splittings and `curves` closed curves contributes
+    t^((n-2 alpha)/4) D^(curves + free_loops - 1); the states are grouped
+    by their power of D and summed by _horner_in_d, under the prefactor
+    (-1)^w t^(3w/4).  The bracket itself is never built.
 
     The empty diagram has none: its bracket d^-1 needs 1/d, which is not a
     Laurent polynomial in t^(1/4).
     """
-    if not d.crossings and not d.free_loops:
-        raise DiagramError("the empty diagram has no Jones polynomial (its bracket is d^-1)")
-    w = writhe(d)
+    _check_jones(d)
+    n = len(d.crossings)
+    groups: dict[int, dict[int, int]] = {}
+    for (alpha, curves), count in _frontier_rows(*_plan(d)):
+        group = groups.setdefault(curves + d.free_loops - 1, {})
+        group[n - 2 * alpha] = group.get(n - 2 * alpha, 0) + count
+    return _jones_prefactor(writhe(d)) * _horner_in_d(groups)
+
+
+def jones_via_bracket(d: Diagram) -> LaurentPoly:
+    """jones by way of the whole bracket: kauffman_bracket(d) substituted
+    at A = t^(-1/4), B = t^(1/4), d = D, times (-1)^w t^(3w/4).  The
+    reference the direct evaluation is checked against."""
+    _check_jones(d)
     value = kauffman_bracket(d).substitute(
         {
             "A": LaurentPoly.monomial(JONES_VARS, 1, t=Fraction(-1, 4)),
             "B": LaurentPoly.monomial(JONES_VARS, 1, t=Fraction(1, 4)),
-            "d": LaurentPoly.parse("-t^(1/2) - t^(-1/2)", JONES_VARS),
+            "d": BIG_D,
         },
         JONES_VARS,
     )
-    prefactor = LaurentPoly.monomial(
-        JONES_VARS, -1 if w % 2 else 1, t=Fraction(3 * w, 4)
+    return _jones_prefactor(writhe(d)) * value
+
+
+def _check_jones(d: Diagram) -> None:
+    if not d.crossings and not d.free_loops:
+        raise DiagramError("the empty diagram has no Jones polynomial (its bracket is d^-1)")
+
+
+def _jones_prefactor(w: int) -> LaurentPoly:
+    """(-1)^w t^(3w/4)."""
+    return LaurentPoly(JONES_VARS, {(3 * w,): -1 if w % 2 else 1})
+
+
+def _horner_in_d(groups: dict[int, dict[int, int]]) -> LaurentPoly:
+    """The sum over p of D^p times the t polynomial groups[p], given as
+    {quarter exponent of t: coefficient}, with D = -t^(1/2) - t^(-1/2).
+
+    Horner's rule runs on a dense list of integer coefficients over
+    quarter exponents.  It is run in E = -D = t^(1/2) + t^(-1/2), with
+    groups[p] negated for odd p, so one product by E is two shifted list
+    adds: every coefficient moves down 2 quarters and up 2.  The list
+    widens by 2 quarters at each end per product, and to each group's
+    exponents as it is added.
+    """
+    if min(groups, default=0) < 0:
+        raise ValueError(
+            "D^-1 is not a Laurent polynomial in t^(1/4): a graph with no "
+            "vertices has no Jones polynomial"
+        )
+    coeffs: list[int] = []
+    base = 0  # the quarter exponent of coeffs[0]
+    pad = [0] * 4
+    for d_power in range(max(groups, default=-1), -1, -1):
+        if coeffs:
+            coeffs = list(map(add, coeffs + pad, pad + coeffs))
+            base -= 2
+        group = groups.get(d_power)
+        if not group:
+            continue
+        low, high = min(group), max(group)
+        if not coeffs:
+            coeffs, base = [0], low
+        elif low < base:
+            coeffs[:0] = [0] * (base - low)
+            base = low
+        if high - base >= len(coeffs):
+            coeffs += [0] * (high - base + 1 - len(coeffs))
+        sign = -1 if d_power % 2 else 1
+        for q, count in group.items():
+            coeffs[q - base] += sign * count
+    return LaurentPoly._make(
+        JONES_VARS, {(base + i,): c for i, c in enumerate(coeffs) if c}
     )
-    return prefactor * value

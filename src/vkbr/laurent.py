@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Mapping
 
 
@@ -50,8 +51,9 @@ class LaurentPoly:
         terms -- mapping {exponent tuple in quarter-units: coefficient};
                  zero coefficients are dropped
 
-        Prefer the classmethod constructors; this raw form exists for the
-        module internals.
+        Prefer the classmethod constructors; this raw form checks its input.
+        Results built by the package itself, already clean, go through
+        _make instead.
         """
         self.variables = tuple(variables)
         clean: dict[tuple[int, ...], int] = {}
@@ -63,11 +65,21 @@ class LaurentPoly:
                         f"exponent tuple {exps} does not match {width} variables"
                     )
                 if coeff:
-                    key = tuple(int(q) for q in exps)
+                    key = tuple(map(int, exps))
                     clean[key] = clean.get(key, 0) + int(coeff)
                     if not clean[key]:
                         del clean[key]
         self._terms = clean
+
+    @classmethod
+    def _make(cls, variables: tuple[str, ...], terms: dict[tuple[int, ...], int]) -> "LaurentPoly":
+        """Wrap a term dict built by the package itself: int exponent tuples
+        of the right width and int coefficients.  Zero coefficients are
+        dropped; nothing else is checked or copied."""
+        poly = object.__new__(cls)
+        poly.variables = variables
+        poly._terms = terms if all(terms.values()) else {k: c for k, c in terms.items() if c}
+        return poly
 
     # -- constructors -------------------------------------------------
 
@@ -175,12 +187,12 @@ class LaurentPoly:
         terms = dict(self._terms)
         for exps, coeff in other._terms.items():
             terms[exps] = terms.get(exps, 0) + coeff
-        return LaurentPoly(self.variables, terms)
+        return LaurentPoly._make(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(
+        return LaurentPoly._make(
             self.variables, {exps: -c for exps, c in self._terms.items()}
         )
 
@@ -195,9 +207,9 @@ class LaurentPoly:
         terms: dict[tuple[int, ...], int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 terms[key] = terms.get(key, 0) + c1 * c2
-        return LaurentPoly(self.variables, terms)
+        return LaurentPoly._make(self.variables, terms)
 
     __rmul__ = __mul__
 
@@ -247,7 +259,7 @@ class LaurentPoly:
                     f"power {power} leaves the quarter-integer exponent lattice"
                 )
             new_exps.append(int(scaled))
-        return LaurentPoly(self.variables, {tuple(new_exps): new_coeff})
+        return LaurentPoly._make(self.variables, {tuple(new_exps): new_coeff})
 
     # -- substitution -------------------------------------------------
 
@@ -305,7 +317,7 @@ class LaurentPoly:
                     continue
                 if len(values[name]._terms) == 1:
                     ((m_exps, m_coeff),) = power(name, q)._terms.items()
-                    mono = tuple(a + b for a, b in zip(mono, m_exps))
+                    mono = tuple(map(add, mono, m_exps))
                     coeff *= m_coeff
                 else:
                     rest.append((name, q))
@@ -313,12 +325,12 @@ class LaurentPoly:
             group[mono] = group.get(mono, 0) + coeff
         result: dict[tuple[int, ...], int] = {}
         for rest, terms in sorted(groups.items()):
-            part = LaurentPoly(variables, terms)
+            part = LaurentPoly._make(variables, terms)
             for name, q in rest:
                 part = part * power(name, q)
             for exps, coeff in part._terms.items():
                 result[exps] = result.get(exps, 0) + coeff
-        return LaurentPoly(variables, result)
+        return LaurentPoly._make(variables, result)
 
     # -- canonical text form ------------------------------------------
 
@@ -356,11 +368,9 @@ class LaurentPoly:
 
 def _format_exponent(q: int) -> str:
     """Render a quarter-unit exponent; empty string for exponent 1."""
+    if not q % 4:
+        return "" if q == 4 else f"^{q // 4}"
     f = Fraction(q, 4)
-    if f == 1:
-        return ""
-    if f.denominator == 1:
-        return f"^{f.numerator}"
     return f"^({f.numerator}/{f.denominator})"
 
 

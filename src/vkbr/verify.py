@@ -18,15 +18,20 @@ counts the positive edges in F and the negative edges outside it.  So the
 subgraph sum needs only (alpha, bc) rows, which ribbon.identity_rows
 counts by frontier contraction with no vertex partitions.
 
-The Jones polynomial admits the same treatment.  The substitution values
-factor over D = -t^(1/2) - t^(-1/2) as x = D t^(1/2), y = D t^(-1/2),
-z = 1/D, and again x y z^2 = 1: F contributes t^((r-alpha)/2) D^(bc(F)-1)
-under the prefactor (-1)^w t^((3w-r+n)/4), and the whole right side is
-assembled without ever dividing.
+The Jones polynomial admits the same treatment, on both sides.  The
+substitution values factor over D = -t^(1/2) - t^(-1/2) as
+x = D t^(1/2), y = D t^(-1/2), z = 1/D, and again x y z^2 = 1: F
+contributes t^((r-alpha)/2) D^(bc(F)-1) under the prefactor
+(-1)^w t^((3w-r+n)/4), and the whole right side is assembled without
+ever dividing.  The left side, diagram.jones, evaluates the state sum at
+the same point.  Each side groups its terms by their power of D and sums
+the groups with the one dense Horner's rule, diagram._horner_in_d, so
+neither side substitutes.
 
 bracket_via_rank_poly and jones_via_rank_poly keep the assembly through
 the whole rank polynomial, substituted term by term, as the reference
-the direct evaluation is checked against.
+the direct evaluation is checked against; diagram.jones_via_bracket does
+the same for the left side.
 """
 
 from __future__ import annotations
@@ -36,9 +41,11 @@ from fractions import Fraction
 
 from .build import build_ribbon, build_signed
 from .diagram import (
+    BIG_D,
     BRACKET_VARS,
     JONES_VARS,
     Diagram,
+    _horner_in_d,
     jones,
     kauffman_bracket,
     writhe,
@@ -112,18 +119,6 @@ def _jones_prefactor(w: int, stats: dict[str, int]) -> LaurentPoly:
     )
 
 
-def _horner_in_d(groups: dict[int, dict[tuple[int], int]]) -> LaurentPoly:
-    """The sum over p of D^p times the t polynomial groups[p], given in
-    quarter exponents, by Horner's rule: one product by D per power."""
-    if min(groups, default=0) < 0:
-        raise ValueError("a graph with no vertices has no Jones polynomial (D^-1)")
-    big_d = LaurentPoly.parse("-t^(1/2) - t^(-1/2)", JONES_VARS)
-    total = LaurentPoly.zero(JONES_VARS)
-    for d_power in range(max(groups, default=-1), -1, -1):
-        total = total * big_d + LaurentPoly(JONES_VARS, groups.get(d_power))
-    return total
-
-
 def jones_from_graph(g: RibbonGraph, w: int, stats=None) -> LaurentPoly:
     """The right side of the Jones identity for a signed ribbon graph and
     writhe, evaluated at its point directly.
@@ -132,14 +127,14 @@ def jones_from_graph(g: RibbonGraph, w: int, stats=None) -> LaurentPoly:
     D^(k-1) R'_G is t^((r-alpha(F))/2) D^(bc(F)-1), with alpha and bc as
     identity_rows counts them; the global prefactor is
     (-1)^w t^((3w-r+n)/4).  The terms are grouped by their power of D and
-    the groups summed by Horner's rule.  `stats` is graph_stats(g),
-    computed here when not given.
+    the groups summed by _horner_in_d, as diagram.jones sums the left
+    side.  `stats` is graph_stats(g), computed here when not given.
     """
     stats = graph_stats(g) if stats is None else stats
-    groups: dict[int, dict[tuple[int], int]] = {}
+    groups: dict[int, dict[int, int]] = {}
     for (alpha, bc), count in identity_rows(g, signed=True):
         group = groups.setdefault(bc - 1, {})
-        t_quarters = (2 * (stats["r"] - alpha),)
+        t_quarters = 2 * (stats["r"] - alpha)
         group[t_quarters] = group.get(t_quarters, 0) + count
     return _jones_prefactor(w, stats) * _horner_in_d(groups)
 
@@ -149,10 +144,10 @@ def jones_via_rank_poly(g: RibbonGraph, w: int) -> LaurentPoly:
     x^a y^b z^c contributes t^((a-b)/2) D^(a+b-c+k-1), whose D exponent
     is bc(F) - 1.  The reference the direct evaluation is checked against."""
     stats = graph_stats(g)
-    groups: dict[int, dict[tuple[int], int]] = {}
+    groups: dict[int, dict[int, int]] = {}
     for (a, b, c), coeff in br_poly(g, signed=True).terms():
         group = groups.setdefault(int(a + b - c + stats["k"] - 1), {})
-        t_quarters = (int(2 * (a - b)),)  # t^((a-b)/2) in quarter units
+        t_quarters = int(2 * (a - b))  # t^((a-b)/2) in quarter units
         group[t_quarters] = group.get(t_quarters, 0) + coeff
     return _jones_prefactor(w, stats) * _horner_in_d(groups)
 
@@ -176,8 +171,7 @@ def jones_via_tutte(g: RibbonGraph, w: int) -> LaurentPoly:
         },
         JONES_VARS,
     )
-    big_d = LaurentPoly.parse("-t^(1/2) - t^(-1/2)", JONES_VARS)
-    return _jones_prefactor(w, stats) * big_d ** (stats["k"] - 1) * value
+    return _jones_prefactor(w, stats) * BIG_D ** (stats["k"] - 1) * value
 
 
 def _verify(d: Diagram, mode: str, switches=None) -> VerifyReport:

@@ -11,7 +11,7 @@ import pytest
 
 import vkbr
 from helpers import production_calls
-from vkbr import fixtures
+from vkbr import fixtures, ribbon, verify
 from vkbr.cli import main
 from vkbr.diagram import apply_switches, format_diagram, is_alternating, parse_diagram
 from vkbr.ribbon import parse_ribbon, tutte_via_br
@@ -362,6 +362,22 @@ class TestErrorsAndSelftest:
         payload = json.loads(out)
         assert code == 0 and payload["ok"] is True
         assert all(item["ok"] for item in payload["results"])
+
+    def test_selftest_sees_a_wrong_edge_sign(self, capsys, monkeypatch):
+        # A graph side that counts every edge as positive agrees on every
+        # fixture's graph, which has none negative; the switched trefoil's
+        # graph has one.
+        unsigned = ribbon.identity_rows
+
+        def ignore_signs(g, signed=False):
+            return unsigned(g, signed=False)
+
+        monkeypatch.setattr(ribbon, "identity_rows", ignore_signs)
+        monkeypatch.setattr(verify, "identity_rows", ignore_signs)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert "switched-trefoil: graph side equals substituted rank polynomial: FAIL" in out
+        assert "switched-trefoil: signed identity: FAIL" in out
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

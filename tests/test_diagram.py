@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from vkbr import fixtures
 from vkbr.diagram import (
     Crossing,
     Diagram,
@@ -12,8 +13,10 @@ from vkbr.diagram import (
     apply_switches,
     components,
     format_diagram,
+    _horner_in_d,
     is_alternating,
     jones,
+    jones_via_bracket,
     kauffman_bracket,
     parse_diagram,
     split_stats,
@@ -21,9 +24,9 @@ from vkbr.diagram import (
     switch_crossing,
     writhe,
 )
-from vkbr.laurent import parse_poly
+from vkbr.laurent import LaurentPoly, parse_poly
 from vkbr.limits import SizeLimitError
-from vkbr.randgen import random_diagram
+from vkbr.randgen import KINDS, random_diagram
 
 ABD = ("A", "B", "d")
 T = ("t",)
@@ -40,6 +43,32 @@ HOPF_LINK = """\
 X a c b d o=1
 X d b c a o=1
 """
+
+
+def substituted_bracket_jones(d):
+    """(-1)^w t^(3w/4) times the bracket at A = t^(-1/4), B = t^(1/4),
+    d = -t^(1/2) - t^(-1/2): the Jones assembly through the whole bracket."""
+    w = writhe(d)
+    value = kauffman_bracket(d).substitute(
+        {
+            "A": parse_poly("t^(-1/4)", T),
+            "B": parse_poly("t^(1/4)", T),
+            "d": parse_poly("-t^(1/2) - t^(-1/2)", T),
+        },
+        T,
+    )
+    return parse_poly(f"-t^({3 * w}/4)" if w % 2 else f"t^({3 * w}/4)", T) * value
+
+
+def sparse_horner(groups):
+    """The sum over p of D^p groups[p] by Horner's rule on LaurentPoly
+    products, one product by D per power."""
+    big_d = parse_poly("-t^(1/2) - t^(-1/2)", T)
+    total = LaurentPoly.zero(T)
+    for power in range(max(groups, default=-1), -1, -1):
+        group = {(q,): c for q, c in groups.get(power, {}).items()}
+        total = total * big_d + LaurentPoly(T, group)
+    return total
 
 
 class TestParsing:
@@ -295,14 +324,80 @@ class TestJones:
             assert writhe(switched) == writhe(d) - 2 * d.crossings[i].sign
             # Recomputation from scratch equals reassembly from the switched
             # diagram's own bracket and writhe.
-            w = writhe(switched)
-            value = kauffman_bracket(switched).substitute(
-                {
-                    "A": parse_poly("t^(-1/4)", T),
-                    "B": parse_poly("t^(1/4)", T),
-                    "d": parse_poly("-t^(1/2) - t^(-1/2)", T),
-                },
-                T,
-            )
-            prefactor = parse_poly(f"-t^({3 * w}/4)" if w % 2 else f"t^({3 * w}/4)", T)
-            assert jones(switched) == prefactor * value
+            assert jones(switched) == substituted_bracket_jones(switched)
+
+
+class TestJonesAtItsPoint:
+    """jones evaluates the state sum at the Jones point directly; the
+    substituted bracket is its reference."""
+
+    def assert_equals_substituted_bracket(self, d):
+        if not d.crossings and not d.free_loops:
+            for route in (jones, jones_via_bracket):
+                with pytest.raises(DiagramError, match="empty diagram"):
+                    route(d)
+            return
+        expected = substituted_bracket_jones(d)
+        assert jones(d) == expected
+        assert jones_via_bracket(d) == expected
+
+    @pytest.mark.parametrize("name", sorted(fixtures.DIAGRAMS))
+    def test_every_fixture(self, name):
+        self.assert_equals_substituted_bracket(parse_diagram(fixtures.DIAGRAMS[name]))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random_diagrams(self, kind):
+        for n in range(11):
+            for seed in range(3):
+                self.assert_equals_substituted_bracket(random_diagram(n, seed, kind))
+
+    def test_free_loops_with_crossings(self):
+        self.assert_equals_substituted_bracket(parse_diagram(TREFOIL + "O 2\n"))
+
+    def test_no_substitution_or_product_in_the_sum(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a LaurentPoly substitution or product ran")
+
+        d = parse_diagram(fixtures.SAMPLE_KNOT)
+        expected = substituted_bracket_jones(d)
+        groups = {0: {1: 2}, 3: {-5: 1, 6: -1}}
+        summed = sparse_horner(groups)
+        monkeypatch.setattr(LaurentPoly, "substitute", refuse)
+        assert jones(d) == expected
+        monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+        assert _horner_in_d(groups) == summed
+
+
+class TestHornerInD:
+    """The dense Horner sum against LaurentPoly products."""
+
+    @pytest.mark.parametrize("groups", [
+        {},
+        {0: {}},
+        {0: {0: 1}},
+        {0: {-7: 3}},
+        {4: {3: -2}},
+        {5: {-7: 2, 1: -1, 9: 4}},
+        {0: {0: 1}, 3: {-5: 2, 9: -1}, 7: {2: 4}},
+        {0: {}, 2: {}, 4: {-1: 1}},
+        {1: {-3: 1}, 2: {}, 6: {5: -1, -9: 2}},
+        {0: {40: 1}, 1: {-40: 1}},
+        {2: {0: 1}, 0: {-2: 1, 2: 1}},
+    ])
+    def test_cases(self, groups):
+        assert _horner_in_d(groups) == sparse_horner(groups)
+
+    def test_random_groups(self):
+        # Odd and negative quarter exponents, gaps and empty groups.
+        rng = random.Random(5)
+        for _ in range(200):
+            groups = {
+                power: {rng.randrange(-30, 31): rng.randrange(-4, 5)
+                        for _ in range(rng.randrange(4))}
+                for power in rng.sample(range(12), rng.randrange(5))
+            }
+            assert _horner_in_d(groups) == sparse_horner(groups)
+
+    def test_negative_power_refused(self):
+        with pytest.raises(ValueError, match="D\\^-1"):
+            _horner_in_d({-1: {0: 1}})

@@ -26,6 +26,17 @@ def bracket_of_sample_knot():
     )
 
 
+def fraction_exponent(q):
+    """A quarter-unit exponent rendered through Fraction, as the formatter
+    did before its integer fast path."""
+    f = Fraction(q, 4)
+    if f == 1:
+        return ""
+    if f.denominator == 1:
+        return f"^{f.numerator}"
+    return f"^({f.numerator}/{f.denominator})"
+
+
 def random_poly(rng, variables, nterms=6, span=4):
     terms = {}
     for _ in range(rng.randrange(nterms + 1)):
@@ -89,6 +100,15 @@ class TestCanonicalString:
         p = LaurentPoly.monomial(T, 1, t=-2) + LaurentPoly.one(T)
         assert str(p) == "1 + t^-2"
 
+    @pytest.mark.parametrize("position", range(3))
+    def test_exponents_render_as_fractions_do(self, position):
+        for q in range(-40, 41):
+            exps = [1, 0, -3]
+            exps[position] = q
+            rendered = "*".join(name + fraction_exponent(e) for name, e in zip(ABD, exps) if e)
+            assert str(LaurentPoly(ABD, {tuple(exps): 5})) == "5*" + rendered
+            assert str(LaurentPoly(T, {(q,): -1})) == ("-t" + fraction_exponent(q) if q else "-1")
+
     def test_mixed_signs_join(self):
         p = LaurentPoly.monomial(T, -1, t=1) + LaurentPoly.monomial(T, -1, t=-1)
         assert str(p) == "-t - t^-1"
@@ -114,6 +134,13 @@ class TestParse:
             }
             p = LaurentPoly(T, terms)
             assert parse_poly(str(p), T) == p
+
+    @pytest.mark.parametrize("variables", [T, ABD])
+    def test_roundtrip_random_wide_exponents(self, variables):
+        rng = random.Random(11)
+        for _ in range(300):
+            p = random_poly(rng, variables, nterms=8, span=40)
+            assert parse_poly(str(p), variables) == p
 
     def test_parse_fractional_exponents(self):
         p = parse_poly("t^(1/2) - t^(-1/2)", T)

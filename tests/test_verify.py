@@ -271,10 +271,10 @@ class TestDirectEvaluation:
             raise AssertionError("the rank polynomial was built")
 
         monkeypatch.setattr(ribbon, "_rank_poly", refuse)
+        # Both sides evaluate at their point, so nothing substitutes.
+        monkeypatch.setattr(LaurentPoly, "substitute", refuse)
         d = apply_switches(parse_diagram(fixtures.SAMPLE_KNOT), (1,))
         assert verify_jones(d).equal
-        # Only the Jones left side, jones(d), substitutes.
-        monkeypatch.setattr(LaurentPoly, "substitute", refuse)
         assert verify_main(parse_diagram(fixtures.SAMPLE_KNOT)).equal
         assert verify_signed(d).equal
 
@@ -317,14 +317,22 @@ class TestTorusKnots:
 
     @pytest.mark.parametrize("q", [10, 25, 50])
     def test_three_strand_torus_knots(self, q, monkeypatch):
-        monkeypatch.setenv(CAP_ENV_VAR, str(2 * q))
-        d = parse_diagram(torus_braid(3, q))
+        self.assert_closed_form(3, q, monkeypatch)
+
+    @pytest.mark.parametrize("p, q", [(4, 51), (2, 1001)])
+    def test_torus_knots_at_scale(self, p, q, monkeypatch):
+        self.assert_closed_form(p, q, monkeypatch)
+
+    @staticmethod
+    def assert_closed_form(p, q, monkeypatch):
+        monkeypatch.setenv(CAP_ENV_VAR, str((p - 1) * q))
+        d = parse_diagram(torus_braid(p, q))
         report = verify_jones(d)
         assert report.equal
         # The braid's crossings all have negative sign here, which gives
         # the mirror image of the closed form: t -> t^-1.
-        assert writhe(d) == -2 * q
-        mirrored = {(int(-4 * t),): c for (t,), c in torus_knot_jones(3, q).terms()}
+        assert writhe(d) == -(p - 1) * q
+        mirrored = {(int(-4 * t),): c for (t,), c in torus_knot_jones(p, q).terms()}
         assert report.left == LaurentPoly(("t",), mirrored)
 
 

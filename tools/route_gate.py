@@ -1,7 +1,9 @@
 """Time frontier contraction, the route every command takes, against the
 reference sweeps, on seeded random inputs of every kind; then time
 verify's graph side, evaluated at the identity's point directly, against
-the whole rank polynomial substituted afterwards.
+the whole rank polynomial substituted afterwards; then time the Jones
+polynomial, summed at its point from the state rows, against the whole
+bracket substituted afterwards.
 
 Run from the root of a checkout (the tests directory supplies the random
 ribbon graphs and the torus braids):
@@ -12,8 +14,9 @@ Each input is timed on both routes, each time the best of 3 calls.  One
 line per class of input gives the median times and the least, median and
 greatest ratio of the first route's time to the second's.  In the first
 table a ratio above 2 in any class with 16 or more sites would call for
-keeping the sweep there.  The second table runs past the default cap of
-24 and stops when the two routes give different polynomials.
+keeping the sweep there.  The second and third tables run past the
+default cap of 24 and stop when the two routes give different
+polynomials.
 """
 
 import os
@@ -24,7 +27,7 @@ import time
 from helpers import random_ribbon, torus_braid
 from vkbr import diagram, randgen, ribbon
 from vkbr.build import build_signed
-from vkbr.diagram import parse_diagram, writhe
+from vkbr.diagram import jones, jones_via_bracket, parse_diagram, writhe
 from vkbr.limits import CAP_ENV_VAR
 from vkbr.verify import (
     bracket_from_graph,
@@ -38,6 +41,7 @@ DIAGRAM_SIZES = (4, 8, 12, 16, 20)
 GRAPH_SIZES = (4, 8, 12, 16, 20, 22)
 GRAPH_SIDE_SIZES = (12, 18, 24, 30)
 TORUS_TWISTS = (25, 50)
+JONES_TORUS_KNOTS = ((2, 101), (2, 301), (2, 1001), (3, 50), (3, 100), (4, 51))
 
 
 def best(fn, *args):
@@ -63,11 +67,11 @@ def rank_times(g):
     return frontier, sweep
 
 
-def graph_side_times(direct, via_rank_poly, *args):
+def two_route_times(direct, reference_route, *args):
     direct_s, value = best(direct, *args)
-    reference_s, reference = best(via_rank_poly, *args)
+    reference_s, reference = best(reference_route, *args)
     if value != reference:
-        raise SystemExit(f"{direct.__name__} differs from {via_rank_poly.__name__}")
+        raise SystemExit(f"{direct.__name__} differs from {reference_route.__name__}")
     return direct_s, reference_s
 
 
@@ -107,13 +111,21 @@ def main():
     for n in GRAPH_SIDE_SIZES:
         graphs = [build_signed(randgen.random_diagram(n, seed, "colorable"))[0] for seed in SEEDS]
         report("bracket, graph of a `colorable` diagram", n,
-               [graph_side_times(bracket_from_graph, bracket_via_rank_poly, g, True)
+               [two_route_times(bracket_from_graph, bracket_via_rank_poly, g, True)
                 for g in graphs])
     for q in TORUS_TWISTS:
         d = parse_diagram(torus_braid(3, q))
         g, _ = build_signed(d)
         report(f"Jones, graph of T(3,{q})", 2 * q,
-               [graph_side_times(jones_from_graph, jones_via_rank_poly, g, writhe(d))])
+               [two_route_times(jones_from_graph, jones_via_rank_poly, g, writhe(d))])
+    print()
+    print("| Jones assembly | crossings | inputs | at the point ms | via the bracket ms "
+          "| ratio min / median / max |")
+    print("| --- | --- | --- | --- | --- | --- |")
+    os.environ[CAP_ENV_VAR] = str(max((p - 1) * q for p, q in JONES_TORUS_KNOTS))
+    for p, q in JONES_TORUS_KNOTS:
+        d = parse_diagram(torus_braid(p, q))
+        report(f"T({p},{q})", len(d.crossings), [two_route_times(jones, jones_via_bracket, d)])
 
 
 if __name__ == "__main__":
