@@ -2,7 +2,7 @@
 
 frontier_histogram computes both sums, and the graph side of the bracket
 identity at its own point: it contracts the crossings or edges one at a
-time, in the order frontier_plan gives, with a table whose size depends
+time, in a greedy order it picks itself, with a table whose size depends
 on the width of the frontier rather than on the number of states or
 subgraphs.  It needs nothing but Python integers.
 
@@ -21,6 +21,8 @@ calls one never loads it.
 """
 
 from __future__ import annotations
+
+from heapq import heappop, heappush
 
 # Elements per work array of one chunk (128 KiB as int32, 256 KiB as intp).
 CHUNK_ELEMS = 1 << 15
@@ -205,27 +207,7 @@ _JOINS = ((1, 0, 3, 2), (3, 2, 1, 0))
 _FRESH, _SELF, _OPEN = range(3)
 
 
-def frontier_plan(arc_mate, site_ports):
-    """The greedy site order of frontier_histogram: next comes the
-    unprocessed site with the most arcs into the processed set, ties going
-    to the lowest index."""
-    n = len(site_ports)
-    site_of = _site_of(site_ports)
-    links = [[site_of[arc_mate[p]] for p in ports] for ports in site_ports]
-    into = [0] * n
-    done = [False] * n
-    order = []
-    for _ in range(n):
-        s = max((i for i in range(n) if not done[i]), key=lambda i: (into[i], -i))
-        done[s] = True
-        order.append(s)
-        for t in links[s]:
-            if not done[t]:
-                into[t] += 1
-    return order
-
-
-def frontier_histogram(arc_mate, site_ports, order, site_shift, site_verts=()):
+def frontier_histogram(arc_mate, site_ports, site_shift, site_verts=()):
     """The rows (shift, components, loops) of every way of choosing sites,
     with their counts, in increasing order of rows.
 
@@ -239,7 +221,7 @@ def frontier_histogram(arc_mate, site_ports, order, site_shift, site_verts=()):
     and components counts the classes of the vertices that any site
     touches; without it, components is 0.
 
-    The sites are taken in `order` (from frontier_plan).  The table maps
+    The sites are taken in the order of _frontier_order.  The table maps
     (pairing of the open ports, partition of the open vertices) to counts
     of the rows so far, where a port is open when its site is processed
     and its arc's other end is not, and a vertex is open when some of its
@@ -248,6 +230,7 @@ def frontier_histogram(arc_mate, site_ports, order, site_shift, site_verts=()):
     """
     n = len(site_ports)
     site_of = _site_of(site_ports)
+    order = _frontier_order(arc_mate, site_ports, site_of)
     left = _vertex_degrees(site_verts)
     unit_comp = 2 * n + 1  # loops <= joins
     unit_shift = unit_comp * (len(left) + 1)
@@ -294,6 +277,33 @@ def frontier_histogram(arc_mate, site_ports, order, site_shift, site_verts=()):
 
 def _site_of(site_ports):
     return {p: s for s, ports in enumerate(site_ports) for p in ports}
+
+
+def _frontier_order(arc_mate, site_ports, site_of):
+    """The greedy site order: next comes the unprocessed site with the
+    most arcs into the processed set, ties going to the lowest index.
+
+    A heap holds (-arcs in, site) entries, one pushed each time a site's
+    count grows.  A site's newest entry comes off before its older ones,
+    so an entry is stale exactly when its site is done.
+    """
+    n = len(site_ports)
+    into = [0] * n
+    done = [False] * n
+    heap = [(0, s) for s in range(n)]  # sorted, so already a heap
+    order = []
+    while heap:
+        _, s = heappop(heap)
+        if done[s]:
+            continue
+        done[s] = True
+        order.append(s)
+        for p in site_ports[s]:
+            t = site_of[arc_mate[p]]
+            if not done[t]:
+                into[t] += 1
+                heappush(heap, (-into[t], t))
+    return order
 
 
 def _port_step(arc_mate, site_of, s, ports, open_ports):

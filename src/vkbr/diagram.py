@@ -38,13 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from ._kernels import (
-    frontier_histogram,
-    frontier_plan,
-    histogram,
-    popcounts,
-    state_delta_sweep,
-)
+from ._kernels import frontier_histogram, histogram, popcounts, state_delta_sweep
 from .laurent import LaurentPoly
 from .limits import check_enumeration_size, check_sweep_memory
 
@@ -151,7 +145,7 @@ def parse_diagram(text: str) -> Diagram:
             crossings.append(Crossing(tuple(labels), int(tokens[5][2:])))
             crossing_lines.append(lineno)
         elif tokens[0] == "O":
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
                 raise DiagramError(
                     f"line {lineno}: O needs one nonnegative integer, got {line!r}"
                 )
@@ -330,23 +324,23 @@ def state_table(d: Diagram) -> tuple[StateStats, ...]:
 def kauffman_bracket(d: Diagram) -> LaurentPoly:
     """The bracket state sum as an exact polynomial in A, B, d, with the
     states summed by frontier contraction."""
-    mate, order = _plan(d)
-    return _bracket_poly(d, _frontier_rows(mate, order))
+    return _bracket_sum(len(d.crossings), _frontier_rows(_plan(d)), d.free_loops)
 
 
 def bracket_routes(d: Diagram) -> tuple[LaurentPoly, LaurentPoly]:
     """The bracket by frontier contraction, as kauffman_bracket computes
     it, and by the reference state sweep; the two must be equal."""
-    mate, order = _plan(d)
-    return _bracket_poly(d, _frontier_rows(mate, order)), _bracket_poly(d, _sweep_rows(mate))
+    mate = _plan(d)
+    n = len(d.crossings)
+    return tuple(_bracket_sum(n, rows, d.free_loops)
+                 for rows in (_frontier_rows(mate), _sweep_rows(mate)))
 
 
-def _plan(d: Diagram):
-    """(arc pairing, frontier order), after the cap check."""
+def _plan(d: Diagram) -> list[int]:
+    """The arc pairing, after the cap check."""
     n = len(d.crossings)
     check_enumeration_size(n, f"bracket of a {n}-crossing diagram")
-    mate = _arc_mate(d)
-    return mate, frontier_plan(mate, _crossing_sites(n))
+    return _arc_mate(d)
 
 
 def _crossing_sites(n: int):
@@ -356,11 +350,11 @@ def _crossing_sites(n: int):
     return [(4 * c + 1, 4 * c + 2, 4 * c + 3, 4 * c) for c in range(n)]
 
 
-def _frontier_rows(mate: list[int], order):
+def _frontier_rows(mate: list[int]):
     """((alpha, curves), count) over all states, free loops excluded, by
-    frontier contraction of the crossings in `order`."""
+    frontier contraction of the crossings."""
     n = len(mate) // 4
-    rows = frontier_histogram(mate, _crossing_sites(n), order, [1] * n)
+    rows = frontier_histogram(mate, _crossing_sites(n), [1] * n)
     return [((alpha, curves), count) for (alpha, _, curves), count in rows]
 
 
@@ -371,13 +365,18 @@ def _sweep_rows(mate: list[int]):
     return histogram(n - popcounts(1 << n), state_delta_sweep(n, mate))
 
 
-def _bracket_poly(d: Diagram, rows) -> LaurentPoly:
-    n = len(d.crossings)
-    terms = {
-        (4 * alpha, 4 * (n - alpha), 4 * (delta + d.free_loops - 1)): count
-        for (alpha, delta), count in rows
-    }
-    return LaurentPoly(BRACKET_VARS, terms)
+def _bracket_sum(n: int, rows, isolated: int = 0) -> LaurentPoly:
+    """The bracket from ((alpha, loops), count) rows over n sites, each
+    contributing count A^alpha B^(n-alpha) d^(loops + isolated - 1).
+
+    A row counts states of a diagram, or the matching spanning subgraphs
+    of its ribbon graph as identity_rows counts them.  `isolated` counts
+    the loops no site touches, a diagram's free loops (identity_rows adds
+    the dart-less vertices itself)."""
+    return LaurentPoly(BRACKET_VARS, {
+        (4 * alpha, 4 * (n - alpha), 4 * (loops + isolated - 1)): count
+        for (alpha, loops), count in rows
+    })
 
 
 def jones(d: Diagram) -> LaurentPoly:
@@ -386,20 +385,27 @@ def jones(d: Diagram) -> LaurentPoly:
 
     At A = t^(-1/4), B = t^(1/4), d = D = -t^(1/2) - t^(-1/2) a state
     with alpha A-splittings and `curves` closed curves contributes
-    t^((n-2 alpha)/4) D^(curves + free_loops - 1); the states are grouped
-    by their power of D and summed by _horner_in_d, under the prefactor
-    (-1)^w t^(3w/4).  The bracket itself is never built.
+    t^((n-2 alpha)/4) D^(curves + free_loops - 1), under the prefactor
+    (-1)^w t^(3w/4); _jones_sum adds up the states' rows.  The bracket
+    itself is never built.
 
     The empty diagram has none: its bracket d^-1 needs 1/d, which is not a
     Laurent polynomial in t^(1/4).
     """
     _check_jones(d)
-    n = len(d.crossings)
+    return _jones_sum(len(d.crossings), writhe(d), _frontier_rows(_plan(d)), d.free_loops)
+
+
+def _jones_sum(n: int, w: int, rows, isolated: int = 0) -> LaurentPoly:
+    """The Jones polynomial from the rows of _bracket_sum and the writhe w:
+    each row contributes count t^((n - 2 alpha)/4) D^(loops + isolated - 1),
+    under the prefactor (-1)^w t^(3w/4).  The rows are grouped by their
+    power of D and the groups summed by _horner_in_d."""
     groups: dict[int, dict[int, int]] = {}
-    for (alpha, curves), count in _frontier_rows(*_plan(d)):
-        group = groups.setdefault(curves + d.free_loops - 1, {})
+    for (alpha, loops), count in rows:
+        group = groups.setdefault(loops + isolated - 1, {})
         group[n - 2 * alpha] = group.get(n - 2 * alpha, 0) + count
-    return _jones_prefactor(writhe(d)) * _horner_in_d(groups)
+    return _jones_prefactor(w) * _horner_in_d(groups)
 
 
 def jones_via_bracket(d: Diagram) -> LaurentPoly:

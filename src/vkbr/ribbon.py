@@ -33,12 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from ._kernels import (
-    frontier_histogram,
-    frontier_plan,
-    histogram,
-    subgraph_sweep,
-)
+from ._kernels import frontier_histogram, histogram, subgraph_sweep
 from .laurent import LaurentPoly
 from .limits import check_enumeration_size, check_sweep_memory
 
@@ -346,15 +341,15 @@ def br_poly(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
     one to v, k(F) and bc(F) alike.  k(G) is the least k(F), since adding
     edges never splits a component.
     """
-    neg, sites, order = _plan(g, signed)
-    return _rank_poly(g, _frontier_rows(sites, order, neg), neg)
+    neg, sites = _plan(g, signed)
+    return _rank_poly(g, _frontier_rows(sites, neg), neg)
 
 
 def br_poly_routes(g: RibbonGraph, signed: bool = False) -> tuple[LaurentPoly, LaurentPoly]:
     """br_poly by frontier contraction, as br_poly computes it, and by the
     reference subgraph sweep; the two must be equal."""
-    neg, sites, order = _plan(g, signed)
-    frontier = _frontier_rows(sites, order, neg)
+    neg, sites = _plan(g, signed)
+    frontier = _frontier_rows(sites, neg)
     return _rank_poly(g, frontier, neg), _rank_poly(g, _sweep_rows(g, neg), neg)
 
 
@@ -371,20 +366,19 @@ def identity_rows(g: RibbonGraph, signed: bool = False):
     alpha starts from the number of negative edges, and a chosen edge
     adds 1 to it, or -1 when negative.
     """
-    neg, (mate, ports, _), order = _plan(g, signed, "bracket")
+    neg, (mate, ports, _) = _plan(g, signed, "bracket")
     shifts = [-1 if (neg >> s) & 1 else 1 for s in range(g.edge_count)]
     bare = sum(not darts for _, darts in g.vertices)
-    rows = frontier_histogram(mate, ports, order, shifts)
+    rows = frontier_histogram(mate, ports, shifts)
     return [((neg.bit_count() + shift, loops + bare), count) for (shift, _, loops), count in rows]
 
 
 def _plan(g: RibbonGraph, signed: bool, what: str = "rank polynomial"):
-    """(negative mask, frontier sites, frontier order), after the cap check
-    on the computation `what`."""
+    """(negative mask, frontier sites), after the cap check on the
+    computation `what`."""
     e = g.edge_count
     check_enumeration_size(e, f"{what} of a {e}-edge ribbon graph")
-    mate, ports, _ = sites = _frontier_sites(g)
-    return g.negative_mask() if signed else 0, sites, frontier_plan(mate, ports)
+    return g.negative_mask() if signed else 0, _frontier_sites(g)
 
 
 def _frontier_sites(g: RibbonGraph):
@@ -412,15 +406,15 @@ def _frontier_sites(g: RibbonGraph):
     return mate, ports, verts
 
 
-def _frontier_rows(sites, order, neg: int):
+def _frontier_rows(sites, neg: int):
     """(e(F), e-(F), k(F), bc(F)) with their counts over the subgraphs, by
-    frontier contraction of the edges in `order`.  A chosen edge shifts
+    frontier contraction of the edges.  A chosen edge shifts
     its row by one unit of e(F), plus one of e-(F) when negative."""
     mate, ports, verts = sites
     unit_chosen = neg.bit_count() + 1  # e-(F) <= e-(G)
     shifts = [unit_chosen + ((neg >> s) & 1) for s in range(len(ports))]
     return [((*divmod(shift, unit_chosen), k, bc), count)
-            for (shift, k, bc), count in frontier_histogram(mate, ports, order, shifts, verts)]
+            for (shift, k, bc), count in frontier_histogram(mate, ports, shifts, verts)]
 
 
 def _sweep_rows(g: RibbonGraph, neg: int):

@@ -21,12 +21,12 @@ counts by frontier contraction with no vertex partitions.
 The Jones polynomial admits the same treatment, on both sides.  The
 substitution values factor over D = -t^(1/2) - t^(-1/2) as
 x = D t^(1/2), y = D t^(-1/2), z = 1/D, and again x y z^2 = 1: F
-contributes t^((r-alpha)/2) D^(bc(F)-1) under the prefactor
-(-1)^w t^((3w-r+n)/4), and the whole right side is assembled without
-ever dividing.  The left side, diagram.jones, evaluates the state sum at
-the same point.  Each side groups its terms by their power of D and sums
-the groups with the one dense Horner's rule, diagram._horner_in_d, so
-neither side substitutes.
+contributes t^((e-2 alpha)/4) D^(bc(F)-1) under the prefactor
+(-1)^w t^(3w/4), the term of the matching state on the left (r and n
+enter only as r + n = e).  So both sides sum their (alpha, loops) rows
+with the same code, diagram._bracket_sum or diagram._jones_sum, which
+groups them by power of D for one dense Horner's rule; neither side
+substitutes or divides.
 
 bracket_via_rank_poly and jones_via_rank_poly keep the assembly through
 the whole rank polynomial, substituted term by term, as the reference
@@ -45,7 +45,9 @@ from .diagram import (
     BRACKET_VARS,
     JONES_VARS,
     Diagram,
+    _bracket_sum,
     _horner_in_d,
+    _jones_sum,
     jones,
     kauffman_bracket,
     writhe,
@@ -85,12 +87,7 @@ def bracket_from_graph(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
     that point directly: the sum over spanning subgraphs F of
     A^alpha(F) B^(e-alpha(F)) d^(bc(F)-1), as identity_rows counts them.
     """
-    e = g.edge_count
-    return LaurentPoly(
-        BRACKET_VARS,
-        {(4 * alpha, 4 * (e - alpha), 4 * (bc - 1)): count
-         for (alpha, bc), count in identity_rows(g, signed)},
-    )
+    return _bracket_sum(g.edge_count, identity_rows(g, signed))
 
 
 def bracket_via_rank_poly(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
@@ -113,30 +110,23 @@ def bracket_via_rank_poly(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
 
 
 def _jones_prefactor(w: int, stats: dict[str, int]) -> LaurentPoly:
-    """(-1)^w t^((3w-r+n)/4), shared by the graph routes to Jones."""
+    """(-1)^w t^((3w-r+n)/4), shared by the graph-side Jones references."""
     return LaurentPoly.monomial(
         JONES_VARS, -1 if w % 2 else 1, t=Fraction(3 * w - stats["r"] + stats["n"], 4)
     )
 
 
-def jones_from_graph(g: RibbonGraph, w: int, stats=None) -> LaurentPoly:
+def jones_from_graph(g: RibbonGraph, w: int) -> LaurentPoly:
     """The right side of the Jones identity for a signed ribbon graph and
     writhe, evaluated at its point directly.
 
-    At x = D t^(1/2), y = D t^(-1/2), z = 1/D the term of F in
-    D^(k-1) R'_G is t^((r-alpha(F))/2) D^(bc(F)-1), with alpha and bc as
-    identity_rows counts them; the global prefactor is
-    (-1)^w t^((3w-r+n)/4).  The terms are grouped by their power of D and
-    the groups summed by _horner_in_d, as diagram.jones sums the left
-    side.  `stats` is graph_stats(g), computed here when not given.
+    At x = D t^(1/2), y = D t^(-1/2), z = 1/D the term of F, with alpha
+    and bc as identity_rows counts them, is t^((e-2 alpha(F))/4)
+    D^(bc(F)-1) under the prefactor (-1)^w t^(3w/4), with no graph
+    statistic: r and n split the exponent only as far as r + n = e.
+    diagram._jones_sum adds up the rows, as it does the left side's.
     """
-    stats = graph_stats(g) if stats is None else stats
-    groups: dict[int, dict[int, int]] = {}
-    for (alpha, bc), count in identity_rows(g, signed=True):
-        group = groups.setdefault(bc - 1, {})
-        t_quarters = 2 * (stats["r"] - alpha)
-        group[t_quarters] = group.get(t_quarters, 0) + count
-    return _jones_prefactor(w, stats) * _horner_in_d(groups)
+    return _jones_sum(g.edge_count, w, identity_rows(g, signed=True))
 
 
 def jones_via_rank_poly(g: RibbonGraph, w: int) -> LaurentPoly:
@@ -187,7 +177,7 @@ def _verify(d: Diagram, mode: str, switches=None) -> VerifyReport:
     stats = graph_stats(g)
     if mode == "jones":
         left = jones(d)
-        right = jones_from_graph(g, writhe(d), stats)
+        right = jones_from_graph(g, writhe(d))
     else:
         left = kauffman_bracket(d)
         right = bracket_from_graph(g, mode == "signed")

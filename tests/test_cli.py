@@ -329,6 +329,14 @@ class TestErrorsAndSelftest:
         code, _, err = run(capsys, "bracket", str(path))
         assert code == 2 and "line 1" in err
 
+    def test_non_ascii_loop_count_names_its_line(self, capsys, tmp_path):
+        # str.isdigit accepts superscript digits, which int() refuses.
+        path = tmp_path / "bad.txt"
+        path.write_text("X a b b a o=1\nO \u00b2\n")
+        code, out, err = run(capsys, "jones", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: line 2: O needs one nonnegative integer, got 'O \u00b2'\n"
+
     def test_unexpected_exception_exits_4_in_one_line(self, capsys, monkeypatch, sample_knot):
         def broken(_):
             raise RuntimeError("boom\nsecond line")

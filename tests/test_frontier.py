@@ -1,24 +1,28 @@
 """Frontier contraction against the sweeps and the per-index traces; the
 sweeps run only as the reference."""
 
+import importlib.util
 import io
 import random
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vkbr
-from helpers import closed_braid, production_calls, random_ribbon
-from vkbr import diagram, fixtures, limits, ribbon
+from helpers import closed_braid, production_calls, random_ribbon, torus_braid
+from vkbr import _kernels, diagram, fixtures, limits, ribbon
 from vkbr.build import NotColorableError, build_signed, find_switch_set
 from vkbr.cli import main
 from vkbr.diagram import (
     Diagram,
     bracket_routes,
     format_diagram,
+    jones,
+    jones_via_bracket,
     kauffman_bracket,
     parse_diagram,
     split_stats,
@@ -33,7 +37,13 @@ from vkbr.ribbon import (
     parse_ribbon,
     subgraph_stats,
 )
-from vkbr.verify import verify_jones, verify_main, verify_signed
+from vkbr.verify import (
+    bracket_from_graph,
+    bracket_via_rank_poly,
+    verify_jones,
+    verify_main,
+    verify_signed,
+)
 
 
 COLORABLE = [
@@ -44,8 +54,8 @@ COLORABLE = [
 
 def diagram_rows(d):
     """((alpha, curves), count) rows of a diagram: (frontier, sweep)."""
-    mate, order = diagram._plan(d)
-    return diagram._frontier_rows(mate, order), list(diagram._sweep_rows(mate))
+    mate = diagram._plan(d)
+    return diagram._frontier_rows(mate), list(diagram._sweep_rows(mate))
 
 
 def traced_diagram_rows(d):
@@ -59,8 +69,8 @@ def traced_diagram_rows(d):
 
 def graph_rows(g, signed=True):
     """((e(F), e-(F), k(F), bc(F)), count) rows of a graph: (frontier, sweep)."""
-    neg, sites, order = ribbon._plan(g, signed)
-    return ribbon._frontier_rows(sites, order, neg), list(ribbon._sweep_rows(g, neg))
+    neg, sites = ribbon._plan(g, signed)
+    return ribbon._frontier_rows(sites, neg), list(ribbon._sweep_rows(g, neg))
 
 
 def traced_graph_rows(g):
@@ -312,3 +322,81 @@ class TestStatsOnce:
         monkeypatch.setattr(ribbon, "subgraph_stats", counted)
         assert check(parse_diagram(fixtures.SAMPLE_KNOT)).equal
         assert len(calls) == 1
+
+
+def greedy_order(arc_mate, site_ports):
+    """The site order by its defining rule, in O(n^2): each step scans
+    every unprocessed site for the most arcs into the processed set, ties
+    going to the lowest index."""
+    n = len(site_ports)
+    site_of = _kernels._site_of(site_ports)
+    into = [0] * n
+    done = [False] * n
+    order = []
+    for _ in range(n):
+        s = max((i for i in range(n) if not done[i]), key=lambda i: (into[i], -i))
+        done[s] = True
+        order.append(s)
+        for p in site_ports[s]:
+            t = site_of[arc_mate[p]]
+            if not done[t]:
+                into[t] += 1
+    return order
+
+
+def assert_order_is_greedy(mate, ports):
+    order = _kernels._frontier_order(mate, ports, _kernels._site_of(ports))
+    assert order == greedy_order(mate, ports)
+
+
+def assert_both_orders_are_greedy(d):
+    """The frontier order of the crossings of d and, when it is colourable,
+    of the edges of its signed graph."""
+    assert_order_is_greedy(diagram._arc_mate(d), diagram._crossing_sites(len(d.crossings)))
+    try:
+        g, _ = build_signed(d)
+    except NotColorableError:
+        return
+    mate, ports, _ = ribbon._frontier_sites(g)
+    assert_order_is_greedy(mate, ports)
+
+
+class TestFrontierOrder:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random_diagrams_and_their_graphs(self, kind):
+        for n in range(13):
+            for seed in range(5):
+                assert_both_orders_are_greedy(random_diagram(n, seed, kind))
+
+    def test_random_ribbon_graphs(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            g = random_ribbon(rng, rng.randint(1, 10), rng.randint(0, 20), signed=True)
+            mate, ports, _ = ribbon._frontier_sites(g)
+            assert_order_is_greedy(mate, ports)
+
+    @pytest.mark.parametrize("p, q", [(2, 1001), (3, 100), (4, 51)])
+    def test_torus_braids(self, p, q):
+        assert_both_orders_are_greedy(parse_diagram(torus_braid(p, q)))
+
+
+class TestRouteGate:
+    """tools/route_gate.py times private helpers of the routes, and only
+    by hand; this keeps its timers in step with them.  main() is not
+    called: it raises the cap and randgen's limit for the whole process."""
+
+    def test_timers_run(self):
+        path = Path(__file__).resolve().parents[1] / "tools" / "route_gate.py"
+        spec = importlib.util.spec_from_file_location("route_gate", path)
+        gate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gate)
+        d = parse_diagram(fixtures.TREFOIL)
+        g, _ = build_signed(d)
+        for times in (
+            gate.bracket_times(d),
+            gate.rank_times(g),
+            gate.two_route_times(jones, jones_via_bracket, d),
+            gate.two_route_times(bracket_from_graph, bracket_via_rank_poly, g, True),
+        ):
+            assert len(times) == 2
+            assert all(isinstance(t, float) and t > 0 for t in times)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_ribbon, torus_braid
-from vkbr import fixtures, ribbon
+from vkbr import fixtures, ribbon, verify
 from vkbr.build import (
     NotAlternatingError,
     NotColorableError,
@@ -277,6 +277,29 @@ class TestDirectEvaluation:
         assert verify_jones(d).equal
         assert verify_main(parse_diagram(fixtures.SAMPLE_KNOT)).equal
         assert verify_signed(d).equal
+
+    def test_right_sides_read_no_graph_statistics(self, monkeypatch):
+        # r and n split the Jones exponent only as far as r + n = e.
+        diagrams = [parse_diagram(text) for text in fixtures.DIAGRAMS.values()]
+        diagrams += [random_diagram(n, 0, "colorable") for n in range(9)]
+        cases = []
+        for d in diagrams:
+            try:
+                g, _ = build_signed(d)
+            except NotColorableError:
+                continue
+            w = writhe(d)
+            cases.append((g, w, bracket_via_rank_poly(g, True), jones_via_rank_poly(g, w)))
+        assert len(cases) >= 9
+
+        def refuse(*args):
+            raise AssertionError("a graph statistic was read")
+
+        monkeypatch.setattr(verify, "graph_stats", refuse)
+        monkeypatch.setattr(ribbon, "subgraph_stats", refuse)
+        for g, w, bracket, jones_value in cases:
+            assert bracket_from_graph(g, True) == bracket
+            assert jones_from_graph(g, w) == jones_value
 
     def test_dartless_vertices_add_to_the_d_power(self):
         g = RibbonGraph([("u", ()), ("w", ())], [])

@@ -54,15 +54,15 @@ def best(fn, *args):
 
 
 def bracket_times(d):
-    mate, order = diagram._plan(d)
-    frontier, _ = best(diagram._frontier_rows, mate, order)
+    mate = diagram._plan(d)
+    frontier, _ = best(diagram._frontier_rows, mate)
     sweep, _ = best(lambda: list(diagram._sweep_rows(mate)))
     return frontier, sweep
 
 
 def rank_times(g):
-    neg, sites, order = ribbon._plan(g, True)
-    frontier, _ = best(ribbon._frontier_rows, sites, order, neg)
+    neg, sites = ribbon._plan(g, True)
+    frontier, _ = best(ribbon._frontier_rows, sites, neg)
     sweep, _ = best(lambda: list(ribbon._sweep_rows(g, neg)))
     return frontier, sweep
 
