@@ -22,7 +22,7 @@ the graph of the switched diagram, and mark the switched edges negative.
 
 from __future__ import annotations
 
-from .diagram import Diagram, _slot_maps, apply_switches, components, is_alternating
+from .diagram import Diagram, _fails_to_alternate, apply_switches, is_alternating
 from .ribbon import Edge, RibbonGraph
 
 
@@ -38,11 +38,12 @@ def find_switch_set(d: Diagram):
     """A smallest set of crossings whose switching makes `d` alternate.
 
     Returns a sorted tuple of crossing indices, or None when no subset
-    works.  Each pair of consecutive passes along a strand forces the two
-    crossings' switch indicators to agree or differ, so the solutions form
-    a parity constraint system; within each tied group the choice with
-    fewer switches wins, and an exact tie keeps the group's lowest-indexed
-    crossing unswitched.
+    works.  Each arc forces its end crossings' switches to agree or
+    differ: they differ exactly when the arc fails to alternate, since a
+    switch swaps over and under at both passes of its crossing.  The
+    solutions form a parity constraint system; within each tied group the
+    choice with fewer switches wins, and an exact tie keeps the group's
+    lowest-indexed crossing unswitched.
     """
     n = len(d.crossings)
     parent = list(range(n))
@@ -60,19 +61,18 @@ def find_switch_set(d: Diagram):
             offset[j] = parity
         return i, parity
 
-    for comp in components(d):
-        passes = [(ci, over) for ci, over in comp]
-        for idx, (ci, over_i) in enumerate(passes):
-            cj, over_j = passes[(idx + 1) % len(passes)]
-            want = 1 ^ over_i ^ over_j  # s_i xor s_j
-            ri, pi = find(ci)
-            rj, pj = find(cj)
-            if ri == rj:
-                if pi ^ pj != want:
-                    return None
-            else:
-                parent[ri] = rj
-                offset[ri] = pi ^ pj ^ want
+    for p, q in enumerate(d._mate):
+        if p > q:
+            continue  # each arc once
+        want = _fails_to_alternate(d, p)  # the end crossings' switches differ
+        ri, pi = find(p >> 2)
+        rj, pj = find(q >> 2)
+        if ri == rj:
+            if pi ^ pj != want:
+                return None
+        else:
+            parent[ri] = rj
+            offset[ri] = pi ^ pj ^ want
     groups: dict[int, list[tuple[int, int]]] = {}
     for i in range(n):
         root, parity = find(i)
@@ -94,13 +94,11 @@ def find_switch_set(d: Diagram):
 def _trace_rotations(d: Diagram):
     """Vertex rotations of the all-B state curves as (crossing, end) lists.
 
-    End "a" is the {1,2} connector, end "b" the {3,0} one.  Raises when a
-    non-alternating arc breaks the traversal directions.
+    End "a" is the {1,2} connector, end "b" the {3,0} one.  The curve
+    leaves end "a" at port 1 and end "b" at port 3; on an alternating
+    diagram the arc from there enters port 2, the next "a", or port 0,
+    the next "b".
     """
-    in_slot, out_slot = _slot_maps(d)
-    label_at = {
-        (ci, p): c.ports[p] for ci, c in enumerate(d.crossings) for p in range(4)
-    }
     rotations = []
     seen: set[tuple[int, str]] = set()
     for start_ci in range(len(d.crossings)):
@@ -112,23 +110,8 @@ def _trace_rotations(d: Diagram):
             while (ci, end) not in seen:
                 seen.add((ci, end))
                 curve.append((ci, end))
-                exit_port = 1 if end == "a" else 3
-                crossing = d.crossings[ci]
-                label = label_at[(ci, exit_port)]
-                if exit_port == crossing.over_in:
-                    cj, q = out_slot[label]
-                    if q != 2:
-                        raise NotAlternatingError(
-                            f"arc {label!r} does not leave an under strand"
-                        )
-                    ci, end = cj, "a"
-                else:
-                    cj, q = in_slot[label]
-                    if q != 0:
-                        raise NotAlternatingError(
-                            f"arc {label!r} does not reach an under strand"
-                        )
-                    ci, end = cj, "b"
+                q = d._mate[4 * ci + (1 if end == "a" else 3)]
+                ci, end = q >> 2, "a" if q & 3 == 2 else "b"
             rotations.append(curve)
     return rotations
 

@@ -33,7 +33,7 @@ from .diagram import (
     format_diagram,
     writhe,
 )
-from .randgen import KINDS, MAX_RANDOM_CROSSINGS, random_diagram
+from .randgen import MAX_RANDOM_CROSSINGS, random_diagram
 from .ribbon import (
     br_poly,
     br_poly_routes,

@@ -11,6 +11,13 @@ segment between two classical crossing ports (possibly of the same
 crossing), so a valid diagram uses every label exactly once as an outgoing
 port and exactly once as an incoming one.
 
+Port p of crossing c has the port id 4c+p.  A diagram reads its arcs once,
+when it is made, into a pairing over port ids: `_mate[i]` is the port id
+at the other end of the arc at port id i.  The strand walks, the ribbon
+graph builder and the sweep kernels all read this one table.  An arc
+alternates when it joins an under port (0 or 2) to an over port (1 or 3),
+that is when its two port ids differ in parity.
+
 The A-splitting of a crossing reconnects ports {0,1} and {2,3}, the
 B-splitting reconnects {0,3} and {1,2}; these are the two regions swept by
 rotating the over strand counterclockwise onto the under strand and the
@@ -34,7 +41,7 @@ File format, one item per line, # starts a comment:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
@@ -106,6 +113,8 @@ class Diagram:
 
     crossings: tuple[Crossing, ...]
     free_loops: int = 0
+    # The arc pairing over port ids, read from the labels once.
+    _mate: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.free_loops < 0:
@@ -117,6 +126,12 @@ class Diagram:
             if label in in_slot:
                 raise DiagramError(f"arc {label!r} never leaves a crossing", in_slot[label][0])
             raise DiagramError(f"arc {label!r} never enters a crossing", out_slot[label][0])
+        mate = [0] * (4 * len(self.crossings))
+        for label, (ci, port) in out_slot.items():
+            cj, q = in_slot[label]
+            mate[4 * ci + port] = 4 * cj + q
+            mate[4 * cj + q] = 4 * ci + port
+        object.__setattr__(self, "_mate", tuple(mate))
 
 
 def parse_diagram(text: str) -> Diagram:
@@ -202,23 +217,19 @@ def components(d: Diagram) -> tuple[tuple[tuple[int, bool], ...], ...]:
     as (crossing index, pass is on the over strand) pairs, starting from
     its least incoming port.
     """
-    in_slot, _ = _slot_maps(d)
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()
     result = []
     for ci, c in enumerate(d.crossings):
         for port in (0, c.over_in):
-            if (ci, port) in seen:
-                continue
             passes = []
-            slot = (ci, port)
+            slot = 4 * ci + port
             while slot not in seen:
                 seen.add(slot)
-                at, p = slot
-                crossing = d.crossings[at]
-                passes.append((at, p != 0))
-                out_port = 2 if p == 0 else crossing.over_out
-                slot = in_slot[crossing.ports[out_port]]
-            result.append(tuple(passes))
+                passes.append((slot >> 2, slot & 3 != 0))
+                # a strand leaves opposite the port it enters
+                slot = d._mate[slot ^ 2]
+            if passes:
+                result.append(tuple(passes))
     return tuple(result)
 
 
@@ -233,12 +244,13 @@ def is_alternating(d: Diagram) -> bool:
     Equivalently, every arc runs from an under-out port to an over-in port
     or from an over-out port to an under-in port.
     """
-    in_slot, out_slot = _slot_maps(d)
-    for label, (_, port) in out_slot.items():
-        _, q = in_slot[label]
-        if (port == 2) == (q == 0):
-            return False
-    return True
+    return not any(_fails_to_alternate(d, i) for i in range(len(d._mate)))
+
+
+def _fails_to_alternate(d: Diagram, port_id: int) -> bool:
+    """True when the arc at `port_id` joins two under ports or two over
+    ports, so that its two port ids have the same parity."""
+    return not (port_id ^ d._mate[port_id]) & 1
 
 
 def switch_crossing(c: Crossing) -> Crossing:
@@ -267,17 +279,6 @@ def apply_switches(d: Diagram, indices) -> Diagram:
 
 
 # -- state sum ----------------------------------------------------------
-
-
-def _arc_mate(d: Diagram) -> list[int]:
-    """Port-to-port arc matching as a list over port ids 4c+p."""
-    in_slot, out_slot = _slot_maps(d)
-    mate = [-1] * (4 * len(d.crossings))
-    for label, (ci, port) in out_slot.items():
-        cj, qort = in_slot[label]
-        mate[4 * ci + port] = 4 * cj + qort
-        mate[4 * cj + qort] = 4 * ci + port
-    return mate
 
 
 def split_stats(d: Diagram, state: int) -> StateStats:
@@ -336,11 +337,11 @@ def bracket_routes(d: Diagram) -> tuple[LaurentPoly, LaurentPoly]:
                  for rows in (_frontier_rows(mate), _sweep_rows(mate)))
 
 
-def _plan(d: Diagram) -> list[int]:
+def _plan(d: Diagram) -> tuple[int, ...]:
     """The arc pairing, after the cap check."""
     n = len(d.crossings)
     check_enumeration_size(n, f"bracket of a {n}-crossing diagram")
-    return _arc_mate(d)
+    return d._mate
 
 
 def _crossing_sites(n: int):
@@ -350,7 +351,7 @@ def _crossing_sites(n: int):
     return [(4 * c + 1, 4 * c + 2, 4 * c + 3, 4 * c) for c in range(n)]
 
 
-def _frontier_rows(mate: list[int]):
+def _frontier_rows(mate: tuple[int, ...]):
     """((alpha, curves), count) over all states, free loops excluded, by
     frontier contraction of the crossings."""
     n = len(mate) // 4
@@ -358,7 +359,7 @@ def _frontier_rows(mate: list[int]):
     return [((alpha, curves), count) for (alpha, _, curves), count in rows]
 
 
-def _sweep_rows(mate: list[int]):
+def _sweep_rows(mate: tuple[int, ...]):
     """The rows of _frontier_rows, from the reference state sweep."""
     n = len(mate) // 4
     check_sweep_memory(n, f"state sweep of a {n}-crossing diagram")

@@ -31,7 +31,7 @@ File format, one item per line, # starts a comment:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._kernels import frontier_histogram, histogram, subgraph_sweep
 from .laurent import LaurentPoly

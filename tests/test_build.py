@@ -16,12 +16,13 @@ from vkbr.build import (
 )
 from vkbr.diagram import (
     apply_switches,
+    components,
     is_alternating,
     kauffman_bracket,
     parse_diagram,
     split_stats,
 )
-from vkbr.randgen import random_diagram
+from vkbr.randgen import KINDS, random_diagram
 from vkbr.ribbon import (
     br_poly,
     format_ribbon,
@@ -98,6 +99,70 @@ class TestFindSwitchSet:
         assert find_switch_set(d) == find_switch_set(d)
 
 
+def _alternates_along_components(d):
+    """is_alternating as the passes along each component see it."""
+    return all(
+        over != next_over
+        for comp in components(d)
+        for (_, over), (_, next_over) in zip(comp, comp[1:] + comp[:1])
+    )
+
+
+def _switch_set_along_components(d):
+    """find_switch_set from the passes along each component, and the number
+    of groups decided by the tie rule: (switches or None, ties)."""
+    n = len(d.crossings)
+    parent = list(range(n))
+    offset = [0] * n
+
+    def find(i):
+        parity = 0
+        while parent[i] != i:
+            parity ^= offset[i]
+            i = parent[i]
+        return i, parity
+
+    for comp in components(d):
+        for (ci, over_i), (cj, over_j) in zip(comp, comp[1:] + comp[:1]):
+            want = 1 ^ over_i ^ over_j
+            (ri, pi), (rj, pj) = find(ci), find(cj)
+            if ri == rj:
+                if pi ^ pj != want:
+                    return None, 0
+            else:
+                parent[ri], offset[ri] = rj, pi ^ pj ^ want
+    groups = {}
+    for i in range(n):
+        root, parity = find(i)
+        groups.setdefault(root, ([], []))[parity].append(i)
+    switches, ties = [], 0
+    for zeros, ones in groups.values():
+        if len(ones) == len(zeros):
+            ties += 1
+            chosen = ones if zeros[0] < ones[0] else zeros  # lowest stays
+        else:
+            chosen = min(ones, zeros, key=len)
+        switches += chosen
+    return tuple(sorted(switches)), ties
+
+
+class TestAlternationRule:
+    # One rule says whether an arc alternates; it must agree with the
+    # passes read along each component.
+    def test_matches_the_component_rules(self):
+        missing = ties = 0
+        for kind in KINDS:
+            for n in range(13):
+                for seed in range(10):
+                    d = random_diagram(n, seed, kind)
+                    switches, tied = _switch_set_along_components(d)
+                    assert find_switch_set(d) == switches, (kind, n, seed)
+                    assert is_alternating(d) == _alternates_along_components(d)
+                    missing += switches is None
+                    ties += tied
+        assert missing > 0 and ties > 0
+
+
 class TestBuildRibbon:
     def test_kink_with_under_loop_gives_a_bridge(self):
         g = build_ribbon(parse_diagram(fixtures.NEGATIVE_KINK))
@@ -139,10 +204,20 @@ class TestBuildRibbon:
         assert str(br_poly(g)) == "x + 1"
 
     def test_non_alternating_is_rejected(self):
-        with pytest.raises(NotAlternatingError):
-            build_ribbon(parse_diagram(fixtures.VIRTUAL_HOPF))
-        with pytest.raises(NotAlternatingError):
-            build_ribbon(apply_switches(parse_diagram(fixtures.TREFOIL), (1,)))
+        rejected = [
+            parse_diagram(fixtures.VIRTUAL_HOPF),
+            apply_switches(parse_diagram(fixtures.TREFOIL), (1,)),
+        ]
+        for kind in KINDS:
+            for n in range(9):
+                for seed in range(10):
+                    d = random_diagram(n, seed, kind)
+                    if not is_alternating(d):
+                        rejected.append(d)
+        assert len(rejected) > 100
+        for d in rejected:
+            with pytest.raises(NotAlternatingError, match="diagram does not alternate"):
+                build_ribbon(d)
 
     def test_edge_names_follow_crossings(self):
         g = build_ribbon(parse_diagram(fixtures.SAMPLE_KNOT))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import torus_braid
 from vkbr import fixtures
 from vkbr.diagram import (
     Crossing,
@@ -191,6 +192,50 @@ class TestStrandStructure:
         assert switch_crossing(c) == Crossing(("b", "c", "d", "a"), 3)
         c = Crossing(("a", "b", "c", "d"), 3)
         assert switch_crossing(c) == Crossing(("d", "a", "b", "c"), 1)
+
+
+def _label_mate(d):
+    """The arc pairing over port ids 4c+p, derived from the labels here."""
+    in_port, out_port = {}, {}
+    for ci, c in enumerate(d.crossings):
+        for port, label in enumerate(c.ports):
+            side = in_port if port in (0, c.over_in) else out_port
+            side[label] = 4 * ci + port
+    mate = [-1] * (4 * len(d.crossings))
+    for label, i in out_port.items():
+        mate[i] = in_port[label]
+        mate[in_port[label]] = i
+    return tuple(mate)
+
+
+class TestPortTable:
+    # A diagram reads its arcs once into _mate, which every walk, the
+    # builder and the kernels share.
+    @pytest.mark.parametrize("name", sorted(fixtures.DIAGRAMS))
+    def test_every_fixture(self, name):
+        d = parse_diagram(fixtures.DIAGRAMS[name])
+        assert d._mate == _label_mate(d)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random_diagrams(self, kind):
+        for n in range(13):
+            for seed in range(5):
+                d = random_diagram(n, seed, kind)
+                assert d._mate == _label_mate(d), (n, seed)
+
+    @pytest.mark.parametrize("p, q", [(2, 1001), (3, 100)])
+    def test_torus_braids(self, p, q):
+        d = parse_diagram(torus_braid(p, q))
+        assert d._mate == _label_mate(d)
+
+    def test_equality_hash_and_repr_ignore_the_table(self):
+        d = parse_diagram(TREFOIL + "O 1\n")
+        other = Diagram(d.crossings, d.free_loops)
+        object.__setattr__(other, "_mate", ())
+        assert other == d and hash(other) == hash(d) and repr(other) == repr(d)
+        assert repr(d) == f"Diagram(crossings={d.crossings!r}, free_loops=1)"
+        with pytest.raises(TypeError):
+            Diagram(d.crossings, 1, d._mate)
 
 
 class TestStateSplitting:

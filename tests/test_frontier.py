@@ -275,7 +275,7 @@ class TestSweepMemoryCheck:
         monkeypatch.setattr(limits, "physical_memory", lambda: 100)
         _forbid_sweeps(monkeypatch)
         with pytest.raises(SizeLimitError, match="physical memory"):
-            diagram._sweep_rows(diagram._arc_mate(parse_diagram(fixtures.TREFOIL)))
+            diagram._sweep_rows(parse_diagram(fixtures.TREFOIL)._mate)
         with pytest.raises(SizeLimitError, match="physical memory"):
             ribbon._sweep_rows(parse_ribbon(fixtures.SAMPLE_RIBBON), 0)
 
@@ -292,7 +292,7 @@ class TestSweepMemoryCheck:
         monkeypatch.setenv("VKBR_MAX_CROSSINGS", "40")
         monkeypatch.setattr(limits, "physical_memory", lambda: 1 << 34)
         _forbid_sweeps(monkeypatch)
-        mate = diagram._arc_mate(parse_diagram(closed_braid(40)))
+        mate = parse_diagram(closed_braid(40))._mate
         with pytest.raises(SizeLimitError, match="40-crossing"):
             diagram._sweep_rows(mate)
 
@@ -352,7 +352,7 @@ def assert_order_is_greedy(mate, ports):
 def assert_both_orders_are_greedy(d):
     """The frontier order of the crossings of d and, when it is colourable,
     of the edges of its signed graph."""
-    assert_order_is_greedy(diagram._arc_mate(d), diagram._crossing_sites(len(d.crossings)))
+    assert_order_is_greedy(d._mate, diagram._crossing_sites(len(d.crossings)))
     try:
         g, _ = build_signed(d)
     except NotColorableError:

@@ -8,13 +8,13 @@ import pytest
 from helpers import random_ribbon
 from vkbr import _kernels
 from vkbr._kernels import popcounts, state_delta_sweep, subgraph_sweep
-from vkbr.diagram import _arc_mate, parse_diagram, split_stats
+from vkbr.diagram import parse_diagram, split_stats
 from vkbr.randgen import random_diagram
 from vkbr.ribbon import RibbonGraph, subgraph_stats
 
 
 def _check_states(d):
-    deltas = state_delta_sweep(len(d.crossings), _arc_mate(d))
+    deltas = state_delta_sweep(len(d.crossings), d._mate)
     assert deltas.dtype == np.int16
     assert deltas.shape == (1 << len(d.crossings),)
     for state in range(1 << len(d.crossings)):
@@ -52,7 +52,7 @@ class TestStateSweep:
 
     def test_zero_crossings(self):
         d = parse_diagram("O 1\n")
-        out = state_delta_sweep(0, _arc_mate(d))
+        out = state_delta_sweep(0, d._mate)
         assert out.shape == (1,) and out[0] == 0
 
 
