@@ -1,10 +1,16 @@
 """The two routes to the bracket and rank-polynomial sums.
 
+Both routes read the same input: an arc pairing over port ids and a list
+of sites, four ports each, where a site is a crossing or an edge and
+choosing it switches which pairs of its ports are joined.  The closed
+loops of arcs and joins are a state's curves or a subgraph's boundary
+components.
+
 frontier_histogram computes both sums, and the graph side of the bracket
-identity at its own point: it contracts the crossings or edges one at a
-time, in a greedy order it picks itself, with a table whose size depends
-on the width of the frontier rather than on the number of states or
-subgraphs.  It needs nothing but Python integers.
+identity at its own point: it contracts the sites one at a time, in a
+greedy order it picks itself, with a table whose size depends on the
+width of the frontier rather than on the number of states or subgraphs.
+It needs nothing but Python integers.
 
 The sweeps are the brute-force reference it is checked against.  They go
 through the exponential index space and record small integer statistics
@@ -13,11 +19,11 @@ the exact polynomial assembly happens afterwards in ordinary Python
 integers.  Indices are processed a chunk at a time with numpy array
 operations: a chunk holds every combination of the low bits under one
 fixed setting of the high bits, with one row per index.  Both sweeps
-reduce to counting the cycles of a batch of permutations, one per row,
-which _chunk_cycle_counts does by min-label pointer doubling.  Every work
-array holds at most about CHUNK_ELEMS values, whatever the size of the
-sweep.  numpy is imported only when a sweep runs, so a process that never
-calls one never loads it.
+count loops by one rule, _chunk_loop_counts: loops are half the cycles of
+port -> arc_mate[join(port)], counted for a batch of joins, one per row,
+by min-label pointer doubling.  Every work array holds at most about
+CHUNK_ELEMS values, whatever the size of the sweep.  numpy is imported
+only when a sweep runs, so a process that never calls one never loads it.
 """
 
 from __future__ import annotations
@@ -27,14 +33,29 @@ from heapq import heappop, heappush
 # Elements per work array of one chunk (128 KiB as int32, 256 KiB as intp).
 CHUNK_ELEMS = 1 << 15
 
+# How a site joins its ports 0..3, as partner tables indexed by whether
+# the site is chosen: unchosen joins {0,1} and {2,3}, chosen {0,3} and {1,2}.
+_JOINS = ((1, 0, 3, 2), (3, 2, 1, 0))
 
-def _chunk_cycle_counts(n_bits, bit_of, off, on, width, max_cycle):
-    """Cycle counts of the permutations P_i(x) = on[x] if bit bit_of[x] of
-    i is set, else off[x], for every i < 2^n_bits, a chunk at a time.
 
-    Yields (first, n_low, counts): counts[j] is the number of cycles of
-    P_(first + j) for j < 2^n_low, as int16.  Chunks are sized for rows of
-    `width` elements, and no cycle is longer than `max_cycle`.
+def _chunk_loop_counts(arc_mate, site_ports, row_elems=0):
+    """Closed loops of every way of choosing sites, a chunk of choices at
+    a time.
+
+    The sites are those of frontier_histogram: site s lists four ports,
+    and choice i joins them by _JOINS[1] when bit s of i is set, else by
+    _JOINS[0].  A loop through 2L ports splits into two L-cycles of the
+    permutation P_i(x) = arc_mate[join_i(x)], one through every other
+    port each way round, so loops are half its cycles.  When every arc
+    and every join pairs an even port id with an odd one, as in every
+    ribbon graph's table and every alternating diagram, a loop's ports
+    alternate in parity and one of its two cycles holds its even ports:
+    then P_i runs on the even ports alone, each cycle a loop, at half the
+    work.  Port ids must be 0 .. 4n-1.
+
+    Yields (first, n_low, loops): loops[j] counts the loops of choice
+    first + j for j < 2^n_low, as int16.  Chunks are sized for rows of
+    one element per port P_i runs on, or of `row_elems` if that is more.
 
     A chunk stacks its permutations as the rows of one flat permutation,
     each row mapping into its own positions.  After r rounds label[x] is
@@ -49,16 +70,27 @@ def _chunk_cycle_counts(n_bits, bit_of, off, on, width, max_cycle):
     """
     import numpy as np
 
-    fit = (CHUNK_ELEMS // max(width, 1)).bit_length() - 1
-    n_low = max(0, min(n_bits, fit))
+    n = len(site_ports)
+    sites = np.asarray(site_ports, dtype=np.intp).reshape(n, 4)
+    mate = np.asarray(arc_mate, dtype=np.intp)
+    ports = sites.ravel()
+    partners = [sites[:, list(join)].ravel() for join in _JOINS]
+    bit_of, off, on = (np.empty(4 * n, dtype=np.intp) for _ in range(3))
+    bit_of[ports] = np.arange(4 * n) >> 2
+    off[ports], on[ports] = (mate[partner] for partner in partners)
+    cycles_per_loop = 2
+    if all(((ports ^ other) & 1).all() for other in (mate[ports], *partners)):
+        bit_of, off, on, cycles_per_loop = bit_of[::2], off[::2] >> 1, on[::2] >> 1, 1
+    fit = (CHUNK_ELEMS // max(len(bit_of), row_elems, 1)).bit_length() - 1
+    n_low = max(0, min(n, fit))
     rows = np.arange(1 << n_low, dtype=np.intp)[:, None]
     template = np.where((rows >> bit_of) & 1, on, off) + rows * len(bit_of)
     step = on - off
     own = np.arange(template.size, dtype=np.int32)
     label, gathered = np.empty_like(own), np.empty_like(own)
     shifted, *ptr_bufs = (np.empty(template.shape, dtype=np.intp) for _ in range(3))
-    rounds = (max_cycle - 1).bit_length()
-    for first in range(0, 1 << n_bits, 1 << n_low):
+    rounds = (2 * n - 1).bit_length()  # a cycle has at most 2n points
+    for first in range(0, 1 << n, 1 << n_low):
         perm = template
         if first:  # bits at and above n_low, the same in every row
             perm = np.add(template, ((np.int64(first) >> bit_of) & 1) * step, out=shifted)
@@ -69,84 +101,64 @@ def _chunk_cycle_counts(n_bits, bit_of, off, on, width, max_cycle):
             np.minimum(label, gathered, out=label)
             if r + 1 < rounds:
                 ptr = np.take(ptr, ptr, out=ptr_bufs[r % 2].ravel(), mode="wrap")
-        yield first, n_low, (label == own).reshape(1 << n_low, -1).sum(axis=1, dtype=np.int16)
+        cycles = (label == own).reshape(1 << n_low, -1).sum(axis=1, dtype=np.int16)
+        yield first, n_low, cycles // cycles_per_loop
 
 
 def state_delta_sweep(n_crossings, arc_mate):
     """Closed curves of every splitting state, free loops excluded.
 
-    arc_mate: int32[4n], arc_mate[p] = port joined to p by an arc, over
-    port ids 4c+p.  State bit c set = B-splitting at crossing c.  A joins
-    ports {0,1} and {2,3} of a crossing (partner = port ^ 1), B joins
-    {0,3} and {1,2} (partner = port ^ 3).  Each curve through 2L ports
-    splits into two L-cycles of arc_mate o connector, so curves are half
-    its cycles.  Returns int16[2^n], indexed by state.
+    arc_mate: the arc pairing over port ids 4c+p.  State bit c set =
+    B-splitting at crossing c.  Crossing c is the site of its ports
+    4c .. 4c+3 in order, so _JOINS[0] is the A-splitting, which joins
+    ports {0,1} and {2,3}, and _JOINS[1] the B-splitting, {0,3} and
+    {1,2}.  Returns int16[2^n], indexed by state.
     """
     import numpy as np
 
     n = int(n_crossings)
-    arc_mate = np.asarray(arc_mate, dtype=np.int32)
-    ports = np.arange(arc_mate.shape[0], dtype=np.int32)
     out = np.empty(1 << n, dtype=np.int16)
-    chunks = _chunk_cycle_counts(
-        n, ports >> 2, arc_mate[ports ^ 1], arc_mate[ports ^ 3], ports.shape[0], 2 * n
-    )
-    for first, n_low, cycles in chunks:
-        out[first:first + (1 << n_low)] = cycles // 2
+    for first, n_low, loops in _chunk_loop_counts(arc_mate, np.arange(4 * n).reshape(n, 4)):
+        out[first:first + (1 << n_low)] = loops
     return out
 
 
-def subgraph_sweep(n_verts, n_edges, vert_off, vert_darts, edge_u, edge_w,
-                   edge_of_dart, partner):
+def subgraph_sweep(sites, n_edges):
     """Components k and boundary components bc of every spanning subgraph.
 
-    vert_darts: dart ids grouped by vertex in rotation order, delimited by
-    vert_off; edge_u/edge_w: endpoint vertex of each edge's two darts;
-    partner: the other dart of a dart's edge.  Every vertex must carry a
-    dart: a dart-less vertex adds one to k and to bc of every subgraph,
+    sites: a ribbon graph's site table (arc_mate, site_ports, site_verts),
+    the one frontier_histogram reads, with edge s as site s; bit s of a
+    subset set picks the site's chosen join.  bc counts the loops, as in
+    state_delta_sweep.  k counts the classes of the vertices that some
+    site touches, from vertex labels that double over a chunk's low
+    edges: the labels of mask | 1<<j are those of mask with the class of
+    one end of edge j merged into that of the other, starting from a
+    union-find over the chunk's fixed high edges.  A dart-less vertex
+    touches no site; it would add one to k and to bc of every subgraph,
     which the caller adds in ordinary integers, so the outputs stay small.
     Returns (k, bc) as int16[2^e] each, indexed by edge subset.
-
-    bc(F) = cycles(psi_F), where psi_F(x) is rot(partner(x)) when x's edge
-    is in F and rot(x) otherwise: orbits step over darts outside F, and a
-    vertex none of whose darts is in F keeps the one orbit of its
-    rotation.  k comes from vertex labels that
-    double over a chunk's low edges: the labels of mask | 1<<j are those
-    of mask with the class of edge_u[j] merged into that of edge_w[j],
-    starting from a union-find over the chunk's fixed high edges.
     """
     import numpy as np
 
-    v = int(n_verts)
+    arc_mate, site_ports, site_verts = sites
     e = int(n_edges)
-    vert_off = np.asarray(vert_off, dtype=np.int32)
-    vert_darts = np.asarray(vert_darts, dtype=np.int32)
-    edge_of_dart = np.asarray(edge_of_dart, dtype=np.int32)
-    partner = np.asarray(partner, dtype=np.int32)
-    n_darts = vert_darts.shape[0]
-    degree = vert_off[1:] - vert_off[:-1]
-    # rot: next dart counterclockwise at the same vertex.
-    pos = np.arange(n_darts, dtype=np.int32)
-    start = np.repeat(vert_off[:-1], degree)
-    rot = np.empty(n_darts, dtype=np.int32)
-    rot[vert_darts] = vert_darts[start + (pos - start + 1) % np.repeat(degree, degree)]
+    ends = np.asarray(site_verts, dtype=np.intp).reshape(e, 2)
+    touched = np.unique(ends)
+    v = int(ends.max(initial=-1)) + 1
     k_out = np.empty(1 << e, dtype=np.int16)
     bc_out = np.empty(1 << e, dtype=np.int16)
-    vertex_ids = np.arange(v, dtype=np.int32)
-    chunks = _chunk_cycle_counts(e, edge_of_dart, rot, rot[partner], max(n_darts, v), n_darts)
-    for first, n_low, cycles in chunks:
+    for first, n_low, loops in _chunk_loop_counts(arc_mate, site_ports, v):
         done = slice(first, first + (1 << n_low))
-        bc_out[done] = cycles
-        labels = _high_edge_labels(v, edge_u, edge_w, first)
-        for low in range(n_low):
-            merged = np.where(labels == labels[:, edge_u[low], None],
-                              labels[:, edge_w[low], None], labels)
+        bc_out[done] = loops
+        labels = _high_edge_labels(v, ends, first)
+        for u, w in ends[:n_low]:
+            merged = np.where(labels == labels[:, u, None], labels[:, w, None], labels)
             labels = np.concatenate((labels, merged))
-        k_out[done] = (labels == vertex_ids).sum(axis=1)
+        k_out[done] = (labels[:, touched] == touched).sum(axis=1)
     return k_out, bc_out
 
 
-def _high_edge_labels(n_verts, edge_u, edge_w, mask):
+def _high_edge_labels(n_verts, ends, mask):
     """int32[1, v]: each vertex labelled by a root vertex of its component
     in the subgraph of the edges set in `mask`."""
     import numpy as np
@@ -161,15 +173,8 @@ def _high_edge_labels(n_verts, edge_u, edge_w, mask):
 
     for ei in range(mask.bit_length()):
         if (mask >> ei) & 1:
-            parent[find(int(edge_u[ei]))] = find(int(edge_w[ei]))
+            parent[find(int(ends[ei, 0]))] = find(int(ends[ei, 1]))
     return np.array([[find(i) for i in range(n_verts)]], dtype=np.int32)
-
-
-def popcounts(n_masks: int):
-    """Bit counts of 0 .. n_masks-1 as an int64 array."""
-    import numpy as np
-
-    return np.bitwise_count(np.arange(n_masks, dtype=np.uint64)).astype(np.int64)
 
 
 def histogram(*columns):
@@ -199,9 +204,6 @@ def histogram(*columns):
 
 # -- frontier contraction -------------------------------------------------
 
-# How a site joins its ports 0..3, as partner tables indexed by whether
-# the site is chosen: unchosen joins {0,1} and {2,3}, chosen {0,3} and {1,2}.
-_JOINS = ((1, 0, 3, 2), (3, 2, 1, 0))
 # What the arc at a site's port reaches: a port that is not yet processed,
 # another port of the same site, or an open port of the processed set.
 _FRESH, _SELF, _OPEN = range(3)

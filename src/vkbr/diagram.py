@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
-from ._kernels import frontier_histogram, histogram, popcounts, state_delta_sweep
+from ._kernels import frontier_histogram, histogram, state_delta_sweep
 from .laurent import LaurentPoly
 from .limits import check_enumeration_size, check_sweep_memory
 
@@ -83,10 +83,6 @@ class Crossing:
             raise DiagramError(f"crossing needs 4 ports, got {len(self.ports)}")
         if self.over_in not in (1, 3):
             raise DiagramError(f"over strand must enter at port 1 or 3, got {self.over_in}")
-
-    @property
-    def over_out(self) -> int:
-        return 4 - self.over_in
 
     @property
     def sign(self) -> int:
@@ -291,11 +287,23 @@ def split_stats(d: Diagram, state: int) -> StateStats:
     n = len(d.crossings)
     if not 0 <= state < (1 << n):
         raise DiagramError(f"state {state} out of range for {n} crossings")
+    return _split_trace(d, _slot_mate(d), state)
+
+
+def _slot_mate(d: Diagram) -> dict[tuple[int, int], tuple[int, int]]:
+    """The arc pairing over (crossing, port) slots, read from the labels:
+    the reference trace's own copy, apart from Diagram._mate."""
     in_slot, out_slot = _slot_maps(d)
     mate: dict[tuple[int, int], tuple[int, int]] = {}
     for label, slot in out_slot.items():
         mate[slot] = in_slot[label]
         mate[in_slot[label]] = slot
+    return mate
+
+
+def _split_trace(d: Diagram, mate, state: int) -> StateStats:
+    """split_stats of a state in range, given _slot_mate(d)."""
+    n = len(d.crossings)
     delta = d.free_loops
     seen: set[tuple[int, int]] = set()
     for ci in range(n):
@@ -319,7 +327,8 @@ def state_table(d: Diagram) -> tuple[StateStats, ...]:
     """split_stats of every state, in binary-counter order."""
     n = len(d.crossings)
     check_enumeration_size(n, f"state table of a {n}-crossing diagram")
-    return tuple(split_stats(d, s) for s in range(1 << n))
+    mate = _slot_mate(d)
+    return tuple(_split_trace(d, mate, s) for s in range(1 << n))
 
 
 def kauffman_bracket(d: Diagram) -> LaurentPoly:
@@ -361,9 +370,12 @@ def _frontier_rows(mate: tuple[int, ...]):
 
 def _sweep_rows(mate: tuple[int, ...]):
     """The rows of _frontier_rows, from the reference state sweep."""
+    import numpy as np
+
     n = len(mate) // 4
     check_sweep_memory(n, f"state sweep of a {n}-crossing diagram")
-    return histogram(n - popcounts(1 << n), state_delta_sweep(n, mate))
+    masks = np.arange(1 << n, dtype=np.int64)
+    return histogram(n - np.bitwise_count(masks), state_delta_sweep(n, mate))
 
 
 def _bracket_sum(n: int, rows, isolated: int = 0) -> LaurentPoly:

@@ -432,7 +432,6 @@ class _Parser:
     def _term(self, sign: int) -> LaurentPoly:
         coeff = sign
         exps = [0] * len(self.variables)
-        first = True
         while True:
             kind, value = self._next()
             if kind == "int":
@@ -449,8 +448,6 @@ class _Parser:
                 exps[self.variables.index(value)] += q
             else:
                 raise PolyError(f"unexpected {value!r} in term")
-            if first:
-                first = False
             if self._peek() == ("op", "*"):
                 self._next()
                 continue

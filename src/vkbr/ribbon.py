@@ -21,6 +21,14 @@ where e-( ) counts negative edges, giving half-integer exponents when the
 total number of negative edges is odd.  Substituting x-1, y-1, 1 into the
 unsigned R_G yields the Tutte polynomial of the underlying graph.
 
+A graph reads its rotations once, when it is made, into a site table in
+the 4-valent port model a diagram's crossings use: each edge is a site of
+four ports, two per dart, an arc joins each dart to the next one
+counterclockwise at its vertex, and a subgraph picks one of two joins at
+each site.  The closed loops of arcs and joins are the boundary
+components, just as a state's loops are its curves.  Frontier contraction
+and the reference sweep both read this one table.
+
 File format, one item per line, # starts a comment:
 
     V u : a1 c1 b1 c2      vertex u, darts counterclockwise (may be empty)
@@ -83,7 +91,9 @@ class RibbonGraph:
 
     Vertices and edges keep their construction order; spanning subgraphs
     are bitmasks over edges in that order.  Instances are immutable by
-    convention.
+    convention.  The rotations are read once, at construction, into the
+    site table `_sites` that frontier contraction and the reference sweep
+    both read; `==` and `repr` leave it out.
     """
 
     def __init__(self, vertices, edges):
@@ -126,10 +136,31 @@ class RibbonGraph:
         self._dart_vertex = [dart_vertex[d] for d in self._dart_ids]
         self._edge_of_dart = [dart_edge[d] for d in self._dart_ids]
         self._partner = [0] * len(self._dart_ids)
-        for edge in self.edges:
-            a, b = (self._dart_ids[d] for d in edge.darts)
+        ends = [tuple(self._dart_ids[d] for d in edge.darts) for edge in self.edges]
+        for a, b in ends:
             self._partner[a] = b
             self._partner[b] = a
+        # The site table (arc_mate, site_ports, site_verts) that both routes
+        # read, one site per edge.  Dart x has ports 2x (in) and 2x+1
+        # (out), and an arc joins x's out port to the in port of rot(x),
+        # the next dart counterclockwise at its vertex.  The site of an
+        # edge with darts x, x' lists the ports x in, x out, x' in, x' out,
+        # so its chosen join (x in to x' out, x' in to x out) steps from x
+        # to rot(x') as the face permutation of a subgraph holding the
+        # edge does, and its unchosen join steps from x to rot(x): the
+        # closed loops are the boundary components.  site_verts holds each
+        # edge's two end vertices.
+        mate = [0] * (2 * len(self._dart_ids))
+        for lo, hi in zip(self._vert_off, self._vert_off[1:]):
+            for x in range(lo, hi):
+                nxt = x + 1 if x + 1 < hi else lo
+                mate[2 * x + 1] = 2 * nxt
+                mate[2 * nxt] = 2 * x + 1
+        self._sites = (
+            tuple(mate),
+            tuple((2 * a, 2 * a + 1, 2 * b, 2 * b + 1) for a, b in ends),
+            tuple((self._dart_vertex[a], self._dart_vertex[b]) for a, b in ends),
+        )
 
     @property
     def vertex_count(self) -> int:
@@ -142,41 +173,6 @@ class RibbonGraph:
     @property
     def full_subset(self) -> int:
         return (1 << len(self.edges)) - 1
-
-    def sweep_arrays(self):
-        """The arguments of _kernels.subgraph_sweep, the reference route,
-        for this graph.
-
-        (v, e, vert_off, vert_darts, edge_u, edge_w, edge_of_dart, partner)
-        over the v vertices that carry darts, renumbered in order; the
-        dart-less ones are left out, as the kernel requires.  Dart ids are
-        positions in the concatenated rotations, so vert_darts is the
-        identity and vert_off delimits each vertex's darts; edge_u/edge_w
-        are the vertices of each edge's first and second dart.
-        """
-        import numpy as np
-
-        live = [vi for vi, (_, darts) in enumerate(self.vertices) if darts]
-        renumber = {vi: i for i, vi in enumerate(live)}
-        ends = [
-            [
-                renumber[self._dart_vertex[self._dart_ids[edge.darts[side]]]]
-                for edge in self.edges
-            ]
-            for side in (0, 1)
-        ]
-        return (
-            len(live),
-            self.edge_count,
-            np.array(
-                [self._vert_off[vi] for vi in live] + [len(self._dart_ids)], dtype=np.int32
-            ),
-            np.arange(len(self._dart_ids), dtype=np.int32),
-            np.array(ends[0], dtype=np.int32),
-            np.array(ends[1], dtype=np.int32),
-            np.array(self._edge_of_dart, dtype=np.int32),
-            np.array(self._partner, dtype=np.int32),
-        )
 
     def negative_mask(self) -> int:
         """Bitmask of the negative edges."""
@@ -374,36 +370,11 @@ def identity_rows(g: RibbonGraph, signed: bool = False):
 
 
 def _plan(g: RibbonGraph, signed: bool, what: str = "rank polynomial"):
-    """(negative mask, frontier sites), after the cap check on the
-    computation `what`."""
+    """(negative mask, the graph's site table), after the cap check on
+    the computation `what`."""
     e = g.edge_count
     check_enumeration_size(e, f"{what} of a {e}-edge ribbon graph")
-    return g.negative_mask() if signed else 0, _frontier_sites(g)
-
-
-def _frontier_sites(g: RibbonGraph):
-    """(arc_mate, site_ports, site_verts): the edges of g as frontier sites.
-
-    Dart x has ports 2x (in) and 2x+1 (out), and an arc joins x's out port
-    to the in port of rot(x), the next dart counterclockwise at its
-    vertex.  The site of an edge with darts x, x' lists the ports x in,
-    x out, x' in, x' out, so its chosen join (x in to x' out, x' in to
-    x out) steps from x to rot(x') as the face permutation of a subgraph
-    holding the edge does, and its unchosen join steps from x to rot(x):
-    the closed loops are the boundary components.  site_verts holds each
-    edge's two end vertices.
-    """
-    mate = [0] * (2 * len(g._dart_ids))
-    for x, vi in enumerate(g._dart_vertex):
-        nxt = x + 1 if x + 1 < g._vert_off[vi + 1] else g._vert_off[vi]
-        mate[2 * x + 1] = 2 * nxt
-        mate[2 * nxt] = 2 * x + 1
-    ports, verts = [], []
-    for edge in g.edges:
-        a, b = (g._dart_ids[dart] for dart in edge.darts)
-        ports.append((2 * a, 2 * a + 1, 2 * b, 2 * b + 1))
-        verts.append((g._dart_vertex[a], g._dart_vertex[b]))
-    return mate, ports, verts
+    return g.negative_mask() if signed else 0, g._sites
 
 
 def _frontier_rows(sites, neg: int):
@@ -418,13 +389,13 @@ def _frontier_rows(sites, neg: int):
 
 
 def _sweep_rows(g: RibbonGraph, neg: int):
-    """The rows of _frontier_rows, from the reference subgraph sweep,
-    which leaves out dart-less vertices too."""
+    """The rows of _frontier_rows, from the reference subgraph sweep of
+    the same site table, which leaves out dart-less vertices too."""
     import numpy as np
 
     e = g.edge_count
     check_sweep_memory(e, f"subgraph sweep of a {e}-edge ribbon graph")
-    k_arr, bc_arr = subgraph_sweep(*g.sweep_arrays())
+    k_arr, bc_arr = subgraph_sweep(g._sites, e)
     masks = np.arange(1 << e, dtype=np.int64)
     return histogram(np.bitwise_count(masks), np.bitwise_count(masks & neg), k_arr, bc_arr)
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from helpers import torus_braid
-from vkbr import fixtures
+from vkbr import diagram, fixtures
 from vkbr.diagram import (
     Crossing,
     Diagram,
@@ -256,6 +256,22 @@ class TestStateSplitting:
     def test_state_table_length(self):
         d = parse_diagram(TREFOIL)
         assert len(state_table(d)) == 8
+
+    def test_state_table_reads_the_labels_once(self, monkeypatch):
+        d = random_diagram(12, 1, "alternating")
+        expected = tuple(split_stats(d, state) for state in range(1 << 12))
+        calls = []
+        original = diagram._slot_maps
+
+        def counted(d):
+            calls.append(d)
+            return original(d)
+
+        monkeypatch.setattr(diagram, "_slot_maps", counted)
+        # The reference trace keeps its own pairing, apart from _mate.
+        object.__setattr__(d, "_mate", ())
+        assert state_table(d) == expected
+        assert len(calls) <= 1
 
     def test_delta_changes_by_at_most_one_per_toggle(self):
         # A toggle merges two curves, splits one, or (only possible with

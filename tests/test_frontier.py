@@ -185,7 +185,7 @@ class TestGraphRoutes:
         graphs = [random_ribbon(rng, rng.randint(1, 7), rng.randint(0, 9), signed=True)
                   for _ in range(60)]
         assert any(not darts for g in graphs for _, darts in g.vertices)
-        assert any(u == w for g in graphs for u, w in zip(*g.sweep_arrays()[4:6]))
+        assert any(u == w for g in graphs for u, w in g._sites[2])
         assert any(g.negative_mask() for g in graphs)
         assert any(subgraph_stats(g, g.full_subset).k - sum(not darts for _, darts in g.vertices) > 1
                    for g in graphs)
@@ -357,7 +357,7 @@ def assert_both_orders_are_greedy(d):
         g, _ = build_signed(d)
     except NotColorableError:
         return
-    mate, ports, _ = ribbon._frontier_sites(g)
+    mate, ports, _ = g._sites
     assert_order_is_greedy(mate, ports)
 
 
@@ -372,7 +372,7 @@ class TestFrontierOrder:
         rng = random.Random(11)
         for _ in range(200):
             g = random_ribbon(rng, rng.randint(1, 10), rng.randint(0, 20), signed=True)
-            mate, ports, _ = ribbon._frontier_sites(g)
+            mate, ports, _ = g._sites
             assert_order_is_greedy(mate, ports)
 
     @pytest.mark.parametrize("p, q", [(2, 1001), (3, 100), (4, 51)])

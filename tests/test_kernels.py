@@ -7,7 +7,7 @@ import pytest
 
 from helpers import random_ribbon
 from vkbr import _kernels
-from vkbr._kernels import popcounts, state_delta_sweep, subgraph_sweep
+from vkbr._kernels import state_delta_sweep, subgraph_sweep
 from vkbr.diagram import parse_diagram, split_stats
 from vkbr.randgen import random_diagram
 from vkbr.ribbon import RibbonGraph, subgraph_stats
@@ -22,10 +22,11 @@ def _check_states(d):
 
 
 def _check_subgraphs(g):
-    # The kernel sees only the vertices with darts; each dart-less one adds
-    # a component and a boundary component to every subgraph.
+    # The kernel sees only the vertices some site touches, those with darts;
+    # each dart-less one adds a component and a boundary component to every
+    # subgraph.
     bare = sum(not darts for _, darts in g.vertices)
-    k_arr, bc_arr = subgraph_sweep(*g.sweep_arrays())
+    k_arr, bc_arr = subgraph_sweep(g._sites, g.edge_count)
     assert k_arr.dtype == bc_arr.dtype == np.int16
     assert k_arr.shape == bc_arr.shape == (1 << g.edge_count,)
     for mask in range(1 << g.edge_count):
@@ -39,10 +40,11 @@ class TestStateSweep:
             _check_states(random_diagram(1 + seed % 7, seed))
 
     def test_every_state_across_chunks(self):
-        # 4096 states x 48 ports spans several chunks of CHUNK_ELEMS.
-        d = random_diagram(12, 5)
-        assert (1 << 12) * 4 * 12 > 2 * _kernels.CHUNK_ELEMS
-        _check_states(d)
+        # 4096 states x 48 ports spans several chunks of CHUNK_ELEMS, and
+        # 24 even ports of the alternating diagram still do.
+        assert (1 << 12) * 2 * 12 > 2 * _kernels.CHUNK_ELEMS
+        for kind in ("any", "alternating"):
+            _check_states(random_diagram(12, 5, kind))
 
     @pytest.mark.parametrize("chunk", [2, 16, 64])
     def test_tiny_chunks(self, monkeypatch, chunk):
@@ -67,7 +69,7 @@ class TestSubgraphSweep:
         rng = random.Random(23)
         graphs = [random_ribbon(rng, v, rng.randint(11, 12)) for v in (2, 7, 16)]
         assert any(not darts for g in graphs for _, darts in g.vertices)
-        assert any(np.any(u == w) for u, w in (g.sweep_arrays()[4:6] for g in graphs))
+        assert any(u == w for g in graphs for u, w in g._sites[2])
         for g in graphs:
             _check_subgraphs(g)
 
@@ -80,13 +82,5 @@ class TestSubgraphSweep:
 
     def test_zero_edges(self):
         g = RibbonGraph([("u", ()), ("w", ())], [])
-        assert g.sweep_arrays()[0] == 0
+        assert g._sites == ((), (), ())
         _check_subgraphs(g)
-
-
-class TestPopcounts:
-    def test_small_values(self):
-        out = popcounts(1 << 10)
-        assert out.shape == (1024,)
-        for mask in (0, 1, 2, 3, 255, 512, 1023):
-            assert out[mask] == bin(mask).count("1")

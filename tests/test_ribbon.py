@@ -4,7 +4,10 @@ import random
 
 import pytest
 
-from helpers import random_ribbon, tutte_whitney
+from helpers import random_ribbon, torus_braid, tutte_whitney
+from vkbr import fixtures, ribbon
+from vkbr.build import build_signed, find_switch_set
+from vkbr.diagram import parse_diagram
 from vkbr.laurent import LaurentPoly
 from vkbr.limits import SizeLimitError
 from vkbr.ribbon import (
@@ -339,6 +342,77 @@ class TestConstruction:
         g2 = parse_ribbon("V u : a1 a2\nE a : a1 a2\n")
         assert g1 == g2
         assert g1 != parse_ribbon(NEGATIVE_LOOP)
+
+
+COLORABLE = [
+    name for name, text in sorted(fixtures.DIAGRAMS.items())
+    if find_switch_set(parse_diagram(text)) is not None
+]
+
+
+def _rotation_table(g: RibbonGraph):
+    """The site table of g derived from its rotations and edge darts alone:
+    darts numbered in rotation order, dart x with ports 2x in and 2x+1
+    out, an arc from each dart's out port to the in port of the next dart
+    counterclockwise, and each edge's site listing its first dart's ports,
+    then its second's, with its two end vertices beside it."""
+    number, vertex_of, mate = {}, {}, {}
+    for vi, (_, darts) in enumerate(g.vertices):
+        for dart in darts:
+            number[dart] = len(number)
+            vertex_of[dart] = vi
+    for _, darts in g.vertices:
+        for dart, nxt in zip(darts, darts[1:] + darts[:1]):
+            mate[2 * number[dart] + 1] = 2 * number[nxt]
+            mate[2 * number[nxt]] = 2 * number[dart] + 1
+    return (
+        tuple(mate[p] for p in range(2 * len(number))),
+        tuple((2 * number[a], 2 * number[a] + 1, 2 * number[b], 2 * number[b] + 1)
+              for a, b in (e.darts for e in g.edges)),
+        tuple((vertex_of[a], vertex_of[b]) for a, b in (e.darts for e in g.edges)),
+    )
+
+
+class TestSiteTable:
+    # A graph reads its rotations once into _sites, which frontier
+    # contraction and the reference sweep both read.
+    @pytest.mark.parametrize("name", COLORABLE)
+    def test_every_fixture_graph(self, name):
+        g, _ = build_signed(parse_diagram(fixtures.DIAGRAMS[name]))
+        assert g._sites == _rotation_table(g)
+
+    def test_sample_graphs(self):
+        for text in (SAMPLE, THETA_PLANAR, THETA_TWISTED, LOOPS_SEPARATED,
+                     LOOPS_INTERLEAVED, NEGATIVE_LOOP, fixtures.SAMPLE_RIBBON):
+            g = parse_ribbon(text)
+            assert g._sites == _rotation_table(g)
+
+    def test_random_graphs(self):
+        rng = random.Random(41)
+        graphs = [random_ribbon(rng, rng.randint(1, 8), rng.randint(0, 12), signed=True)
+                  for _ in range(200)]
+        assert any(not darts for g in graphs for _, darts in g.vertices)
+        assert any(u == w for g in graphs for u, w in g._sites[2])
+        assert any(g.negative_mask() for g in graphs)
+        for g in graphs:
+            assert g._sites == _rotation_table(g)
+
+    @pytest.mark.parametrize("p, q", [(2, 1001), (3, 100)])
+    def test_torus_braid_graphs(self, p, q):
+        g, _ = build_signed(parse_diagram(torus_braid(p, q)))
+        assert g._sites == _rotation_table(g)
+
+    def test_built_once(self):
+        g = parse_ribbon(SAMPLE)
+        assert ribbon._plan(g, True)[1] is g._sites
+        assert ribbon._plan(g, False, "bracket")[1] is g._sites
+
+    def test_equality_and_repr_ignore_the_table(self):
+        g = parse_ribbon(SAMPLE)
+        other = parse_ribbon(SAMPLE)
+        other._sites = ((), (), ())
+        assert other == g and repr(other) == repr(g)
+        assert repr(g) == "RibbonGraph(2 vertices, 3 edges)"
 
 
 def _endpoints(g: RibbonGraph):
