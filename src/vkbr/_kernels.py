@@ -1,10 +1,13 @@
 """The two routes to the bracket and rank-polynomial sums.
 
-Both routes read the same input: an arc pairing over port ids and a list
-of sites, four ports each, where a site is a crossing or an edge and
-choosing it switches which pairs of its ports are joined.  The closed
-loops of arcs and joins are a state's curves or a subgraph's boundary
-components.
+Both routes read one input, an arc pairing over port ids: arc_mate[p] is
+the port at the other end of the arc at port p.  The ports come four to
+a site, a crossing or an edge, and site s owns ports 4s .. 4s+3.  A
+chosen site joins port p to p ^ 1, that is {0,1} and {2,3}; an unchosen
+one joins p to p ^ 3, that is {0,3} and {1,2}.  For a crossing the chosen
+join is its A-splitting, for an edge it puts the edge in the subgraph.
+The closed loops of arcs and joins are a state's curves or a subgraph's
+boundary components.
 
 frontier_histogram computes both sums, and the graph side of the bracket
 identity at its own point: it contracts the sites one at a time, in a
@@ -13,17 +16,18 @@ width of the frontier rather than on the number of states or subgraphs.
 It needs nothing but Python integers.
 
 The sweeps are the brute-force reference it is checked against.  They go
-through the exponential index space and record small integer statistics
-per index; histogram counts the distinct rows of those statistics, and
-the exact polynomial assembly happens afterwards in ordinary Python
-integers.  Indices are processed a chunk at a time with numpy array
-operations: a chunk holds every combination of the low bits under one
-fixed setting of the high bits, with one row per index.  Both sweeps
-count loops by one rule, _chunk_loop_counts: loops are half the cycles of
-port -> arc_mate[join(port)], counted for a batch of joins, one per row,
-by min-label pointer doubling.  Every work array holds at most about
-CHUNK_ELEMS values, whatever the size of the sweep.  numpy is imported
-only when a sweep runs, so a process that never calls one never loads it.
+through the exponential index space, with bit s of an index set when site
+s is chosen, and record small integer statistics per index; histogram
+counts the distinct rows of those statistics, and the exact polynomial
+assembly happens afterwards in ordinary Python integers.  Indices are
+processed a chunk at a time with numpy array operations: a chunk holds
+every combination of the low bits under one fixed setting of the high
+bits, with one row per index.  Both sweeps count loops by one rule,
+_chunk_loop_counts: loops are half the cycles of port -> arc_mate[join(port)],
+counted for a batch of joins, one per row, by min-label pointer doubling.
+Every work array holds at most about CHUNK_ELEMS values, whatever the
+size of the sweep.  numpy is imported only when a sweep runs, so a
+process that never calls one never loads it.
 """
 
 from __future__ import annotations
@@ -33,25 +37,19 @@ from heapq import heappop, heappush
 # Elements per work array of one chunk (128 KiB as int32, 256 KiB as intp).
 CHUNK_ELEMS = 1 << 15
 
-# How a site joins its ports 0..3, as partner tables indexed by whether
-# the site is chosen: unchosen joins {0,1} and {2,3}, chosen {0,3} and {1,2}.
-_JOINS = ((1, 0, 3, 2), (3, 2, 1, 0))
 
-
-def _chunk_loop_counts(arc_mate, site_ports, row_elems=0):
+def _chunk_loop_counts(arc_mate, row_elems=0):
     """Closed loops of every way of choosing sites, a chunk of choices at
     a time.
 
-    The sites are those of frontier_histogram: site s lists four ports,
-    and choice i joins them by _JOINS[1] when bit s of i is set, else by
-    _JOINS[0].  A loop through 2L ports splits into two L-cycles of the
-    permutation P_i(x) = arc_mate[join_i(x)], one through every other
-    port each way round, so loops are half its cycles.  When every arc
-    and every join pairs an even port id with an odd one, as in every
-    ribbon graph's table and every alternating diagram, a loop's ports
-    alternate in parity and one of its two cycles holds its even ports:
-    then P_i runs on the even ports alone, each cycle a loop, at half the
-    work.  Port ids must be 0 .. 4n-1.
+    Choice i chooses site s when bit s of i is set.  A loop through 2L
+    ports splits into two L-cycles of the permutation
+    P_i(x) = arc_mate[join_i(x)], one through every other port each way
+    round, so loops are half its cycles.  Both joins pair an even port
+    with an odd one, so when every arc does too, as in every ribbon
+    graph's table and every alternating diagram, a loop's ports alternate
+    in parity and one of its two cycles holds its even ports: then P_i
+    runs on the even ports alone, each cycle a loop, at half the work.
 
     Yields (first, n_low, loops): loops[j] counts the loops of choice
     first + j for j < 2^n_low, as int16.  Chunks are sized for rows of
@@ -70,16 +68,12 @@ def _chunk_loop_counts(arc_mate, site_ports, row_elems=0):
     """
     import numpy as np
 
-    n = len(site_ports)
-    sites = np.asarray(site_ports, dtype=np.intp).reshape(n, 4)
     mate = np.asarray(arc_mate, dtype=np.intp)
-    ports = sites.ravel()
-    partners = [sites[:, list(join)].ravel() for join in _JOINS]
-    bit_of, off, on = (np.empty(4 * n, dtype=np.intp) for _ in range(3))
-    bit_of[ports] = np.arange(4 * n) >> 2
-    off[ports], on[ports] = (mate[partner] for partner in partners)
+    ports = np.arange(len(mate), dtype=np.intp)
+    n = len(mate) >> 2
+    bit_of, off, on = ports >> 2, mate[ports ^ 3], mate[ports ^ 1]
     cycles_per_loop = 2
-    if all(((ports ^ other) & 1).all() for other in (mate[ports], *partners)):
+    if ((ports ^ mate) & 1).all():
         bit_of, off, on, cycles_per_loop = bit_of[::2], off[::2] >> 1, on[::2] >> 1, 1
     fit = (CHUNK_ELEMS // max(len(bit_of), row_elems, 1)).bit_length() - 1
     n_low = max(0, min(n, fit))
@@ -108,17 +102,15 @@ def _chunk_loop_counts(arc_mate, site_ports, row_elems=0):
 def state_delta_sweep(n_crossings, arc_mate):
     """Closed curves of every splitting state, free loops excluded.
 
-    arc_mate: the arc pairing over port ids 4c+p.  State bit c set =
-    B-splitting at crossing c.  Crossing c is the site of its ports
-    4c .. 4c+3 in order, so _JOINS[0] is the A-splitting, which joins
-    ports {0,1} and {2,3}, and _JOINS[1] the B-splitting, {0,3} and
-    {1,2}.  Returns int16[2^n], indexed by state.
+    arc_mate: the arc pairing over port ids 4c+p, crossing c being site
+    c.  State bit c set = A-splitting at crossing c, the chosen join.
+    Returns int16[2^n], indexed by state.
     """
     import numpy as np
 
     n = int(n_crossings)
     out = np.empty(1 << n, dtype=np.int16)
-    for first, n_low, loops in _chunk_loop_counts(arc_mate, np.arange(4 * n).reshape(n, 4)):
+    for first, n_low, loops in _chunk_loop_counts(arc_mate):
         out[first:first + (1 << n_low)] = loops
     return out
 
@@ -126,9 +118,9 @@ def state_delta_sweep(n_crossings, arc_mate):
 def subgraph_sweep(sites, n_edges):
     """Components k and boundary components bc of every spanning subgraph.
 
-    sites: a ribbon graph's site table (arc_mate, site_ports, site_verts),
-    the one frontier_histogram reads, with edge s as site s; bit s of a
-    subset set picks the site's chosen join.  bc counts the loops, as in
+    sites: a ribbon graph's site table (arc_mate, site_verts), the one
+    frontier_histogram reads, with edge s as site s; bit s of a subset
+    set puts the edge in it, the chosen join.  bc counts the loops, as in
     state_delta_sweep.  k counts the classes of the vertices that some
     site touches, from vertex labels that double over a chunk's low
     edges: the labels of mask | 1<<j are those of mask with the class of
@@ -140,14 +132,14 @@ def subgraph_sweep(sites, n_edges):
     """
     import numpy as np
 
-    arc_mate, site_ports, site_verts = sites
+    arc_mate, site_verts = sites
     e = int(n_edges)
     ends = np.asarray(site_verts, dtype=np.intp).reshape(e, 2)
     touched = np.unique(ends)
     v = int(ends.max(initial=-1)) + 1
     k_out = np.empty(1 << e, dtype=np.int16)
     bc_out = np.empty(1 << e, dtype=np.int16)
-    for first, n_low, loops in _chunk_loop_counts(arc_mate, site_ports, v):
+    for first, n_low, loops in _chunk_loop_counts(arc_mate, v):
         done = slice(first, first + (1 << n_low))
         bc_out[done] = loops
         labels = _high_edge_labels(v, ends, first)
@@ -204,18 +196,13 @@ def histogram(*columns):
 
 # -- frontier contraction -------------------------------------------------
 
-# What the arc at a site's port reaches: a port that is not yet processed,
-# another port of the same site, or an open port of the processed set.
-_FRESH, _SELF, _OPEN = range(3)
 
-
-def frontier_histogram(arc_mate, site_ports, site_shift, site_verts=()):
+def frontier_histogram(arc_mate, site_shift, site_verts=()):
     """The rows (shift, components, loops) of every way of choosing sites,
     with their counts, in increasing order of rows.
 
-    A site is four ports; arc_mate pairs every port with another.  A
-    chosen site joins its ports {0,3} and {1,2}, an unchosen one {0,1} and
-    {2,3}; loops counts the closed cycles of arcs and joins.  shift sums
+    The sites are those of arc_mate in the port layout above, and loops
+    counts the closed cycles of arcs and joins.  shift sums
     site_shift[s] over the chosen sites s, integers the caller picks: one
     each counts the chosen sites, and a caller that needs more than one
     count packs them into mixed-radix units and decodes the sums itself.
@@ -230,21 +217,19 @@ def frontier_histogram(arc_mate, site_ports, site_shift, site_verts=()):
     sites are processed and some are not.  Each row is one mixed-radix
     integer, so adding a site shifts a whole count table by one offset.
     """
-    n = len(site_ports)
-    site_of = _site_of(site_ports)
-    order = _frontier_order(arc_mate, site_ports, site_of)
+    n = len(arc_mate) >> 2
     left = _vertex_degrees(site_verts)
     unit_comp = 2 * n + 1  # loops <= joins
     unit_shift = unit_comp * (len(left) + 1)
     open_ports, open_verts = [], []
     table = {((), ()): {0: 1}}
-    for s in order:
-        open_ports, port_step = _port_step(arc_mate, site_of, s, site_ports[s], open_ports)
+    for s in _frontier_order(arc_mate):
+        open_ports, port_step = _port_step(arc_mate, s, open_ports)
         ends = site_verts[s] if site_verts else ()
         for vert in ends:
             left[vert] -= 1
         open_verts, vert_step = _vert_step(open_verts, ends, left)
-        port_next = {pair: tuple(port_step(pair, join) for join in _JOINS)
+        port_next = {pair: (port_step(pair, False), port_step(pair, True))
                      for pair in {pair for pair, _ in table}}
         vert_next = {blocks: (vert_step(blocks, False), vert_step(blocks, True))
                      for blocks in {blocks for _, blocks in table}}
@@ -277,11 +262,7 @@ def frontier_histogram(arc_mate, site_ports, site_shift, site_verts=()):
     return rows
 
 
-def _site_of(site_ports):
-    return {p: s for s, ports in enumerate(site_ports) for p in ports}
-
-
-def _frontier_order(arc_mate, site_ports, site_of):
+def _frontier_order(arc_mate):
     """The greedy site order: next comes the unprocessed site with the
     most arcs into the processed set, ties going to the lowest index.
 
@@ -289,7 +270,7 @@ def _frontier_order(arc_mate, site_ports, site_of):
     count grows.  A site's newest entry comes off before its older ones,
     so an entry is stale exactly when its site is done.
     """
-    n = len(site_ports)
+    n = len(arc_mate) >> 2
     into = [0] * n
     done = [False] * n
     heap = [(0, s) for s in range(n)]  # sorted, so already a heap
@@ -300,90 +281,73 @@ def _frontier_order(arc_mate, site_ports, site_of):
             continue
         done[s] = True
         order.append(s)
-        for p in site_ports[s]:
-            t = site_of[arc_mate[p]]
+        for p in range(4 * s, 4 * s + 4):
+            t = arc_mate[p] >> 2
             if not done[t]:
                 into[t] += 1
                 heappush(heap, (-into[t], t))
     return order
 
 
-def _port_step(arc_mate, site_of, s, ports, open_ports):
+def _port_step(arc_mate, s, open_ports):
     """Open ports after site s, and the step of one pairing of the open
-    ports before it: step(pairing, join) = (pairing after, loops closed).
+    ports before it: step(pairing, chosen) = (pairing after, loops closed).
 
     A pairing lists, by position in the open ports, its partner's
-    position.  The ports before that stay open keep their order, and the
-    site's ports whose arcs leave the processed set follow.
+    position.  The step walks paths over k + 4 nodes: the open positions
+    0 .. k-1 and the site's ports k .. k+3.  Each node has one inner link,
+    to its partner in the pairing or across the site's join.  The arc at
+    a site port links it to the node at its other end, when that is an
+    open port or a port of the site.  A node no arc links stays open and
+    is paired with the far end of its path; each cycle left over is a
+    loop.  The open ports that stay keep their order, and the site's
+    ports whose arcs leave the processed set follow.
     """
+    k = len(open_ports)
     at = {p: i for i, p in enumerate(open_ports)}
-    attached = {}  # open position -> the site's port its arc reaches
-    kind, where, fresh = [], [], []
-    for q, p in enumerate(ports):
-        m = int(arc_mate[p])
-        if site_of[m] == s:
-            kind.append(_SELF)
-            where.append(ports.index(m))
-        elif m in at:
-            kind.append(_OPEN)
-            where.append(at[m])
-            attached[at[m]] = q
-        else:
-            kind.append(_FRESH)
-            where.append(None)
-            fresh.append(q)
-    kept = [i for i in range(len(open_ports)) if i not in attached]
-    moved = [None] * len(open_ports)  # open position -> position after, None if attached
-    for j, i in enumerate(kept):
-        moved[i] = j
-    for j, q in enumerate(fresh, len(kept)):
-        where[q] = j
-    entries = list(attached.items())
-    tail = [None] * len(fresh)
+    arc = [None] * (k + 4)
+    for q in range(4):
+        m = arc_mate[4 * s + q]
+        x = k + (m & 3) if m >> 2 == s else at.get(m)
+        if x is not None:
+            arc[k + q], arc[x] = x, k + q
+    ends = [x for x in range(k + 4) if arc[x] is None]
+    linked = [x for x in range(k + 4) if arc[x] is not None]
+    slot = [None] * (k + 4)  # an end's position after the step
+    for i, x in enumerate(ends):
+        slot[x] = i
+    joins = tuple(tuple(k + (q ^ flip) for q in range(4)) for flip in (3, 1))
 
-    def walk(x, pair, join, seen):
-        """Enter the site at port x and follow the path: the open position
-        where it ends, or None when it closes up at x."""
-        start = x
-        while True:
-            y = join[x]
-            seen[x] = seen[y] = True
-            if kind[y] == _FRESH:
-                return where[y]
-            if kind[y] == _SELF:
-                x = where[y]
-            else:
-                j = pair[where[y]]
-                if moved[j] is not None:
-                    return moved[j]
-                x = attached[j]
-            if x == start:
-                return None
-
-    def step(pair, join):
-        # A kept position keeps its partner's new position, unless the
-        # partner is attached to the site: then a path through the site
-        # joins it to its other end, as it does the site's fresh ports.
-        new = [moved[pair[i]] for i in kept] + tail
-        seen = [False] * 4
-        for a, q in entries:
-            i = moved[pair[a]]
-            if i is not None and not seen[q]:
-                end = walk(q, pair, join, seen)
-                new[i], new[end] = end, i
-        for q in fresh:
-            if not seen[q]:
-                i = where[q]
-                end = walk(q, pair, join, seen)
-                new[i], new[end] = end, i
+    def step(pair, chosen):
+        inner = pair + joins[chosen]
+        # Right for every path that no arc lies on; the walks below mend
+        # the others, each from the linked node next to one of its ends.
+        new = [slot[inner[x]] for x in ends]
+        seen = 0  # bitmask of the linked nodes walked
+        for start in linked:
+            end = inner[start]
+            if arc[end] is None and not seen >> start & 1:
+                y = start
+                while arc[y] is not None:
+                    z = arc[y]
+                    seen |= 1 << y | 1 << z
+                    y = inner[z]
+                a, b = slot[end], slot[y]
+                new[a], new[b] = b, a
         loops = 0
-        for q in range(4):
-            if not seen[q]:
-                walk(q, pair, join, seen)
+        for start in linked:
+            if not seen >> start & 1:
                 loops += 1
+                y = start
+                while True:
+                    z = arc[y]
+                    seen |= 1 << y | 1 << z
+                    y = inner[z]
+                    if y == start:
+                        break
         return tuple(new), loops
 
-    return [open_ports[i] for i in kept] + [ports[q] for q in fresh], step
+    return [open_ports[x] if x < k else 4 * s + x - k for x in ends], step
 
 
 def _vert_step(open_verts, ends, left):

@@ -31,6 +31,11 @@ the state sum
 and the Jones polynomial is (-1)^w t^(3w/4) <L> evaluated at A = t^(-1/4),
 B = t^(1/4), d = -t^(1/2) - t^(-1/2), where w is the writhe.
 
+In the kernels' port layout (see _kernels) crossing c is site c, whose
+ports are 4c .. 4c+3, and a site's chosen join, port p to p ^ 1, is the
+A-splitting.  So `_mate` is the kernels' input as it stands, and the
+sites a kernel chooses are a state's A-splittings.
+
 File format, one item per line, # starts a comment:
 
     X a b c d o=1     crossing with arc labels a b c d at ports 0..3,
@@ -353,18 +358,11 @@ def _plan(d: Diagram) -> tuple[int, ...]:
     return d._mate
 
 
-def _crossing_sites(n: int):
-    """Crossing c as a frontier site: its ports 4c+p, listed from port 1
-    so that the site's chosen join is the A-splitting {0,1}, {2,3} and its
-    unchosen join the B-splitting {0,3}, {1,2}."""
-    return [(4 * c + 1, 4 * c + 2, 4 * c + 3, 4 * c) for c in range(n)]
-
-
 def _frontier_rows(mate: tuple[int, ...]):
     """((alpha, curves), count) over all states, free loops excluded, by
     frontier contraction of the crossings."""
     n = len(mate) // 4
-    rows = frontier_histogram(mate, _crossing_sites(n), [1] * n)
+    rows = frontier_histogram(mate, [1] * n)
     return [((alpha, curves), count) for (alpha, _, curves), count in rows]
 
 
@@ -375,7 +373,7 @@ def _sweep_rows(mate: tuple[int, ...]):
     n = len(mate) // 4
     check_sweep_memory(n, f"state sweep of a {n}-crossing diagram")
     masks = np.arange(1 << n, dtype=np.int64)
-    return histogram(n - np.bitwise_count(masks), state_delta_sweep(n, mate))
+    return histogram(np.bitwise_count(masks), state_delta_sweep(n, mate))
 
 
 def _bracket_sum(n: int, rows, isolated: int = 0) -> LaurentPoly:

@@ -128,9 +128,6 @@ class LaurentPoly:
 
     # -- inspection ---------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -149,15 +146,6 @@ class LaurentPoly:
                 raise PolyError(f"unknown variable {name!r}; have {self.variables}")
             exps[self.variables.index(name)] = _quarter(value)
         return self._terms.get(tuple(exps), 0)
-
-    def max_exponent(self, name: str) -> Fraction:
-        """Largest exponent of `name` over all terms; 0 for the zero polynomial."""
-        if name not in self.variables:
-            raise PolyError(f"unknown variable {name!r}; have {self.variables}")
-        i = self.variables.index(name)
-        if not self._terms:
-            return Fraction(0)
-        return Fraction(max(exps[i] for exps in self._terms), 4)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

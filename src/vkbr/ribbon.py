@@ -21,13 +21,14 @@ where e-( ) counts negative edges, giving half-integer exponents when the
 total number of negative edges is odd.  Substituting x-1, y-1, 1 into the
 unsigned R_G yields the Tutte polynomial of the underlying graph.
 
-A graph reads its rotations once, when it is made, into a site table in
-the 4-valent port model a diagram's crossings use: each edge is a site of
-four ports, two per dart, an arc joins each dart to the next one
-counterclockwise at its vertex, and a subgraph picks one of two joins at
-each site.  The closed loops of arcs and joins are the boundary
-components, just as a state's loops are its curves.  Frontier contraction
-and the reference sweep both read this one table.
+A graph reads its rotations once, when it is made, into a site table
+(arc_mate, site_verts) in the port layout a diagram's crossings use (see
+_kernels): edge s is site s and owns ports 4s .. 4s+3, two per dart, an
+arc joins each dart to the next one counterclockwise at its vertex, and
+the site's chosen join puts the edge in the subgraph.  The closed loops
+of arcs and joins are the boundary components, just as a state's loops
+are its curves.  Frontier contraction and the reference sweep both read
+this one table.
 
 File format, one item per line, # starts a comment:
 
@@ -52,7 +53,16 @@ _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
 class RibbonError(ValueError):
-    """Malformed ribbon graph data."""
+    """Malformed ribbon graph data.
+
+    `vertex` or `edge` is the index of the vertex or edge at fault when
+    there is one; parse_ribbon turns it into the line number.
+    """
+
+    def __init__(self, message: str, vertex: int | None = None, edge: int | None = None):
+        super().__init__(message)
+        self.vertex = vertex
+        self.edge = edge
 
 
 @dataclass(frozen=True)
@@ -105,27 +115,27 @@ class RibbonGraph:
         dart_vertex: dict[str, int] = {}
         for vi, (name, darts) in enumerate(self.vertices):
             if name in seen_vertices:
-                raise RibbonError(f"vertex {name!r} defined twice")
+                raise RibbonError(f"vertex {name!r} defined twice", vertex=vi)
             seen_vertices.add(name)
             for dart in darts:
                 if dart in dart_vertex:
-                    raise RibbonError(f"dart {dart!r} appears at two vertex positions")
+                    raise RibbonError(f"dart {dart!r} appears at two vertex positions", vertex=vi)
                 dart_vertex[dart] = vi
         dart_edge: dict[str, int] = {}
         seen_edges = set()
         for ei, edge in enumerate(self.edges):
             if edge.name in seen_edges:
-                raise RibbonError(f"edge {edge.name!r} defined twice")
+                raise RibbonError(f"edge {edge.name!r} defined twice", edge=ei)
             seen_edges.add(edge.name)
             for dart in edge.darts:
                 if dart in dart_edge:
-                    raise RibbonError(f"dart {dart!r} belongs to two edges")
+                    raise RibbonError(f"dart {dart!r} belongs to two edges", edge=ei)
                 if dart not in dart_vertex:
-                    raise RibbonError(f"dart {dart!r} is not placed at any vertex")
+                    raise RibbonError(f"dart {dart!r} is not placed at any vertex", edge=ei)
                 dart_edge[dart] = ei
-        for dart in dart_vertex:
+        for dart, vi in dart_vertex.items():
             if dart not in dart_edge:
-                raise RibbonError(f"dart {dart!r} belongs to no edge")
+                raise RibbonError(f"dart {dart!r} belongs to no edge", vertex=vi)
         # Positional tables: dart id = position in the concatenated rotations.
         self._dart_ids: dict[str, int] = {}
         self._vert_off: list[int] = [0]
@@ -140,25 +150,26 @@ class RibbonGraph:
         for a, b in ends:
             self._partner[a] = b
             self._partner[b] = a
-        # The site table (arc_mate, site_ports, site_verts) that both routes
-        # read, one site per edge.  Dart x has ports 2x (in) and 2x+1
-        # (out), and an arc joins x's out port to the in port of rot(x),
-        # the next dart counterclockwise at its vertex.  The site of an
-        # edge with darts x, x' lists the ports x in, x out, x' in, x' out,
-        # so its chosen join (x in to x' out, x' in to x out) steps from x
-        # to rot(x') as the face permutation of a subgraph holding the
-        # edge does, and its unchosen join steps from x to rot(x): the
-        # closed loops are the boundary components.  site_verts holds each
-        # edge's two end vertices.
-        mate = [0] * (2 * len(self._dart_ids))
+        # The site table (arc_mate, site_verts) that both routes read, in
+        # the kernels' port layout with edge s as site s.  The ports of an
+        # edge with darts x, x' are x in, x' out, x' in, x out, so a dart's
+        # out port is its in port ^ 3, and an arc joins x's out port to
+        # the in port of rot(x), the next dart counterclockwise at its
+        # vertex.  The chosen join (x in to x' out, x' in to x out) then
+        # steps from x to rot(x') as the face permutation of a subgraph
+        # holding the edge does, and the unchosen one steps from x to
+        # rot(x): the closed loops are the boundary components.
+        # site_verts holds each edge's two end vertices.
+        in_port = [0] * len(self._dart_ids)
+        for s, (a, b) in enumerate(ends):
+            in_port[a], in_port[b] = 4 * s, 4 * s + 2
+        mate = [0] * (4 * len(ends))
         for lo, hi in zip(self._vert_off, self._vert_off[1:]):
             for x in range(lo, hi):
-                nxt = x + 1 if x + 1 < hi else lo
-                mate[2 * x + 1] = 2 * nxt
-                mate[2 * nxt] = 2 * x + 1
+                out, into = in_port[x] ^ 3, in_port[x + 1 if x + 1 < hi else lo]
+                mate[out], mate[into] = into, out
         self._sites = (
             tuple(mate),
-            tuple((2 * a, 2 * a + 1, 2 * b, 2 * b + 1) for a, b in ends),
             tuple((self._dart_vertex[a], self._dart_vertex[b]) for a, b in ends),
         )
 
@@ -197,6 +208,8 @@ def parse_ribbon(text: str) -> RibbonGraph:
     """Parse the ribbon file format; errors name the offending line."""
     vertices: list[tuple[str, tuple[str, ...]]] = []
     edges: list[Edge] = []
+    vertex_lines: list[int] = []
+    edge_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -211,6 +224,7 @@ def parse_ribbon(text: str) -> RibbonGraph:
                 if not _NAME.match(t):
                     raise RibbonError(f"line {lineno}: bad name {t!r}")
             vertices.append((name, tuple(darts)))
+            vertex_lines.append(lineno)
         elif tokens[0] == "E":
             if len(tokens) not in (5, 6) or tokens[2] != ":":
                 raise RibbonError(
@@ -231,11 +245,18 @@ def parse_ribbon(text: str) -> RibbonGraph:
                 edges.append(Edge(name, (a, b), sign))
             except RibbonError as exc:
                 raise RibbonError(f"line {lineno}: {exc}") from None
+            edge_lines.append(lineno)
         else:
             raise RibbonError(
                 f"line {lineno}: unknown directive {tokens[0]!r} (expected V or E)"
             )
-    return RibbonGraph(vertices, edges)
+    try:
+        return RibbonGraph(vertices, edges)
+    except RibbonError as exc:
+        if exc.vertex is None and exc.edge is None:
+            raise
+        lineno = vertex_lines[exc.vertex] if exc.edge is None else edge_lines[exc.edge]
+        raise RibbonError(f"line {lineno}: {exc}") from None
 
 
 def format_ribbon(g: RibbonGraph) -> str:
@@ -362,10 +383,10 @@ def identity_rows(g: RibbonGraph, signed: bool = False):
     alpha starts from the number of negative edges, and a chosen edge
     adds 1 to it, or -1 when negative.
     """
-    neg, (mate, ports, _) = _plan(g, signed, "bracket")
+    neg, (mate, _) = _plan(g, signed, "bracket")
     shifts = [-1 if (neg >> s) & 1 else 1 for s in range(g.edge_count)]
     bare = sum(not darts for _, darts in g.vertices)
-    rows = frontier_histogram(mate, ports, shifts)
+    rows = frontier_histogram(mate, shifts)
     return [((neg.bit_count() + shift, loops + bare), count) for (shift, _, loops), count in rows]
 
 
@@ -381,11 +402,11 @@ def _frontier_rows(sites, neg: int):
     """(e(F), e-(F), k(F), bc(F)) with their counts over the subgraphs, by
     frontier contraction of the edges.  A chosen edge shifts
     its row by one unit of e(F), plus one of e-(F) when negative."""
-    mate, ports, verts = sites
+    mate, verts = sites
     unit_chosen = neg.bit_count() + 1  # e-(F) <= e-(G)
-    shifts = [unit_chosen + ((neg >> s) & 1) for s in range(len(ports))]
+    shifts = [unit_chosen + ((neg >> s) & 1) for s in range(len(verts))]
     return [((*divmod(shift, unit_chosen), k, bc), count)
-            for (shift, k, bc), count in frontier_histogram(mate, ports, shifts, verts)]
+            for (shift, k, bc), count in frontier_histogram(mate, shifts, verts)]
 
 
 def _sweep_rows(g: RibbonGraph, neg: int):

@@ -185,7 +185,7 @@ class TestGraphRoutes:
         graphs = [random_ribbon(rng, rng.randint(1, 7), rng.randint(0, 9), signed=True)
                   for _ in range(60)]
         assert any(not darts for g in graphs for _, darts in g.vertices)
-        assert any(u == w for g in graphs for u, w in g._sites[2])
+        assert any(u == w for g in graphs for u, w in g._sites[1])
         assert any(g.negative_mask() for g in graphs)
         assert any(subgraph_stats(g, g.full_subset).k - sum(not darts for _, darts in g.vertices) > 1
                    for g in graphs)
@@ -324,12 +324,11 @@ class TestStatsOnce:
         assert len(calls) == 1
 
 
-def greedy_order(arc_mate, site_ports):
+def greedy_order(arc_mate):
     """The site order by its defining rule, in O(n^2): each step scans
     every unprocessed site for the most arcs into the processed set, ties
     going to the lowest index."""
-    n = len(site_ports)
-    site_of = _kernels._site_of(site_ports)
+    n = len(arc_mate) // 4
     into = [0] * n
     done = [False] * n
     order = []
@@ -337,28 +336,26 @@ def greedy_order(arc_mate, site_ports):
         s = max((i for i in range(n) if not done[i]), key=lambda i: (into[i], -i))
         done[s] = True
         order.append(s)
-        for p in site_ports[s]:
-            t = site_of[arc_mate[p]]
+        for p in range(4 * s, 4 * s + 4):
+            t = arc_mate[p] // 4
             if not done[t]:
                 into[t] += 1
     return order
 
 
-def assert_order_is_greedy(mate, ports):
-    order = _kernels._frontier_order(mate, ports, _kernels._site_of(ports))
-    assert order == greedy_order(mate, ports)
+def assert_order_is_greedy(mate):
+    assert _kernels._frontier_order(mate) == greedy_order(mate)
 
 
 def assert_both_orders_are_greedy(d):
     """The frontier order of the crossings of d and, when it is colourable,
     of the edges of its signed graph."""
-    assert_order_is_greedy(d._mate, diagram._crossing_sites(len(d.crossings)))
+    assert_order_is_greedy(d._mate)
     try:
         g, _ = build_signed(d)
     except NotColorableError:
         return
-    mate, ports, _ = g._sites
-    assert_order_is_greedy(mate, ports)
+    assert_order_is_greedy(g._sites[0])
 
 
 class TestFrontierOrder:
@@ -372,8 +369,7 @@ class TestFrontierOrder:
         rng = random.Random(11)
         for _ in range(200):
             g = random_ribbon(rng, rng.randint(1, 10), rng.randint(0, 20), signed=True)
-            mate, ports, _ = g._sites
-            assert_order_is_greedy(mate, ports)
+            assert_order_is_greedy(g._sites[0])
 
     @pytest.mark.parametrize("p, q", [(2, 1001), (3, 100), (4, 51)])
     def test_torus_braids(self, p, q):

@@ -14,11 +14,14 @@ from vkbr.ribbon import RibbonGraph, subgraph_stats
 
 
 def _check_states(d):
+    # The sweep's bit c set means the A-splitting at crossing c, the
+    # trace's the B-splitting, so index i is the trace's state i ^ full.
     deltas = state_delta_sweep(len(d.crossings), d._mate)
     assert deltas.dtype == np.int16
     assert deltas.shape == (1 << len(d.crossings),)
-    for state in range(1 << len(d.crossings)):
-        assert deltas[state] + d.free_loops == split_stats(d, state).delta
+    full = (1 << len(d.crossings)) - 1
+    for i in range(1 << len(d.crossings)):
+        assert deltas[i] + d.free_loops == split_stats(d, i ^ full).delta
 
 
 def _check_subgraphs(g):
@@ -69,7 +72,7 @@ class TestSubgraphSweep:
         rng = random.Random(23)
         graphs = [random_ribbon(rng, v, rng.randint(11, 12)) for v in (2, 7, 16)]
         assert any(not darts for g in graphs for _, darts in g.vertices)
-        assert any(u == w for g in graphs for u, w in g._sites[2])
+        assert any(u == w for g in graphs for u, w in g._sites[1])
         for g in graphs:
             _check_subgraphs(g)
 
@@ -82,5 +85,41 @@ class TestSubgraphSweep:
 
     def test_zero_edges(self):
         g = RibbonGraph([("u", ()), ("w", ())], [])
-        assert g._sites == ((), (), ())
+        assert g._sites == ((), ())
         _check_subgraphs(g)
+
+
+def _random_pairing(rng, n_ports, alternating):
+    """A random perfect pairing of ports 0 .. n_ports-1; with
+    `alternating`, each pair joins an even port to an odd one."""
+    if alternating:
+        odd = list(range(1, n_ports, 2))
+        rng.shuffle(odd)
+        pairs = zip(range(0, n_ports, 2), odd)
+    else:
+        ports = list(range(n_ports))
+        rng.shuffle(ports)
+        pairs = zip(ports[::2], ports[1::2])
+    mate = [0] * n_ports
+    for p, q in pairs:
+        mate[p], mate[q] = q, p
+    return mate
+
+
+class TestOneLayout:
+    """frontier_histogram and the sweep read one port layout: site s owns
+    ports 4s .. 4s+3, and bit s of a choice set means the same join."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_frontier_rows_are_the_sweep(self, n):
+        rng = random.Random(n)
+        mates = [_random_pairing(rng, 4 * n, alternating) for alternating in (False, True) * 10]
+        # Some arc of a shuffled pairing joins two ports of one parity, so
+        # the sweep runs its full body there and its even-port body on the
+        # alternating pairings.
+        if n:
+            assert any(not (p ^ q) & 1 for mate in mates for p, q in enumerate(mate))
+        for mate in mates:
+            loops = state_delta_sweep(n, mate)
+            rows = _kernels.frontier_histogram(mate, [1 << s for s in range(n)])
+            assert rows == [((i, 0, int(loops[i])), 1) for i in range(1 << n)]

@@ -117,6 +117,16 @@ class TestParsing:
             parse_ribbon(text)
         assert fragment in str(exc.value)
 
+    # The line of the vertex or edge at fault in each case below.
+    FAULT_LINE = {
+        "two vertex positions": 1,
+        "defined twice": 2,
+        "belongs to no edge": 1,
+        "not placed at any vertex": 2,
+        "belongs to two edges": 3,
+        "edge 'a' defined twice": 3,
+    }
+
     @pytest.mark.parametrize(
         "text, fragment",
         [
@@ -125,11 +135,19 @@ class TestParsing:
             ("V u : a1 a2 b1\nE a : a1 a2\n", "belongs to no edge"),
             ("V u : a1\nE a : a1 a2\n", "not placed at any vertex"),
             ("V u : a1 a2\nE a : a1 a2\nE b : a1 a2\n", "belongs to two edges"),
+            ("V u : a1 a2 b1 b2\nE a : a1 a2\nE a : b1 b2\n", "edge 'a' defined twice"),
         ],
     )
     def test_structural_errors(self, text, fragment):
-        with pytest.raises(RibbonError, match=fragment):
+        with pytest.raises(RibbonError, match=fragment) as exc:
             parse_ribbon(text)
+        assert str(exc.value).startswith(f"line {self.FAULT_LINE[fragment]}: ")
+
+    def test_direct_construction_keeps_bare_messages(self):
+        with pytest.raises(RibbonError) as exc:
+            RibbonGraph([("u", ("a1", "a2")), ("u", ())], [Edge("a", ("a1", "a2"))])
+        assert str(exc.value) == "vertex 'u' defined twice"
+        assert (exc.value.vertex, exc.value.edge) == (1, None)
 
 
 class TestSubgraphStats:
@@ -352,23 +370,22 @@ COLORABLE = [
 
 def _rotation_table(g: RibbonGraph):
     """The site table of g derived from its rotations and edge darts alone:
-    darts numbered in rotation order, dart x with ports 2x in and 2x+1
-    out, an arc from each dart's out port to the in port of the next dart
-    counterclockwise, and each edge's site listing its first dart's ports,
-    then its second's, with its two end vertices beside it."""
-    number, vertex_of, mate = {}, {}, {}
+    edge s's first dart with in port 4s and out port 4s+3, its second with
+    in port 4s+2 and out port 4s+1, an arc from each dart's out port to the
+    in port of the next dart counterclockwise, and each edge's two end
+    vertices."""
+    in_port, out_port, vertex_of, mate = {}, {}, {}, {}
+    for s, edge in enumerate(g.edges):
+        first, second = edge.darts
+        in_port[first], out_port[first] = 4 * s, 4 * s + 3
+        in_port[second], out_port[second] = 4 * s + 2, 4 * s + 1
     for vi, (_, darts) in enumerate(g.vertices):
-        for dart in darts:
-            number[dart] = len(number)
-            vertex_of[dart] = vi
-    for _, darts in g.vertices:
         for dart, nxt in zip(darts, darts[1:] + darts[:1]):
-            mate[2 * number[dart] + 1] = 2 * number[nxt]
-            mate[2 * number[nxt]] = 2 * number[dart] + 1
+            vertex_of[dart] = vi
+            mate[out_port[dart]] = in_port[nxt]
+            mate[in_port[nxt]] = out_port[dart]
     return (
-        tuple(mate[p] for p in range(2 * len(number))),
-        tuple((2 * number[a], 2 * number[a] + 1, 2 * number[b], 2 * number[b] + 1)
-              for a, b in (e.darts for e in g.edges)),
+        tuple(mate[p] for p in range(4 * len(g.edges))),
         tuple((vertex_of[a], vertex_of[b]) for a, b in (e.darts for e in g.edges)),
     )
 
@@ -392,7 +409,7 @@ class TestSiteTable:
         graphs = [random_ribbon(rng, rng.randint(1, 8), rng.randint(0, 12), signed=True)
                   for _ in range(200)]
         assert any(not darts for g in graphs for _, darts in g.vertices)
-        assert any(u == w for g in graphs for u, w in g._sites[2])
+        assert any(u == w for g in graphs for u, w in g._sites[1])
         assert any(g.negative_mask() for g in graphs)
         for g in graphs:
             assert g._sites == _rotation_table(g)
@@ -410,7 +427,7 @@ class TestSiteTable:
     def test_equality_and_repr_ignore_the_table(self):
         g = parse_ribbon(SAMPLE)
         other = parse_ribbon(SAMPLE)
-        other._sites = ((), (), ())
+        other._sites = ((), ())
         assert other == g and repr(other) == repr(g)
         assert repr(g) == "RibbonGraph(2 vertices, 3 edges)"
 

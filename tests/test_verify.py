@@ -259,7 +259,7 @@ class TestDirectEvaluation:
                   for _ in range(40)]
         assert max(g.edge_count for g in graphs) == 16
         assert any(not darts for g in graphs for _, darts in g.vertices)
-        assert any(u == w for g in graphs for u, w in g._sites[2])
+        assert any(u == w for g in graphs for u, w in g._sites[1])
         assert any(g.negative_mask() for g in graphs)
         assert any(subgraph_stats(g, g.full_subset).k - sum(not darts for _, darts in g.vertices) > 1
                    for g in graphs)
