@@ -32,6 +32,7 @@ process that never calls one never loads it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from heapq import heappop, heappush
 
 # Elements per work array of one chunk (128 KiB as int32, 256 KiB as intp).
@@ -211,43 +212,38 @@ def frontier_histogram(arc_mate, site_shift, site_verts=()):
     touches; without it, components is 0.
 
     The sites are taken in the order of _frontier_order.  The table maps
-    (pairing of the open ports, partition of the open vertices) to counts
-    of the rows so far, where a port is open when its site is processed
-    and its arc's other end is not, and a vertex is open when some of its
-    sites are processed and some are not.  Each row is one mixed-radix
-    integer, so adding a site shifts a whole count table by one offset.
+    a key to counts of the rows so far.  The key is the pairing of the
+    open ports, where a port is open when its site is processed and its
+    arc's other end is not; with site_verts it is that pairing together
+    with the partition of the open vertices, where a vertex is open when
+    some of its sites are processed and some are not.  A site's step maps
+    a key to one list: the key and the shift after the site's chosen join,
+    then after its unchosen one, the shift counting the loops and vertex
+    classes that join closes.  Each row is one mixed-radix integer, so
+    adding a site shifts a whole count table by one offset.
     """
     n = len(arc_mate) >> 2
     left = _vertex_degrees(site_verts)
     unit_comp = 2 * n + 1  # loops <= joins
     unit_shift = unit_comp * (len(left) + 1)
-    open_ports, open_verts = [], []
-    table = {((), ()): {0: 1}}
+    slot_of, free, open_verts = {}, [], []
+    table = {((), ()) if site_verts else (): {0: 1}}
     for s in _frontier_order(arc_mate):
-        open_ports, port_step = _port_step(arc_mate, s, open_ports)
-        ends = site_verts[s] if site_verts else ()
-        for vert in ends:
-            left[vert] -= 1
-        open_verts, vert_step = _vert_step(open_verts, ends, left)
-        port_next = {pair: (port_step(pair, False), port_step(pair, True))
-                     for pair in {pair for pair, _ in table}}
-        vert_next = {blocks: (vert_step(blocks, False), vert_step(blocks, True))
-                     for blocks in {blocks for _, blocks in table}}
+        step = _port_step(arc_mate, s, slot_of, free)
+        if site_verts:
+            open_verts, step = _vert_step(step, open_verts, site_verts[s], left, unit_comp)
         on = site_shift[s] * unit_shift
         grown = {}
-        for (pair, blocks), counts in table.items():
-            ports_after = port_next[pair]
-            verts_after = vert_next[blocks]
-            for chosen in (1, 0):
-                new_pair, loops = ports_after[chosen]
-                new_blocks, comps = verts_after[chosen]
-                shift = loops + comps * unit_comp + (on if chosen else 0)
-                key = new_pair, new_blocks
+        for key, counts in table.items():
+            after = step(key)
+            after[1] += on
+            for branch in (0, 2):
+                key, shift = after[branch], after[branch + 1]
                 target = grown.get(key)
                 if target is None:
                     # The unchosen branch is the last to read counts, so
                     # with no shift it takes the dict itself.
-                    grown[key] = (counts if not (chosen or shift) else
+                    grown[key] = (counts if branch and not shift else
                                   {row + shift: c for row, c in counts.items()})
                 else:
                     for row, c in counts.items():
@@ -289,90 +285,186 @@ def _frontier_order(arc_mate):
     return order
 
 
-def _port_step(arc_mate, s, open_ports):
-    """Open ports after site s, and the step of one pairing of the open
-    ports before it: step(pairing, chosen) = (pairing after, loops closed).
+def _port_step(arc_mate, s, slot_of, free):
+    """The step of site s on one pairing of the open ports:
+    step(pairing) = [pairing after the chosen join, loops it closes,
+    pairing after the unchosen join, loops it closes].
 
-    A pairing lists, by position in the open ports, its partner's
-    position.  The step walks paths over k + 4 nodes: the open positions
-    0 .. k-1 and the site's ports k .. k+3.  Each node has one inner link,
-    to its partner in the pairing or across the site's join.  The arc at
-    a site port links it to the node at its other end, when that is an
-    open port or a port of the site.  A node no arc links stays open and
-    is paired with the far end of its path; each cycle left over is a
-    loop.  The open ports that stay keep their order, and the site's
-    ports whose arcs leave the processed set follow.
+    Each open port holds a slot, slot_of[port], and a pairing lists by
+    slot the slot of the port paired with it, or -1 for a free slot.  The
+    site takes the slots of its linked ports, the at most 4 open ports
+    whose arcs enter it, and gives its fresh ports, those whose arcs leave
+    the processed set, the first slots to hand: the linked ports' own,
+    then those in `free`, then new ones at the end.  It updates slot_of
+    and free to match.  Every other open port keeps its slot, so a step
+    copies the pairing and mends only the paths through the linked ports.
+
+    Which paths those are depends only on the site's shape, which of its
+    ports are linked, fresh or joined by an arc to another of its own,
+    and on the pattern of the pairing, which linked ports it pairs with
+    each other.  _site_program turns the two into the writes of each
+    join, as indices into the step's operands: the slots paired with the
+    linked ports, the fresh ports' slots, the spare slots and -1.
     """
-    k = len(open_ports)
-    at = {p: i for i, p in enumerate(open_ports)}
-    arc = [None] * (k + 4)
-    for q in range(4):
-        m = arc_mate[4 * s + q]
-        x = k + (m & 3) if m >> 2 == s else at.get(m)
-        if x is not None:
-            arc[k + q], arc[x] = x, k + q
-    ends = [x for x in range(k + 4) if arc[x] is None]
-    linked = [x for x in range(k + 4) if arc[x] is not None]
-    slot = [None] * (k + 4)  # an end's position after the step
-    for i, x in enumerate(ends):
-        slot[x] = i
-    joins = tuple(tuple(k + (q ^ flip) for q in range(4)) for flip in (3, 1))
+    width = start = len(slot_of) + len(free)
+    shape, linked, fresh = [], [], []
+    for q in range(4 * s, 4 * s + 4):
+        m = arc_mate[q]
+        slot = slot_of.pop(m, None)
+        if slot is not None:
+            shape.append(_LINKED)
+            linked.append(slot)
+        elif m >> 2 == s:
+            shape.append(m & 3)
+        else:
+            shape.append(_FRESH)
+            fresh.append(q)
+    fresh_slots = linked[:len(fresh)]
+    for _ in fresh[len(linked):]:
+        if free:
+            fresh_slots.append(free.pop())
+        else:
+            fresh_slots.append(width)
+            width += 1
+    slot_of.update(zip(fresh, fresh_slots))
+    spare = linked[len(fresh):]
+    free += spare
+    tail = fresh_slots + spare + [-1]
+    pad = [-1] * (width - start)
+    shape = tuple(shape)
+    index_of = {slot: i for i, slot in enumerate(linked)}.get
+    programs = {}
 
-    def step(pair, chosen):
-        inner = pair + joins[chosen]
-        # Right for every path that no arc lies on; the walks below mend
-        # the others, each from the linked node next to one of its ends.
-        new = [slot[inner[x]] for x in ends]
-        seen = 0  # bitmask of the linked nodes walked
-        for start in linked:
-            end = inner[start]
-            if arc[end] is None and not seen >> start & 1:
-                y = start
-                while arc[y] is not None:
-                    z = arc[y]
-                    seen |= 1 << y | 1 << z
-                    y = inner[z]
-                a, b = slot[end], slot[y]
-                new[a], new[b] = b, a
+    def step(pair):
+        ops = [pair[slot] for slot in linked]
+        pattern = tuple(map(index_of, ops))
+        program = programs.get(pattern)
+        if program is None:
+            program = programs[pattern] = _site_program(shape, pattern)
+        ops += tail
+        out = []
+        for writes, loops in program:
+            new = [*pair, *pad]
+            for at, value in writes:
+                new[ops[at]] = ops[value]
+            out += tuple(new), loops
+        return out
+
+    return step
+
+
+# Marks of a site's port in its shape, past the places 0..3 that mark a
+# port whose arc joins it to another port of the same site.
+_LINKED, _FRESH = 4, 5
+
+
+# A site's shape and a pattern range over a few hundred values, so the
+# cache stays small for the life of the process; its values are tuples.
+@lru_cache(maxsize=None)
+def _site_program(shape, pattern):
+    """For each join of a site, chosen then unchosen, the (writes, loops)
+    of a step, given the site's shape and the pairing's pattern as
+    _port_step makes them.  A write (at, value) sets the slot ops[at] of
+    the new pairing to ops[value], where ops are the step's operands.
+
+    shape[q] is _LINKED or _FRESH for the site's port q, or the place of
+    the port its arc joins q to on the site itself.  pattern[i] is the
+    index of the linked port the pairing pairs linked port i with, or
+    None when it is some other open port, the end beyond i.  Operands
+    0 .. a-1 are the slots of the a linked ports' partners, then come the
+    fresh ports' slots, the spare slots and -1.  The walk follows the
+    pairing, the arcs and the join from each end, an end beyond a linked
+    port or a fresh port, to the other, and pairs the two; each cycle
+    left over is a loop.
+    """
+    linked = [q for q in range(4) if shape[q] == _LINKED]
+    fresh = [q for q in range(4) if shape[q] == _FRESH]
+    a, f = len(linked), len(fresh)
+    end_op = {("beyond", i): i for i in range(a) if pattern[i] is None}
+    end_op.update((("port", q), a + j) for j, q in enumerate(fresh))
+    n_spare = max(0, a - f)
+    spare_writes = [(a + f + j, a + f + n_spare) for j in range(n_spare)]
+    program = []
+    for flip in (1, 3):
+        ties, at = [], {}
+        for i, q in enumerate(linked):
+            ties.append((("linked", i), ("port", q)))
+            if pattern[i] is None:
+                ties.append((("beyond", i), ("linked", i)))
+            elif i < pattern[i]:
+                ties.append((("linked", i), ("linked", pattern[i])))
+        for q in range(4):
+            if shape[q] < _LINKED and q < shape[q]:
+                ties.append((("port", q), ("port", shape[q])))
+            if q < q ^ flip:
+                ties.append((("port", q), ("port", q ^ flip)))
+        for t, (x, y) in enumerate(ties):
+            at.setdefault(x, []).append(t)
+            at.setdefault(y, []).append(t)
+        used = set()
+
+        def run(node):
+            """Follow unused ties from node until none is left."""
+            while True:
+                t = next((t for t in at[node] if t not in used), None)
+                if t is None:
+                    return node
+                used.add(t)
+                x, y = ties[t]
+                node = y if node == x else x
+
+        writes = spare_writes[:]
+        for start in end_op:
+            if not used.issuperset(at[start]):
+                end = run(start)
+                writes += (end_op[start], end_op[end]), (end_op[end], end_op[start])
         loops = 0
-        for start in linked:
-            if not seen >> start & 1:
+        for t in range(len(ties)):
+            if t not in used:
                 loops += 1
-                y = start
-                while True:
-                    z = arc[y]
-                    seen |= 1 << y | 1 << z
-                    y = inner[z]
-                    if y == start:
-                        break
-        return tuple(new), loops
-
-    return [open_ports[x] if x < k else 4 * s + x - k for x in ends], step
+                run(ties[t][0])
+        program.append((tuple(writes), loops))
+    return tuple(program)
 
 
-def _vert_step(open_verts, ends, left):
-    """Open vertices after a site with end vertices `ends`, and the step of
-    one partition of the open vertices before it:
-    step(blocks, chosen) = (blocks after, classes closed).
+def _vert_step(port_step, open_verts, ends, left, unit_comp):
+    """Open vertices after a site with end vertices `ends`, and the step
+    of one key (pairing, partition): port_step's step of the pairing with
+    the partition after each join, the classes it closes counted in units
+    of unit_comp on the loops.
 
     A partition labels each open vertex, in order, by its class, classes
     numbered in order of first appearance.  `left` counts the sites still
-    to come at each vertex.
+    to come at each vertex; the site's own ends are taken off it here.
     """
+    for vert in ends:
+        left[vert] -= 1
     grown = open_verts + [v for v in dict.fromkeys(ends) if v not in open_verts]
     stay = [i for i, v in enumerate(grown) if left[v]]
-    ends_at = [grown.index(v) for v in ends]
+    a, b = (grown.index(v) for v in ends)
     fresh_labels = tuple(range(len(open_verts), len(grown)))
 
-    def step(blocks, chosen):
-        labels = blocks + fresh_labels
-        if chosen and ends_at:
-            a, b = (labels[i] for i in ends_at)
-            labels = tuple(a if label == b else label for label in labels)
+    def partition(labels):
         staying = {labels[i] for i in stay}
         closed = len(set(labels) - staying)
         names = {}
-        return tuple(names.setdefault(labels[i], len(names)) for i in stay), closed
+        return tuple(names.setdefault(labels[i], len(names)) for i in stay), closed * unit_comp
+
+    ports_after, after = {}, {}  # many keys share a pairing, or a partition
+
+    def step(key):
+        pair, blocks = key
+        ports = ports_after.get(pair)
+        if ports is None:
+            ports = ports_after[pair] = port_step(pair)
+        on, on_loops, off, off_loops = ports
+        both = after.get(blocks)
+        if both is None:
+            labels = blocks + fresh_labels
+            merged = tuple(labels[a] if label == labels[b] else label for label in labels)
+            both = after[blocks] = (*partition(merged), *partition(labels))
+        on_blocks, on_comps, off_blocks, off_comps = both
+        return [(on, on_blocks), on_loops + on_comps, (off, off_blocks), off_loops + off_comps]
 
     return [grown[i] for i in stay], step
 

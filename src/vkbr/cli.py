@@ -33,6 +33,7 @@ from .diagram import (
     format_diagram,
     writhe,
 )
+from .limits import BYTES_PER_FREE_LOOP, check_memory
 from .randgen import MAX_RANDOM_CROSSINGS, random_diagram
 from .ribbon import (
     br_poly,
@@ -120,12 +121,20 @@ def _emit_graph(args, g, switches=None):
     return 0, payload, lines
 
 
+def _graph_sized(d):
+    """d, once the graph to print fits in memory: each free loop becomes a
+    dart-less vertex, held and printed one by one."""
+    check_memory(BYTES_PER_FREE_LOOP * d.free_loops,
+                 f"ribbon graph of a diagram with {d.free_loops} free loops")
+    return d
+
+
 def _cmd_build_ribbon(args):
-    return _emit_graph(args, build_ribbon(_diagram(args.file)))
+    return _emit_graph(args, build_ribbon(_graph_sized(_diagram(args.file))))
 
 
 def _cmd_build_signed(args):
-    g, switches = build_signed(_diagram(args.file))
+    g, switches = build_signed(_graph_sized(_diagram(args.file)))
     return _emit_graph(args, g, switches)
 
 

@@ -46,13 +46,15 @@ File format, one item per line, # starts a comment:
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import ceil, log10
 from operator import add
 
 from ._kernels import frontier_histogram, histogram, state_delta_sweep
 from .laurent import LaurentPoly
-from .limits import check_enumeration_size, check_sweep_memory
+from .limits import SizeLimitError, check_enumeration_size, check_sweep_memory
 
 BRACKET_VARS = ("A", "B", "d")
 JONES_VARS = ("t",)
@@ -455,11 +457,30 @@ def _horner_in_d(groups: dict[int, dict[int, int]]) -> LaurentPoly:
     adds: every coefficient moves down 2 quarters and up 2.  The list
     widens by 2 quarters at each end per product, and to each group's
     exponents as it is added.
+
+    Every coefficient of the sum is below 2^(top + bits) in absolute
+    value, where top is the highest power of D and bits the bit length of
+    the sum of all |counts|, since D^p has coefficients summing to 2^p
+    in absolute value.  When that bound has more decimal digits than
+    Python converts an int to text (sys.get_int_max_str_digits), the sum
+    is refused before Horner's rule runs, which takes time quadratic in
+    top: many free loops would otherwise run for minutes and then fail
+    to print.
     """
     if min(groups, default=0) < 0:
         raise ValueError(
             "D^-1 is not a Laurent polynomial in t^(1/4): a graph with no "
             "vertices has no Jones polynomial"
+        )
+    top = max(groups, default=0)
+    total = sum(abs(c) for group in groups.values() for c in group.values())
+    digits = ceil((top + total.bit_length()) * log10(2))
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise SizeLimitError(
+            f"the Jones sum reaches D^{top}: its coefficients may have up to "
+            f"{digits} digits, more than the {limit}-digit limit of Python's "
+            f"int to text conversion (sys.set_int_max_str_digits)"
         )
     coeffs: list[int] = []
     base = 0  # the quarter exponent of coeffs[0]

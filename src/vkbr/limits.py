@@ -4,7 +4,10 @@ Both state sums (2^n splitting states, 2^e spanning subgraphs) refuse to
 run past a configurable size, whichever route computes them.  The default
 cap is 24; the environment variable VKBR_MAX_CROSSINGS overrides it for
 both kinds of sum.  A sweep also refuses when its arrays would not fit in
-physical memory, which only a raised cap can bring about.
+memory, which only a raised cap can bring about.  The commands that
+print a ribbon graph refuse when its dart-less vertices, one per free
+loop of the diagram, would not fit.  Memory here is physical memory, or the address-space limit (ulimit -v)
+when that is lower, and it is checked before the allocation.
 """
 
 import os
@@ -14,6 +17,10 @@ CAP_ENV_VAR = "VKBR_MAX_CROSSINGS"
 # Bytes a sweep holds per index at its peak: its int16 outputs, and the
 # int64 mask, popcount and histogram key arrays with their temporaries.
 SWEEP_BYTES_PER_INDEX = 48
+# Bytes build-ribbon and build-signed hold per free loop at their peak: the
+# dart-less vertex, its name, its entries in the graph's tables and its line
+# of output (about 270 of resident memory per loop on O 1000000).
+BYTES_PER_FREE_LOOP = 300
 
 
 class SizeLimitError(ValueError):
@@ -52,13 +59,37 @@ def physical_memory() -> int | None:
     return size if size > 0 else None
 
 
+def memory_budget() -> tuple[int, str] | None:
+    """(bytes, what they are) of the memory a process here may use: the
+    address-space limit when one is set below physical memory, else
+    physical memory; None where neither is known."""
+    budgets = []
+    size = physical_memory()
+    if size is not None:
+        budgets.append((size, "physical memory"))
+    try:
+        import resource
+
+        limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if limit != resource.RLIM_INFINITY:
+            budgets.append((limit, "the address-space limit"))
+    except (ImportError, AttributeError, ValueError, OSError):
+        pass  # no resource module, or no such limit, on this system
+    return min(budgets, default=None)
+
+
+def check_memory(need: int, what: str) -> None:
+    """Raise SizeLimitError when `what` would need `need` bytes, more than
+    memory_budget(), before anything is allocated."""
+    budget = memory_budget()
+    if budget is not None and need > budget[0]:
+        raise SizeLimitError(
+            f"{what}: it needs about {need} bytes, more than the "
+            f"{budget[0]} bytes of {budget[1]}"
+        )
+
+
 def check_sweep_memory(n_bits: int, what: str) -> None:
     """Raise SizeLimitError when a sweep over 2^n_bits indices would need
-    more bytes than there is physical memory, before it allocates them."""
-    need = SWEEP_BYTES_PER_INDEX << n_bits
-    have = physical_memory()
-    if have is not None and need > have:
-        raise SizeLimitError(
-            f"{what}: its arrays need about {need} bytes, more than the "
-            f"{have} bytes of physical memory"
-        )
+    more bytes than there is memory, before it allocates them."""
+    check_memory(SWEEP_BYTES_PER_INDEX << n_bits, what)

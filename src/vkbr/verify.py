@@ -59,7 +59,10 @@ from .ribbon import RibbonGraph, br_poly, graph_stats, identity_rows, tutte_via_
 @dataclass(frozen=True)
 class VerifyReport:
     """Both sides of an identity check, the ribbon graph behind the right
-    side with its graph_stats, and the crossings switched to build it."""
+    side with its graph_stats, and the crossings switched to build it.
+
+    The graph is that of the diagram's crossings.  The diagram's free
+    loops, the whole graph's dart-less vertices, are counted in stats."""
 
     left: LaurentPoly
     right: LaurentPoly
@@ -81,13 +84,15 @@ class VerifyReport:
         return self.stats["k"]
 
 
-def bracket_from_graph(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
+def bracket_from_graph(g: RibbonGraph, signed: bool = False, isolated: int = 0) -> LaurentPoly:
     """The right side of the bracket identity, A^r B^n d^(k-1) times the
     (signed) rank polynomial at x = Bd/A, y = Ad/B, z = 1/d, evaluated at
     that point directly: the sum over spanning subgraphs F of
     A^alpha(F) B^(e-alpha(F)) d^(bc(F)-1), as identity_rows counts them.
+    `isolated` counts further dart-less vertices that g leaves out, each
+    one more boundary component of every F.
     """
-    return _bracket_sum(g.edge_count, identity_rows(g, signed))
+    return _bracket_sum(g.edge_count, identity_rows(g, signed), isolated)
 
 
 def bracket_via_rank_poly(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
@@ -116,7 +121,7 @@ def _jones_prefactor(w: int, stats: dict[str, int]) -> LaurentPoly:
     )
 
 
-def jones_from_graph(g: RibbonGraph, w: int) -> LaurentPoly:
+def jones_from_graph(g: RibbonGraph, w: int, isolated: int = 0) -> LaurentPoly:
     """The right side of the Jones identity for a signed ribbon graph and
     writhe, evaluated at its point directly.
 
@@ -124,9 +129,10 @@ def jones_from_graph(g: RibbonGraph, w: int) -> LaurentPoly:
     and bc as identity_rows counts them, is t^((e-2 alpha(F))/4)
     D^(bc(F)-1) under the prefactor (-1)^w t^(3w/4), with no graph
     statistic: r and n split the exponent only as far as r + n = e.
-    diagram._jones_sum adds up the rows, as it does the left side's.
+    diagram._jones_sum adds up the rows, as it does the left side's;
+    `isolated` is as in bracket_from_graph.
     """
-    return _jones_sum(g.edge_count, w, identity_rows(g, signed=True))
+    return _jones_sum(g.edge_count, w, identity_rows(g, signed=True), isolated)
 
 
 def jones_via_rank_poly(g: RibbonGraph, w: int) -> LaurentPoly:
@@ -167,20 +173,26 @@ def jones_via_tutte(g: RibbonGraph, w: int) -> LaurentPoly:
 def _verify(d: Diagram, mode: str, switches=None) -> VerifyReport:
     """The one body of the three checks; mode is "main", "signed" or "jones".
 
-    Builds the graph and its graph_stats once; the left side never sees
-    them.
+    Builds the graph of the crossings and its graph_stats once; the left
+    side never sees them.  Each free loop is a dart-less vertex of the
+    whole graph, one more vertex, component and boundary component of
+    every subgraph.  They are kept as a count, so that no vertex is
+    allocated per loop.
     """
+    loops = d.free_loops
+    crossings = Diagram(d.crossings) if loops else d
     if mode == "main":
-        g, used = build_ribbon(d), ()
+        g, used = build_ribbon(crossings), ()
     else:
-        g, used = build_signed(d, switches)
+        g, used = build_signed(crossings, switches)
     stats = graph_stats(g)
+    stats.update(v=stats["v"] + loops, k=stats["k"] + loops, bc=stats["bc"] + loops)
     if mode == "jones":
         left = jones(d)
-        right = jones_from_graph(g, writhe(d))
+        right = jones_from_graph(g, writhe(d), loops)
     else:
         left = kauffman_bracket(d)
-        right = bracket_from_graph(g, mode == "signed")
+        right = bracket_from_graph(g, mode == "signed", loops)
     return VerifyReport(left, right, left == right, g, stats, used)
 
 

@@ -1,5 +1,6 @@
 """Shared test utilities: random ribbon graphs, an independent Tutte
-oracle, and the command lines that must run without the sweeps."""
+oracle, torus braids and connected sums, and the command lines that must
+run without the sweeps."""
 
 import random
 
@@ -92,6 +93,31 @@ def torus_braid(p: int, q: int) -> str:
         seen[i] += 1
         seen[i + 1] += 1
     return "".join(lines)
+
+
+def connected_sum(*texts: str) -> str:
+    """Diagram text of the connected sum of the given diagrams, each with
+    at least one crossing, their arcs renamed apart.
+
+    Each piece is cut at the arc that enters its crossing 0 at port 0,
+    and the pieces are joined in a chain: that port now takes the arc
+    that left the piece before it, the first piece's the last one's.  A
+    strand keeps its direction, so every crossing keeps its sign.  Each
+    state's loop through the cut arc of one piece merges with those of
+    the others, so the bracket of the sum, in a normalisation where the
+    empty diagram gives d^-1, is the product of the pieces' brackets.
+    """
+    pieces = [parse_diagram(text) for text in texts]
+    cut = [f"p{i}_{d.crossings[0].ports[0]}" for i, d in enumerate(pieces)]
+    lines = []
+    for i, d in enumerate(pieces):
+        for ci, c in enumerate(d.crossings):
+            labels = [f"p{i}_{a}" for a in c.ports]
+            if ci == 0:
+                labels[0] = cut[i - 1]
+            lines.append(f"X {' '.join(labels)} o={c.over_in}\n")
+    loops = sum(d.free_loops for d in pieces)
+    return "".join(lines) + (f"O {loops}\n" if loops else "")
 
 
 def production_calls(text: str):

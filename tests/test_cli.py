@@ -11,7 +11,7 @@ import pytest
 
 import vkbr
 from helpers import production_calls
-from vkbr import fixtures, ribbon, verify
+from vkbr import fixtures, limits, ribbon, verify
 from vkbr.cli import main
 from vkbr.diagram import apply_switches, format_diagram, is_alternating, parse_diagram
 from vkbr.ribbon import parse_ribbon, tutte_via_br
@@ -228,6 +228,46 @@ class TestBuildCommands:
         path.write_text(fixtures.VIRTUAL_HOPF)
         code, _, err = run(capsys, "build-signed", str(path))
         assert code == 3 and "error" in err
+
+
+class TestFreeLoopMemory:
+    """The graph commands print a dart-less vertex per free loop, and
+    refuse before building them when they would not fit; verify counts
+    them instead."""
+
+    @pytest.fixture
+    def loops(self, tmp_path):
+        path = tmp_path / "loops.txt"
+        path.write_text("O 10000\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["build-ribbon", "build-signed"])
+    def test_refused_past_physical_memory(self, capsys, monkeypatch, loops, command):
+        monkeypatch.setattr(limits, "physical_memory", lambda: 10**6)
+        code, out, err = run(capsys, command, loops)
+        assert (code, out) == (2, "")
+        assert err == ("error: ribbon graph of a diagram with 10000 free loops: it needs "
+                       "about 3000000 bytes, more than the 1000000 bytes of physical memory\n")
+
+    def test_refused_past_the_address_space_limit(self, capsys, monkeypatch, loops):
+        import resource
+
+        monkeypatch.setattr(limits, "physical_memory", lambda: 10**12)
+        monkeypatch.setattr(resource, "getrlimit", lambda _: (2 * 10**6, resource.RLIM_INFINITY))
+        code, _, err = run(capsys, "build-ribbon", loops)
+        assert code == 2 and err.endswith("than the 2000000 bytes of the address-space limit\n")
+
+    def test_built_when_they_fit(self, capsys, loops):
+        code, out, _ = run(capsys, "build-ribbon", loops)
+        assert code == 0 and parse_ribbon(out).vertex_count == 10000
+
+    def test_verify_counts_them(self, capsys, monkeypatch, loops):
+        monkeypatch.setattr(limits, "physical_memory", lambda: 10**6)
+        code, out, _ = run(capsys, "--json", "verify", "--signed", loops)
+        payload = json.loads(out)
+        assert code == 0 and payload["right"] == "d^9999"
+        assert payload["stats"] == {"v": 10000, "e": 0, "k": 10000, "r": 0, "n": 0,
+                                    "bc": 10000, "genus": 0}
 
 
 class TestVerify:

@@ -1,12 +1,18 @@
 """Tests for diagram parsing, state splitting, bracket and Jones."""
 
+import io
 import random
+import sys
+import time
+from math import ceil, log10
 
 import pytest
 
 from helpers import torus_braid
 from vkbr import diagram, fixtures
+from vkbr.cli import main
 from vkbr.diagram import (
+    BIG_D,
     Crossing,
     Diagram,
     DiagramError,
@@ -462,3 +468,42 @@ class TestHornerInD:
     def test_negative_power_refused(self):
         with pytest.raises(ValueError, match="D\\^-1"):
             _horner_in_d({-1: {0: 1}})
+
+
+class TestJonesDigits:
+    """A sum whose coefficients could pass the digits Python prints of an
+    int is refused before Horner's rule runs."""
+
+    def test_many_free_loops_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match=r"D\^99999: .* 30103 digits, .* 4300-digit"):
+            jones(parse_diagram("O 100000\n"))
+        assert time.perf_counter() - start < 1
+
+    def test_under_the_limit_unchanged(self):
+        assert jones(parse_diagram("O 200\n")) == BIG_D ** 199
+
+    def test_bound_follows_the_limit(self, monkeypatch):
+        # D^399 over one state: coefficients below 2^400, so 121 digits.
+        d = parse_diagram("O 400\n")
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 120)
+        with pytest.raises(SizeLimitError, match="D\\^399: .* 121 digits"):
+            jones(d)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 121)
+        assert jones(d) == BIG_D ** 399
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
+        assert jones(d) == BIG_D ** 399
+
+    def test_counts_enter_the_bound(self, monkeypatch):
+        # 2^12 states of T(2,13) add 13 bits to the bound.
+        d = parse_diagram(torus_braid(2, 13))
+        top = max(loops for (_, loops), _ in diagram._frontier_rows(d._mate)) - 1
+        digits = ceil((top + 14) * log10(2))
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: digits - 1)
+        with pytest.raises(SizeLimitError, match=f"D\\^{top}: .* {digits} digits"):
+            jones(d)
+
+    def test_cli_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("O 100000\n"))
+        assert main(["jones", "-"]) == 2
+        assert capsys.readouterr().err.startswith("error: the Jones sum reaches D^99999")

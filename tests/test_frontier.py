@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vkbr
-from helpers import closed_braid, production_calls, random_ribbon, torus_braid
+from helpers import closed_braid, connected_sum, production_calls, random_ribbon, torus_braid
 from vkbr import _kernels, diagram, fixtures, limits, ribbon
 from vkbr.build import NotColorableError, build_signed, find_switch_set
 from vkbr.cli import main
@@ -374,6 +374,119 @@ class TestFrontierOrder:
     @pytest.mark.parametrize("p, q", [(2, 1001), (3, 100), (4, 51)])
     def test_torus_braids(self, p, q):
         assert_both_orders_are_greedy(parse_diagram(torus_braid(p, q)))
+
+
+# (pieces, crossings per piece): sums of 24 to 40 crossings, past the
+# sweeps' cap, each piece small enough for its own sweep.
+SUM_SHAPES = [(2, 12), (3, 12), (4, 10)]
+
+
+def random_sum(kind, pieces, size, seed):
+    """The texts of `pieces` random diagrams and the text of their sum."""
+    texts = [format_diagram(random_diagram(size, 1000 * seed + i, kind)) for i in range(pieces)]
+    return texts, connected_sum(*texts)
+
+
+class TestConnectedSums:
+    """The bracket and the Jones polynomial of a connected sum are the
+    products of its pieces': an oracle for the contraction past the
+    sweeps' cap, where only the pieces' own sums are checked against
+    the sweeps."""
+
+    def test_knots_sum_to_a_knot(self, monkeypatch):
+        monkeypatch.setenv("VKBR_MAX_CROSSINGS", "28")
+        d = parse_diagram(connected_sum(fixtures.TREFOIL, fixtures.TREFOIL, fixtures.POSITIVE_KINK))
+        assert len(d.crossings) == 7 and len(diagram.components(d)) == 1
+        assert jones(d) == jones(parse_diagram(fixtures.TREFOIL)) ** 2
+        d = parse_diagram(connected_sum(torus_braid(2, 13), torus_braid(2, 15)))
+        assert len(diagram.components(d)) == 1
+        assert jones(d) == jones(parse_diagram(torus_braid(2, 13))) * jones(
+            parse_diagram(torus_braid(2, 15)))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("pieces, size", SUM_SHAPES)
+    def test_bracket_and_jones_multiply(self, monkeypatch, kind, pieces, size):
+        monkeypatch.setenv("VKBR_MAX_CROSSINGS", "40")
+        for seed in range(3):
+            texts, total = random_sum(kind, pieces, size, seed)
+            parts = [parse_diagram(text) for text in texts]
+            d = parse_diagram(total)
+            assert len(d.crossings) == pieces * size
+            bracket = LaurentPoly.one(diagram.BRACKET_VARS)
+            for part in parts:
+                frontier, sweep = bracket_routes(part)
+                assert frontier == sweep
+                bracket = bracket * frontier
+            assert kauffman_bracket(d) == bracket
+            # The sum keeps every strand's direction, so the writhes add,
+            # for link pieces as for knots.
+            value = LaurentPoly.one(diagram.JONES_VARS)
+            for part in parts:
+                value = value * jones(part)
+            assert jones(d) == value
+
+    @pytest.mark.parametrize("pieces, size", SUM_SHAPES)
+    def test_verify_signed_on_colorable_sums(self, monkeypatch, capsys, tmp_path, pieces, size):
+        monkeypatch.setenv("VKBR_MAX_CROSSINGS", "40")
+        for seed in range(2):
+            _, total = random_sum("colorable", pieces, size, seed)
+            path = tmp_path / f"sum{seed}.txt"
+            path.write_text(total)
+            assert main(["verify", "--signed", str(path)]) == 0
+            assert "equal: yes" in capsys.readouterr().out
+
+
+class VertexStepRan(Exception):
+    """The partition step of the contraction ran."""
+
+
+def _forbid_vertex_steps(monkeypatch):
+    def refuse(*_):
+        raise VertexStepRan
+
+    monkeypatch.setattr(_kernels, "_vert_step", refuse)
+
+
+class TestNoVertexBookkeeping:
+    """The sums of the bracket, the Jones polynomial and both sides of
+    the identity track no vertex partition; only the rank polynomial
+    does."""
+
+    @pytest.mark.parametrize("name", sorted(fixtures.DIAGRAMS) + ["T(2,15)"])
+    def test_identity_commands_run_without_it(self, monkeypatch, capsys, name):
+        text = fixtures.DIAGRAMS.get(name) or torus_braid(2, 15)
+        _forbid_vertex_steps(monkeypatch)
+        for argv, stdin, code in production_calls(text):
+            if argv[0] in ("bracket", "jones", "verify"):
+                monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+                assert main(argv) == code, (argv, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name", [n for n in COLORABLE if parse_diagram(fixtures.DIAGRAMS[n]).crossings])
+    def test_rank_polynomial_reaches_it(self, monkeypatch, name):
+        g, _ = build_signed(parse_diagram(fixtures.DIAGRAMS[name]))
+        _forbid_vertex_steps(monkeypatch)
+        for compute in (br_poly, ribbon.signed_br_poly, ribbon.tutte_via_br):
+            with pytest.raises(VertexStepRan):
+                compute(g)
+
+    def test_identity_rows_fold_the_sweep(self):
+        # Loops, dart-less vertices and negative edges all occur here.
+        rng = random.Random(41)
+        graphs = [random_ribbon(rng, rng.randint(1, 8), rng.randint(0, 14), signed=True)
+                  for _ in range(40)]
+        assert any(not darts for g in graphs for _, darts in g.vertices)
+        assert any(u == w for g in graphs for u, w in g._sites[1])
+        assert max(g.edge_count for g in graphs) == 14
+        for g in graphs:
+            bare = sum(not darts for _, darts in g.vertices)
+            neg = g.negative_mask()
+            for signed in (False, True):
+                mask = neg if signed else 0
+                folded = Counter()
+                for (ef, eneg, _, bc), count in ribbon._sweep_rows(g, mask):
+                    # alpha: positive edges in F and negative edges outside it
+                    folded[ef - 2 * eneg + mask.bit_count(), bc + bare] += count
+                assert ribbon.identity_rows(g, signed) == sorted(folded.items())
 
 
 class TestRouteGate:

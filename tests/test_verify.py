@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from vkbr.build import (
 from vkbr.diagram import (
     BRACKET_VARS,
     apply_switches,
+    format_diagram,
     is_alternating,
     jones,
     kauffman_bracket,
@@ -26,7 +28,7 @@ from vkbr.diagram import (
 from vkbr.laurent import LaurentPoly
 from vkbr.limits import CAP_ENV_VAR
 from vkbr.randgen import KINDS, random_diagram
-from vkbr.ribbon import RibbonGraph, br_poly, genus, parse_ribbon, subgraph_stats
+from vkbr.ribbon import RibbonGraph, br_poly, genus, graph_stats, parse_ribbon, subgraph_stats
 from vkbr.verify import (
     VerifyReport,
     bracket_from_graph,
@@ -372,3 +374,40 @@ class TestReportShape:
         g = parse_ribbon(fixtures.SAMPLE_RIBBON)
         assert bracket_from_graph(g).variables == ("A", "B", "d")
         assert jones_from_graph(g, 1).variables == ("t",)
+
+
+class TestFreeLoops:
+    """verify counts a diagram's free loops, the dart-less vertices of its
+    graph, without building a vertex for each."""
+
+    @pytest.mark.parametrize("text", [
+        fixtures.NEGATIVE_KINK + "O 2\n",
+        fixtures.TREFOIL + "O 3\n",
+        "O 4\n",
+        format_diagram(apply_switches(parse_diagram(fixtures.SAMPLE_KNOT), (1,))) + "O 1\n",
+    ])
+    def test_as_if_the_graph_held_them(self, text):
+        d = parse_diagram(text)
+        g, switches = build_signed(d)
+        assert sum(not darts for _, darts in g.vertices) >= d.free_loops
+        for check in (verify_signed, verify_jones):
+            report = check(d)
+            assert report.equal and report.switches == switches
+            assert report.stats == graph_stats(g)
+        assert verify_signed(d).right == bracket_from_graph(g, signed=True)
+        assert verify_jones(d).right == jones_from_graph(g, writhe(d))
+        if is_alternating(d):
+            assert verify_main(d).right == bracket_from_graph(build_ribbon(d))
+
+    def test_ten_million_loops(self):
+        d = parse_diagram("O 10000000\n")
+        tracemalloc.start()
+        try:
+            report = verify_signed(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert report.equal and str(report.right) == "d^9999999"
+        assert {key: report.stats[key] for key in ("v", "k", "bc", "genus")} == {
+            "v": 10000000, "k": 10000000, "bc": 10000000, "genus": 0}

@@ -37,9 +37,9 @@ from vkbr.verify import (
 )
 
 SEEDS = range(3)
-DIAGRAM_SIZES = (4, 8, 12, 16, 20)
+DIAGRAM_SIZES = (4, 8, 12, 14, 16, 20)
 GRAPH_SIZES = (4, 8, 12, 16, 20, 22)
-GRAPH_SIDE_SIZES = (12, 18, 24, 30)
+GRAPH_SIDE_SIZES = (12, 14, 18, 24, 30)
 TORUS_TWISTS = (25, 50)
 JONES_TORUS_KNOTS = ((2, 101), (2, 301), (2, 1001), (3, 50), (3, 100), (4, 51))
 
