@@ -198,7 +198,7 @@ def histogram(*columns):
 # -- frontier contraction -------------------------------------------------
 
 
-def frontier_histogram(arc_mate, site_shift, site_verts=()):
+def frontier_histogram(arc_mate, site_shift, site_verts=(), loop_weight=None):
     """The rows (shift, components, loops) of every way of choosing sites,
     with their counts, in increasing order of rows.
 
@@ -210,6 +210,13 @@ def frontier_histogram(arc_mate, site_shift, site_verts=()):
     With site_verts, site s also joins vertices site_verts[s] when chosen,
     and components counts the classes of the vertices that any site
     touches; without it, components is 0.
+
+    With loop_weight, a polynomial as {exponent: coefficient}, and no
+    site_verts, each loop a join closes multiplies the counts by the
+    weight instead, so the rows are (shift, 0, 0), counting
+    weight^(loops - 1) by exponent.  Every join of the last site closes a
+    loop, as no port stays open, so that site takes one product fewer.
+    With D = -t^(1/2) - t^(-1/2) in quarters of t this is the Jones sum.
 
     The sites are taken in the order of _frontier_order.  The table maps
     a key to counts of the rows so far.  The key is the pairing of the
@@ -225,28 +232,34 @@ def frontier_histogram(arc_mate, site_shift, site_verts=()):
     n = len(arc_mate) >> 2
     left = _vertex_degrees(site_verts)
     unit_comp = 2 * n + 1  # loops <= joins
-    unit_shift = unit_comp * (len(left) + 1)
+    unit_shift = 1 if loop_weight else unit_comp * (len(left) + 1)
     slot_of, free, open_verts = {}, [], []
     table = {((), ()) if site_verts else (): {0: 1}}
-    for s in _frontier_order(arc_mate):
+    order = _frontier_order(arc_mate)
+    for s in order:
         step = _port_step(arc_mate, s, slot_of, free)
         if site_verts:
             open_verts, step = _vert_step(step, open_verts, site_verts[s], left, unit_comp)
         on = site_shift[s] * unit_shift
+        last = bool(loop_weight) and s == order[-1]
         grown = {}
         for key, counts in table.items():
             after = step(key)
-            after[1] += on
             for branch in (0, 2):
-                key, shift = after[branch], after[branch + 1]
+                key, closed = after[branch], after[branch + 1]
+                held, shift = counts, 0 if branch else on
+                if not loop_weight:
+                    shift += closed
+                elif closed > last:
+                    held, shift = _weighed(counts, loop_weight, closed - last, shift), 0
                 target = grown.get(key)
                 if target is None:
-                    # The unchosen branch is the last to read counts, so
-                    # with no shift it takes the dict itself.
-                    grown[key] = (counts if branch and not shift else
-                                  {row + shift: c for row, c in counts.items()})
+                    # The unchosen branch reads counts last, so unshifted it
+                    # takes the dict itself, as any branch takes a weighed one.
+                    grown[key] = (held if not shift and (branch or held is not counts) else
+                                  {row + shift: c for row, c in held.items()})
                 else:
-                    for row, c in counts.items():
+                    for row, c in held.items():
                         row += shift
                         target[row] = target.get(row, 0) + c
         table = grown
@@ -256,6 +269,21 @@ def frontier_histogram(arc_mate, site_shift, site_verts=()):
         shift, rest = divmod(row, unit_shift)  # floors, so a negative shift decodes too
         rows.append(((shift, *divmod(rest, unit_comp)), counts[row]))
     return rows
+
+
+def _weighed(counts, weight, times, shift):
+    """The polynomial counts, moved by shift, times weight^times, both
+    polynomials as {exponent: coefficient}, as a new dict."""
+    (power, w), *rest = weight.items()
+    for _ in range(times):
+        product = {row + shift + power: c * w for row, c in counts.items()}
+        for more, v in rest:
+            more += shift
+            for row, c in counts.items():
+                row += more
+                product[row] = product.get(row, 0) + c * v
+        counts, shift = product, 0
+    return counts
 
 
 def _frontier_order(arc_mate):

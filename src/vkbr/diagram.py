@@ -50,7 +50,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, log10
-from operator import add
 
 from ._kernels import frontier_histogram, histogram, state_delta_sweep
 from .laurent import LaurentPoly
@@ -59,7 +58,8 @@ from .limits import SizeLimitError, check_enumeration_size, check_sweep_memory
 BRACKET_VARS = ("A", "B", "d")
 JONES_VARS = ("t",)
 # D = -t^(1/2) - t^(-1/2), the value of the loop variable d at the Jones point.
-BIG_D = LaurentPoly(JONES_VARS, {(2,): -1, (-2,): -1})
+_D_QUARTERS = {2: -1, -2: -1}  # by quarter exponent of t
+BIG_D = LaurentPoly(JONES_VARS, {(q,): c for q, c in _D_QUARTERS.items()})
 
 _LABEL = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -399,26 +399,55 @@ def jones(d: Diagram) -> LaurentPoly:
     At A = t^(-1/4), B = t^(1/4), d = D = -t^(1/2) - t^(-1/2) a state
     with alpha A-splittings and `curves` closed curves contributes
     t^((n-2 alpha)/4) D^(curves + free_loops - 1), under the prefactor
-    (-1)^w t^(3w/4); _jones_sum adds up the states' rows.  The bracket
-    itself is never built.
+    (-1)^w t^(3w/4).  _jones_contraction sums the states with each
+    A-splitting weighing t^(-1/2) and each curve D.  The bracket itself
+    is never built.
 
     The empty diagram has none: its bracket d^-1 needs 1/d, which is not a
     Laurent polynomial in t^(1/4).
     """
     _check_jones(d)
-    return _jones_sum(len(d.crossings), writhe(d), _frontier_rows(_plan(d)), d.free_loops)
+    n = len(d.crossings)
+    return _jones_contraction(_plan(d), [-2] * n, n, d.free_loops, writhe(d))
 
 
-def _jones_sum(n: int, w: int, rows, isolated: int = 0) -> LaurentPoly:
-    """The Jones polynomial from the rows of _bracket_sum and the writhe w:
-    each row contributes count t^((n - 2 alpha)/4) D^(loops + isolated - 1),
-    under the prefactor (-1)^w t^(3w/4).  The rows are grouped by their
-    power of D and the groups summed by _horner_in_d."""
-    groups: dict[int, dict[int, int]] = {}
-    for (alpha, loops), count in rows:
-        group = groups.setdefault(loops + isolated - 1, {})
-        group[n - 2 * alpha] = group.get(n - 2 * alpha, 0) + count
-    return _jones_prefactor(w) * _horner_in_d(groups)
+def _jones_contraction(mate, site_shift, base, isolated, w) -> LaurentPoly:
+    """The sum over the ways of choosing sites of t^((base + shift)/4)
+    D^(loops + isolated - 1) under (-1)^w t^(3w/4), where shift sums
+    site_shift, in quarters of t, over the chosen sites, and `isolated`
+    counts the loops no site touches.  frontier_histogram carries the sum
+    with D as its loop weight; D^m for the m loops left follows, its
+    coefficients +-C(m, k) built in one pass.
+
+    Each coefficient is below 2^(bits + m) in absolute value, bits being
+    the bit length of the largest one before D^m, since D^m's sum to 2^m.
+    When that has more decimal digits than Python converts an int to text
+    (sys.get_int_max_str_digits), the sum is refused before D^m is built.
+    """
+    rows = frontier_histogram(mate, site_shift, loop_weight=_D_QUARTERS)
+    counts = {base + q: c for (q, _, _), c in rows}
+    m = isolated - (not mate)  # with no site, the sum's one D fewer falls here
+    if m < 0:
+        raise ValueError("D^-1 is not a Laurent polynomial in t^(1/4): a graph "
+                         "with no vertices has no Jones polynomial")
+    digits = ceil((max(map(abs, counts.values())).bit_length() + m) * log10(2))
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise SizeLimitError(
+            f"the Jones sum reaches D^{m}: its coefficients may have up to "
+            f"{digits} digits, more than the {limit}-digit limit of Python's "
+            f"int to text conversion (sys.set_int_max_str_digits)"
+        )
+    binomials = [-1 if (m + w) % 2 else 1]  # of D^m, times (-1)^w
+    for k in range(m):
+        binomials.append(binomials[-1] * (m - k) // (k + 1))
+    terms: dict[tuple[int], int] = {}
+    for q, c in counts.items():
+        q += 3 * w + 2 * m  # C(m, k) goes with t^(m/2 - k)
+        for b in binomials:
+            terms[(q,)] = terms.get((q,), 0) + c * b
+            q -= 4
+    return LaurentPoly._make(JONES_VARS, terms)
 
 
 def jones_via_bracket(d: Diagram) -> LaurentPoly:
@@ -434,75 +463,11 @@ def jones_via_bracket(d: Diagram) -> LaurentPoly:
         },
         JONES_VARS,
     )
-    return _jones_prefactor(writhe(d)) * value
+    w = writhe(d)
+    return LaurentPoly(JONES_VARS, {(3 * w,): -1 if w % 2 else 1}) * value
 
 
 def _check_jones(d: Diagram) -> None:
     if not d.crossings and not d.free_loops:
         raise DiagramError("the empty diagram has no Jones polynomial (its bracket is d^-1)")
 
-
-def _jones_prefactor(w: int) -> LaurentPoly:
-    """(-1)^w t^(3w/4)."""
-    return LaurentPoly(JONES_VARS, {(3 * w,): -1 if w % 2 else 1})
-
-
-def _horner_in_d(groups: dict[int, dict[int, int]]) -> LaurentPoly:
-    """The sum over p of D^p times the t polynomial groups[p], given as
-    {quarter exponent of t: coefficient}, with D = -t^(1/2) - t^(-1/2).
-
-    Horner's rule runs on a dense list of integer coefficients over
-    quarter exponents.  It is run in E = -D = t^(1/2) + t^(-1/2), with
-    groups[p] negated for odd p, so one product by E is two shifted list
-    adds: every coefficient moves down 2 quarters and up 2.  The list
-    widens by 2 quarters at each end per product, and to each group's
-    exponents as it is added.
-
-    Every coefficient of the sum is below 2^(top + bits) in absolute
-    value, where top is the highest power of D and bits the bit length of
-    the sum of all |counts|, since D^p has coefficients summing to 2^p
-    in absolute value.  When that bound has more decimal digits than
-    Python converts an int to text (sys.get_int_max_str_digits), the sum
-    is refused before Horner's rule runs, which takes time quadratic in
-    top: many free loops would otherwise run for minutes and then fail
-    to print.
-    """
-    if min(groups, default=0) < 0:
-        raise ValueError(
-            "D^-1 is not a Laurent polynomial in t^(1/4): a graph with no "
-            "vertices has no Jones polynomial"
-        )
-    top = max(groups, default=0)
-    total = sum(abs(c) for group in groups.values() for c in group.values())
-    digits = ceil((top + total.bit_length()) * log10(2))
-    limit = sys.get_int_max_str_digits()
-    if limit and digits > limit:
-        raise SizeLimitError(
-            f"the Jones sum reaches D^{top}: its coefficients may have up to "
-            f"{digits} digits, more than the {limit}-digit limit of Python's "
-            f"int to text conversion (sys.set_int_max_str_digits)"
-        )
-    coeffs: list[int] = []
-    base = 0  # the quarter exponent of coeffs[0]
-    pad = [0] * 4
-    for d_power in range(max(groups, default=-1), -1, -1):
-        if coeffs:
-            coeffs = list(map(add, coeffs + pad, pad + coeffs))
-            base -= 2
-        group = groups.get(d_power)
-        if not group:
-            continue
-        low, high = min(group), max(group)
-        if not coeffs:
-            coeffs, base = [0], low
-        elif low < base:
-            coeffs[:0] = [0] * (base - low)
-            base = low
-        if high - base >= len(coeffs):
-            coeffs += [0] * (high - base + 1 - len(coeffs))
-        sign = -1 if d_power % 2 else 1
-        for q, count in group.items():
-            coeffs[q - base] += sign * count
-    return LaurentPoly._make(
-        JONES_VARS, {(base + i,): c for i, c in enumerate(coeffs) if c}
-    )

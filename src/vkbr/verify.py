@@ -23,10 +23,10 @@ substitution values factor over D = -t^(1/2) - t^(-1/2) as
 x = D t^(1/2), y = D t^(-1/2), z = 1/D, and again x y z^2 = 1: F
 contributes t^((e-2 alpha)/4) D^(bc(F)-1) under the prefactor
 (-1)^w t^(3w/4), the term of the matching state on the left (r and n
-enter only as r + n = e).  So both sides sum their (alpha, loops) rows
-with the same code, diagram._bracket_sum or diagram._jones_sum, which
-groups them by power of D for one dense Horner's rule; neither side
-substitutes or divides.
+enter only as r + n = e).  So both sides sum their terms by the same
+frontier contraction, diagram._jones_contraction, which carries each
+key's polynomial in t^(1/4) and multiplies it by D for each loop a
+join closes; neither side substitutes or divides.
 
 bracket_via_rank_poly and jones_via_rank_poly keep the assembly through
 the whole rank polynomial, substituted term by term, as the reference
@@ -46,14 +46,13 @@ from .diagram import (
     JONES_VARS,
     Diagram,
     _bracket_sum,
-    _horner_in_d,
-    _jones_sum,
+    _jones_contraction,
     jones,
     kauffman_bracket,
     writhe,
 )
 from .laurent import LaurentPoly
-from .ribbon import RibbonGraph, br_poly, graph_stats, identity_rows, tutte_via_br
+from .ribbon import RibbonGraph, _plan, br_poly, graph_stats, identity_rows, tutte_via_br
 
 
 @dataclass(frozen=True)
@@ -123,29 +122,34 @@ def _jones_prefactor(w: int, stats: dict[str, int]) -> LaurentPoly:
 
 def jones_from_graph(g: RibbonGraph, w: int, isolated: int = 0) -> LaurentPoly:
     """The right side of the Jones identity for a signed ribbon graph and
-    writhe, evaluated at its point directly.
-
-    At x = D t^(1/2), y = D t^(-1/2), z = 1/D the term of F, with alpha
-    and bc as identity_rows counts them, is t^((e-2 alpha(F))/4)
-    D^(bc(F)-1) under the prefactor (-1)^w t^(3w/4), with no graph
-    statistic: r and n split the exponent only as far as r + n = e.
-    diagram._jones_sum adds up the rows, as it does the left side's;
-    `isolated` is as in bracket_from_graph.
+    writhe, evaluated at its point directly: the sum over F of
+    t^((e-2 alpha(F))/4) D^(bc(F)-1) under (-1)^w t^(3w/4), with alpha and
+    bc as identity_rows counts them.  r and n enter only as r + n = e, so
+    no graph statistic is read.  diagram._jones_contraction sums it with
+    a chosen edge weighing t^(-1/2), or t^(1/2) when negative; `isolated`
+    is as in bracket_from_graph.
     """
-    return _jones_sum(g.edge_count, w, identity_rows(g, signed=True), isolated)
+    neg, (mate, _) = _plan(g, True, "bracket")
+    shifts = [2 if (neg >> s) & 1 else -2 for s in range(g.edge_count)]
+    bare = sum(not darts for _, darts in g.vertices)
+    base = g.edge_count - 2 * neg.bit_count()  # alpha starts at e-
+    return _jones_contraction(mate, shifts, base, bare + isolated, w)
 
 
 def jones_via_rank_poly(g: RibbonGraph, w: int) -> LaurentPoly:
     """jones_from_graph by way of the whole signed rank polynomial: a term
     x^a y^b z^c contributes t^((a-b)/2) D^(a+b-c+k-1), whose D exponent
-    is bc(F) - 1.  The reference the direct evaluation is checked against."""
+    is bc(F) - 1.  The terms are grouped by their power of D and the
+    groups summed by LaurentPoly products.  The reference the direct
+    evaluation is checked against."""
+    if not g.vertices:
+        raise ValueError("a graph with no vertices has no Jones polynomial")
     stats = graph_stats(g)
-    groups: dict[int, dict[int, int]] = {}
+    groups: dict[int, LaurentPoly] = {}
     for (a, b, c), coeff in br_poly(g, signed=True).terms():
-        group = groups.setdefault(int(a + b - c + stats["k"] - 1), {})
-        t_quarters = int(2 * (a - b))  # t^((a-b)/2) in quarter units
-        group[t_quarters] = group.get(t_quarters, 0) + coeff
-    return _jones_prefactor(w, stats) * _horner_in_d(groups)
+        p = int(a + b - c + stats["k"] - 1)
+        groups[p] = groups.get(p, 0) + LaurentPoly.monomial(JONES_VARS, coeff, t=(a - b) / 2)
+    return _jones_prefactor(w, stats) * sum(BIG_D ** p * group for p, group in groups.items())
 
 
 def jones_via_tutte(g: RibbonGraph, w: int) -> LaurentPoly:

@@ -4,12 +4,13 @@ import io
 import random
 import sys
 import time
-from math import ceil, log10
+from fractions import Fraction
+from math import ceil, comb, log10
 
 import pytest
 
 from helpers import torus_braid
-from vkbr import diagram, fixtures
+from vkbr import _kernels, diagram, fixtures
 from vkbr.cli import main
 from vkbr.diagram import (
     BIG_D,
@@ -20,7 +21,6 @@ from vkbr.diagram import (
     apply_switches,
     components,
     format_diagram,
-    _horner_in_d,
     is_alternating,
     jones,
     jones_via_bracket,
@@ -32,7 +32,7 @@ from vkbr.diagram import (
     writhe,
 )
 from vkbr.laurent import LaurentPoly, parse_poly
-from vkbr.limits import SizeLimitError
+from vkbr.limits import CAP_ENV_VAR, SizeLimitError
 from vkbr.randgen import KINDS, random_diagram
 
 ABD = ("A", "B", "d")
@@ -425,18 +425,24 @@ class TestJonesAtItsPoint:
         def refuse(*args):
             raise AssertionError("a LaurentPoly substitution or product ran")
 
-        d = parse_diagram(fixtures.SAMPLE_KNOT)
+        d = parse_diagram(fixtures.SAMPLE_KNOT + "O 3\n")
         expected = substituted_bracket_jones(d)
-        groups = {0: {1: 2}, 3: {-5: 1, 6: -1}}
-        summed = sparse_horner(groups)
         monkeypatch.setattr(LaurentPoly, "substitute", refuse)
-        assert jones(d) == expected
         monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
-        assert _horner_in_d(groups) == summed
+        assert jones(d) == expected
 
 
 class TestHornerInD:
-    """The dense Horner sum against LaurentPoly products."""
+    """Sums in powers of D, which a dense Horner's rule once computed: the
+    contraction's product by its loop weight against LaurentPoly products."""
+
+    @staticmethod
+    def weighed_sum(groups):
+        terms = {}
+        for power, group in groups.items():
+            for q, c in _kernels._weighed(group, diagram._D_QUARTERS, power, 0).items():
+                terms[(q,)] = terms.get((q,), 0) + c
+        return LaurentPoly(T, terms)
 
     @pytest.mark.parametrize("groups", [
         {},
@@ -452,7 +458,7 @@ class TestHornerInD:
         {2: {0: 1}, 0: {-2: 1, 2: 1}},
     ])
     def test_cases(self, groups):
-        assert _horner_in_d(groups) == sparse_horner(groups)
+        assert self.weighed_sum(groups) == sparse_horner(groups)
 
     def test_random_groups(self):
         # Odd and negative quarter exponents, gaps and empty groups.
@@ -463,16 +469,17 @@ class TestHornerInD:
                         for _ in range(rng.randrange(4))}
                 for power in rng.sample(range(12), rng.randrange(5))
             }
-            assert _horner_in_d(groups) == sparse_horner(groups)
+            assert self.weighed_sum(groups) == sparse_horner(groups)
 
     def test_negative_power_refused(self):
+        # No site and no loop: the sum would be D^-1.
         with pytest.raises(ValueError, match="D\\^-1"):
-            _horner_in_d({-1: {0: 1}})
+            diagram._jones_contraction((), [], 0, 0, 0)
 
 
 class TestJonesDigits:
     """A sum whose coefficients could pass the digits Python prints of an
-    int is refused before Horner's rule runs."""
+    int is refused before D^m is built for the m free loops."""
 
     def test_many_free_loops_refused_at_once(self):
         start = time.perf_counter()
@@ -494,14 +501,34 @@ class TestJonesDigits:
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
         assert jones(d) == BIG_D ** 399
 
-    def test_counts_enter_the_bound(self, monkeypatch):
-        # 2^12 states of T(2,13) add 13 bits to the bound.
-        d = parse_diagram(torus_braid(2, 13))
-        top = max(loops for (_, loops), _ in diagram._frontier_rows(d._mate)) - 1
-        digits = ceil((top + 14) * log10(2))
+    def test_small_coefficients_pass_a_low_limit(self, monkeypatch):
+        # Every coefficient of V(T(2,101)) is +-1, though 2^100 states sum.
+        monkeypatch.setenv(CAP_ENV_VAR, "101")
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 60)
+        value = jones(parse_diagram(torus_braid(2, 101)))
+        assert {abs(c) for _, c in value.terms()} == {1}
+
+    def test_free_loops_enter_the_bound(self, monkeypatch):
+        # The largest coefficient of the knot's polynomial, plus 400 bits.
+        knot = jones(parse_diagram(torus_braid(2, 13)))
+        top = max(abs(c) for _, c in knot.terms())
+        digits = ceil((top.bit_length() + 400) * log10(2))
+        d = parse_diagram(torus_braid(2, 13) + "O 400\n")
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: digits - 1)
-        with pytest.raises(SizeLimitError, match=f"D\\^{top}: .* {digits} digits"):
+        with pytest.raises(SizeLimitError, match=f"D\\^400: .* {digits} digits"):
             jones(d)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: digits)
+        assert jones(d) == knot * BIG_D ** 400
+
+    def test_many_free_loops_take_one_pass(self):
+        # D^3999 = -(t^(1/2) + t^(-1/2))^3999, whose coefficients are
+        # binomials; one product by D per loop takes seconds on O 4000.
+        start = time.perf_counter()
+        value = jones(parse_diagram("O 4000\n"))
+        assert time.perf_counter() - start < 1
+        assert len(value.terms()) == 4000
+        assert value.coefficient(t=Fraction(3999, 2)) == -1
+        assert value.coefficient(t=Fraction(-1, 2)) == -comb(3999, 1999)
 
     def test_cli_exits_2(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdin", io.StringIO("O 100000\n"))

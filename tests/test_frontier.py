@@ -131,6 +131,21 @@ class TestDiagramRoutes:
                 continue
             assert_graph_routes_agree(g, traced=n <= 7)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_loop_weight_counts_the_loops(self, kind):
+        # With the weight x and a chosen site weighing x^unit, a state's
+        # term is x^(unit alpha + curves - 1), read against the sweep.
+        texts = [fixtures.NEGATIVE_KINK, disjoint_union(fixtures.TREFOIL, fixtures.HOPF_LINK)]
+        diagrams = [parse_diagram(text) for text in texts]
+        diagrams += [random_diagram(n, seed, kind) for n in range(1, 11) for seed in range(3)]
+        for d in diagrams:
+            mate = diagram._plan(d)
+            unit = len(mate)  # above curves - 1
+            weighed = _kernels.frontier_histogram(mate, [unit] * (unit // 4), loop_weight={1: 1})
+            expected = [((unit * alpha + curves - 1, 0, 0), count)
+                        for (alpha, curves), count in diagram._sweep_rows(mate)]
+            assert weighed == expected
+
     def test_empty_diagram(self):
         d = Diagram(())
         assert diagram_rows(d) == ([((0, 0), 1)], [((0, 0), 1)])

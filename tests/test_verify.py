@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_ribbon, torus_braid
-from vkbr import fixtures, ribbon, verify
+from vkbr import diagram, fixtures, ribbon, verify
 from vkbr.build import (
     NotAlternatingError,
     NotColorableError,
@@ -21,6 +21,7 @@ from vkbr.diagram import (
     format_diagram,
     is_alternating,
     jones,
+    jones_via_bracket,
     kauffman_bracket,
     parse_diagram,
     writhe,
@@ -280,6 +281,36 @@ class TestDirectEvaluation:
         assert verify_main(parse_diagram(fixtures.SAMPLE_KNOT)).equal
         assert verify_signed(d).equal
 
+    def test_jones_sums_read_no_rows(self, monkeypatch):
+        # Both Jones sides carry the polynomial through the contraction;
+        # only the brackets and the references count (alpha, loops) rows.
+        monkeypatch.setenv(CAP_ENV_VAR, "50")
+        diagrams = [parse_diagram(text) for text in fixtures.DIAGRAMS.values()]
+        diagrams.append(parse_diagram(torus_braid(3, 25)))
+        cases = []
+        for d in diagrams:
+            if not d.crossings and not d.free_loops:
+                continue
+            try:
+                g = build_signed(d)[0]
+            except NotColorableError:
+                g = None
+            w = writhe(d)
+            right = None if g is None else jones_via_rank_poly(g, w)
+            cases.append((d, w, g, jones_via_bracket(d), right))
+        assert sum(g is not None for _, _, g, _, _ in cases) >= 7
+
+        def refuse(*args):
+            raise AssertionError("a row count ran")
+
+        monkeypatch.setattr(diagram, "_frontier_rows", refuse)
+        monkeypatch.setattr(ribbon, "identity_rows", refuse)
+        monkeypatch.setattr(verify, "identity_rows", refuse)
+        for d, w, g, left, right in cases:
+            assert jones(d) == left
+            if g is not None:
+                assert jones_from_graph(g, w) == right
+
     def test_right_sides_read_no_graph_statistics(self, monkeypatch):
         # r and n split the Jones exponent only as far as r + n = e.
         diagrams = [parse_diagram(text) for text in fixtures.DIAGRAMS.values()]
@@ -344,7 +375,7 @@ class TestTorusKnots:
     def test_three_strand_torus_knots(self, q, monkeypatch):
         self.assert_closed_form(3, q, monkeypatch)
 
-    @pytest.mark.parametrize("p, q", [(4, 51), (2, 1001)])
+    @pytest.mark.parametrize("p, q", [(4, 51), (5, 41), (6, 31), (2, 1001)])
     def test_torus_knots_at_scale(self, p, q, monkeypatch):
         self.assert_closed_form(p, q, monkeypatch)
 

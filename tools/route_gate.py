@@ -2,8 +2,8 @@
 reference sweeps, on seeded random inputs of every kind; then time
 verify's graph side, evaluated at the identity's point directly, against
 the whole rank polynomial substituted afterwards; then time the Jones
-polynomial, summed at its point from the state rows, against the whole
-bracket substituted afterwards.
+polynomial, carried through the contraction at its point, against the
+whole bracket substituted afterwards.
 
 Run from the root of a checkout (the tests directory supplies the random
 ribbon graphs and the torus braids):
@@ -41,7 +41,8 @@ DIAGRAM_SIZES = (4, 8, 12, 14, 16, 20)
 GRAPH_SIZES = (4, 8, 12, 16, 20, 22)
 GRAPH_SIDE_SIZES = (12, 14, 18, 24, 30)
 TORUS_TWISTS = (25, 50)
-JONES_TORUS_KNOTS = ((2, 101), (2, 301), (2, 1001), (3, 50), (3, 100), (4, 51))
+JONES_TORUS_KNOTS = ((2, 101), (2, 301), (2, 1001), (3, 50), (3, 100), (4, 51), (5, 41),
+                     (6, 31))
 
 
 def best(fn, *args):
