@@ -40,54 +40,28 @@ def find_switch_set(d: Diagram):
     Returns a sorted tuple of crossing indices, or None when no subset
     works.  Each arc forces its end crossings' switches to agree or
     differ: they differ exactly when the arc fails to alternate, since a
-    switch swaps over and under at both passes of its crossing.  The
-    solutions form a parity constraint system; within each tied group the
-    choice with fewer switches wins, and an exact tie keeps the group's
-    lowest-indexed crossing unswitched.
+    switch swaps over and under at both passes of its crossing.  A
+    breadth-first search from the lowest crossing not yet reached gives
+    each crossing it reaches a parity relative to it, or finds a conflict.
+    Each such group switches its smaller side; a tie keeps the root as is.
     """
-    n = len(d.crossings)
-    parent = list(range(n))
-    offset = [0] * n  # parity of i relative to parent[i]
-
-    def find(i: int) -> tuple[int, int]:
-        path = []
-        while parent[i] != i:
-            path.append(i)
-            i = parent[i]
-        parity = 0
-        for j in reversed(path):  # nearest the root first
-            parity ^= offset[j]
-            parent[j] = i
-            offset[j] = parity
-        return i, parity
-
-    for p, q in enumerate(d._mate):
-        if p > q:
-            continue  # each arc once
-        want = _fails_to_alternate(d, p)  # the end crossings' switches differ
-        ri, pi = find(p >> 2)
-        rj, pj = find(q >> 2)
-        if ri == rj:
-            if pi ^ pj != want:
-                return None
-        else:
-            parent[ri] = rj
-            offset[ri] = pi ^ pj ^ want
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for i in range(n):
-        root, parity = find(i)
-        groups.setdefault(root, []).append((i, parity))
+    parity: list[int | None] = [None] * len(d.crossings)
     switches: list[int] = []
-    for members in groups.values():
-        ones = [i for i, parity in members if parity]
-        zeros = [i for i, parity in members if not parity]
-        if len(ones) != len(zeros):
-            chosen = ones if len(ones) < len(zeros) else zeros
-        else:
-            # tie: keep the group's lowest index unswitched
-            lowest = members[0][0]
-            chosen = ones if lowest in zeros else zeros
-        switches.extend(chosen)
+    for root in range(len(d.crossings)):
+        if parity[root] is not None:
+            continue
+        parity[root] = 0
+        group = [root]
+        for ci in group:  # grows as the search reaches new crossings
+            for p in range(4 * ci, 4 * ci + 4):
+                cj, want = d._mate[p] >> 2, parity[ci] ^ _fails_to_alternate(d, p)
+                if parity[cj] is None:
+                    parity[cj] = want
+                    group.append(cj)
+                elif parity[cj] != want:
+                    return None
+        odd = [ci for ci in group if parity[ci]]
+        switches += odd if 2 * len(odd) <= len(group) else [ci for ci in group if not parity[ci]]
     return tuple(sorted(switches))
 
 

@@ -5,13 +5,15 @@ ribbon modules ("-" reads standard input) and prints canonical text, or a
 JSON report with --json.  Exit codes: 0 success (and identities equal),
 1 an identity check failed, 2 malformed or unsuitable input, 3 the
 diagram cannot be made alternating where that was required, 4 an internal
-error (a one-line message, no traceback).
+error (a one-line message, no traceback), 141 standard output was closed
+before everything was written (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import fixtures
@@ -324,12 +326,20 @@ def main(argv=None) -> int:
     except Exception as exc:  # a fault of vkbr, not of the input
         print(f"error: internal: {exc!r}", file=sys.stderr)
         return 4
-    if args.json:
-        payload["command"] = args.command
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.json:
+            payload["command"] = args.command
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        if sys.stdout is not None:  # None when started with descriptor 1 closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone.  Send what is still buffered to the null
+        # device, so that the interpreter's last flush does not fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return code
 
 

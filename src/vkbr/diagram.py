@@ -167,7 +167,11 @@ def parse_diagram(text: str) -> Diagram:
                 raise DiagramError(
                     f"line {lineno}: O needs one nonnegative integer, got {line!r}"
                 )
-            free_loops += int(tokens[1])
+            try:
+                free_loops += int(tokens[1])
+            except ValueError:  # more digits than int() reads from text
+                limit = sys.get_int_max_str_digits()
+                raise DiagramError(f"line {lineno}: O count has more than {limit} digits") from None
         else:
             raise DiagramError(
                 f"line {lineno}: unknown directive {tokens[0]!r} (expected X or O)"

@@ -13,6 +13,17 @@ extension.  The canonical string form sorts terms lexicographically by
 exponent vector, descending, prints exponent 1 bare and fractional
 exponents as reduced ``^(p/q)``, e.g. ``A^3 + 3*A^2*B*d`` or
 ``-t^(-3/4)``.
+
+`parse` reads a wider text form: a sum of terms joined by ``+`` or ``-``,
+the first optionally led by ``-``, each term a ``*``-joined product of
+factors, each factor an integer in ASCII digits or a variable with an
+optional exponent ``^n``, ``^-n`` or ``^(p)``, ``^(-p)``, ``^(p/q)``,
+``^(-p/q)``, with whitespace between any two tokens.  One regular
+expression, _FACTOR, reads a factor together with the operator before it,
+and one loop multiplies the factors into terms, so ``2*A*A`` reads as
+``2*A^2`` and ``-A^(4/2)`` as ``-A^2``.  Anything else, a zero
+denominator or an exponent off the quarter lattice included, raises
+PolyError.
 """
 
 from __future__ import annotations
@@ -350,8 +361,35 @@ class LaurentPoly:
 
     @classmethod
     def parse(cls, text: str, variables) -> "LaurentPoly":
-        """Parse the canonical text form back into a polynomial."""
-        return _Parser(text, tuple(variables)).parse()
+        """Read the text form (see the module docstring) back into a
+        polynomial; PolyError on anything else."""
+        variables = tuple(variables)
+        rows: list[list] = []  # [coefficient, quarter exponents] per term
+        pos = 0
+        while not rows or pos < len(text):
+            m = _FACTOR.match(text, pos)
+            if m is None or m["join"] not in (("*", "+", "-") if rows else ("", "-")):
+                rest = text[pos:].strip()
+                raise PolyError(f"unexpected {rest[:20]!r} in polynomial" if rest
+                                else "unexpected end of polynomial")
+            if m["join"] != "*":
+                rows.append([-1 if m["join"] == "-" else 1, [0] * len(variables)])
+            row = rows[-1]
+            if m["int"]:
+                row[0] *= int(m["int"])
+            elif m["name"] not in variables:
+                raise PolyError(f"unknown variable {m['name']!r}; have {variables}")
+            elif m["den"] and not int(m["den"]):
+                raise PolyError(f"zero denominator in the exponent of {m['name']!r}")
+            else:
+                power = Fraction(int(m["sign"] + m["num"]), int(m["den"] or 1)) if m["num"] else 1
+                row[1][variables.index(m["name"])] += _quarter(power)
+            pos = m.end()
+        terms: dict[tuple[int, ...], int] = {}
+        for coeff, exps in rows:
+            key = tuple(exps)
+            terms[key] = terms.get(key, 0) + coeff
+        return cls._make(variables, terms)
 
 
 def _format_exponent(q: int) -> str:
@@ -362,119 +400,21 @@ def _format_exponent(q: int) -> str:
     return f"^({f.numerator}/{f.denominator})"
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/]))")
-
-
-class _Parser:
-    """Recursive-descent parser for the canonical polynomial syntax."""
-
-    def __init__(self, text: str, variables: tuple[str, ...]):
-        self.text = text
-        self.variables = variables
-        self.tokens: list[tuple[str, str]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise PolyError(
-                        f"unexpected character {text[pos:].strip()[0]!r} in polynomial"
-                    )
-                break
-            pos = m.end()
-            for kind in ("int", "name", "op"):
-                if m.group(kind) is not None:
-                    self.tokens.append((kind, m.group(kind)))
-                    break
-        self.pos = 0
-
-    def _peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _next(self) -> tuple[str, str]:
-        tok = self._peek()
-        if tok is None:
-            raise PolyError("unexpected end of polynomial")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> LaurentPoly:
-        result = LaurentPoly.zero(self.variables)
-        sign = 1
-        tok = self._peek()
-        if tok == ("op", "-"):
-            self._next()
-            sign = -1
-        result = result + self._term(sign)
-        while (tok := self._peek()) is not None:
-            if tok == ("op", "+"):
-                sign = 1
-            elif tok == ("op", "-"):
-                sign = -1
-            else:
-                raise PolyError(f"expected + or - before {tok[1]!r}")
-            self._next()
-            result = result + self._term(sign)
-        return result
-
-    def _term(self, sign: int) -> LaurentPoly:
-        coeff = sign
-        exps = [0] * len(self.variables)
-        while True:
-            kind, value = self._next()
-            if kind == "int":
-                coeff *= int(value)
-            elif kind == "name":
-                if value not in self.variables:
-                    raise PolyError(
-                        f"unknown variable {value!r}; have {self.variables}"
-                    )
-                q = 4
-                if self._peek() == ("op", "^"):
-                    self._next()
-                    q = self._exponent()
-                exps[self.variables.index(value)] += q
-            else:
-                raise PolyError(f"unexpected {value!r} in term")
-            if self._peek() == ("op", "*"):
-                self._next()
-                continue
-            break
-        return LaurentPoly(self.variables, {tuple(exps): coeff})
-
-    def _exponent(self) -> int:
-        """Parse an exponent, returning quarter-units."""
-        tok = self._next()
-        if tok == ("op", "("):
-            value = self._signed_rational()
-            if self._next() != ("op", ")"):
-                raise PolyError("missing ) in exponent")
-            return _quarter(value)
-        if tok == ("op", "-"):
-            kind, digits = self._next()
-            if kind != "int":
-                raise PolyError("expected digits after ^-")
-            return _quarter(-int(digits))
-        if tok[0] == "int":
-            return _quarter(int(tok[1]))
-        raise PolyError(f"bad exponent near {tok[1]!r}")
-
-    def _signed_rational(self) -> Fraction:
-        sign = 1
-        tok = self._next()
-        if tok == ("op", "-"):
-            sign = -1
-            tok = self._next()
-        if tok[0] != "int":
-            raise PolyError("expected digits in exponent")
-        numerator = sign * int(tok[1])
-        if self._peek() == ("op", "/"):
-            self._next()
-            kind, digits = self._next()
-            if kind != "int":
-                raise PolyError("expected digits after / in exponent")
-            return Fraction(numerator, int(digits))
-        return Fraction(numerator)
+# One factor of a term, with the operator that joins it to the text
+# before it: "" or "-" before the first factor, "*" within a term, "+" or
+# "-" between terms.  Whitespace may stand between any two tokens.
+_FACTOR = re.compile(
+    r"""\s* (?P<join> [-+*]? ) \s*
+    (?:
+        (?P<int> [0-9]+ )                        # an integer, in ASCII digits
+      | (?P<name> [A-Za-z_][A-Za-z0-9_]* )       # a variable, with an optional
+        (?: \s* \^ \s* (?P<paren> \( \s* )?       # exponent ^n, ^-n, ^(n),
+            (?P<sign> -? ) \s* (?P<num> [0-9]+ )  # ^(-n) or ^(p/q), ^(-p/q)
+            (?(paren) \s* (?: / \s* (?P<den> [0-9]+ ) \s* )? \) )
+        )?
+    ) \s*""",
+    re.VERBOSE,
+)
 
 
 def parse_poly(text: str, variables) -> LaurentPoly:

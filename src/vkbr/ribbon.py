@@ -442,11 +442,6 @@ def signed_br_poly(g: RibbonGraph) -> LaurentPoly:
 
 def tutte_via_br(g: RibbonGraph) -> LaurentPoly:
     """The Tutte polynomial of the underlying graph, via R_G(x-1, y-1, 1)."""
-    return br_poly(g).substitute(
-        {
-            "x": LaurentPoly.parse("x - 1", TUTTE_VARS),
-            "y": LaurentPoly.parse("y - 1", TUTTE_VARS),
-            "z": LaurentPoly.one(TUTTE_VARS),
-        },
-        TUTTE_VARS,
-    )
+    x, y = (LaurentPoly.variable(TUTTE_VARS, name) for name in TUTTE_VARS)
+    one = LaurentPoly.one(TUTTE_VARS)
+    return br_poly(g).substitute({"x": x - 1, "y": y - 1, "z": one}, TUTTE_VARS)

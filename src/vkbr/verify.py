@@ -164,13 +164,8 @@ def jones_via_tutte(g: RibbonGraph, w: int) -> LaurentPoly:
         raise ValueError("the Tutte route needs a genus-0 ribbon graph")
     if g.negative_mask():
         raise ValueError("the Tutte route needs all edge signs positive")
-    value = tutte_via_br(g).substitute(
-        {
-            "x": LaurentPoly.parse("-t", JONES_VARS),
-            "y": LaurentPoly.parse("-t^-1", JONES_VARS),
-        },
-        JONES_VARS,
-    )
+    t = LaurentPoly.variable(JONES_VARS, "t")
+    value = tutte_via_br(g).substitute({"x": -t, "y": -t ** -1}, JONES_VARS)
     return _jones_prefactor(w, stats) * BIG_D ** (stats["k"] - 1) * value
 
 

@@ -497,6 +497,35 @@ class TestInstalledEntryPoint:
         assert json.loads(proc.stdout)["command"] == "bracket"
 
 
+def test_closed_stdout_exits_141_without_a_traceback():
+    """A reader that stops after one line of a long graph ends the run
+    with 128 + SIGPIPE, as a shell reports it, and nothing on stderr."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "vkbr.cli", "build-signed", "-"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    ) as proc:
+        proc.stdin.write(b"O 200000\n")
+        proc.stdin.close()
+        assert proc.stdout.readline() == b"V v0 :\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        assert (code, proc.stderr.read()) == (141, b"")
+
+
+def test_no_stdout_at_all_is_not_an_error():
+    """Started with descriptor 1 closed, Python has no sys.stdout, print
+    writes nothing, and the run succeeds."""
+    proc = subprocess.run(
+        ["/bin/sh", "-c", '"$0" -m vkbr.cli random -n 3 --seed 1 >&-', sys.executable],
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def imported_modules(argv, stdin=""):
     """(exit code, names of the modules imported) of one ``python -X
     importtime -m vkbr.cli`` run of this tree."""

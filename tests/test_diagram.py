@@ -121,6 +121,16 @@ class TestParsing:
         with pytest.raises(DiagramError, match=fragment):
             parse_diagram(text)
 
+    def test_free_loop_count_past_the_digit_limit_names_its_line(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert parse_diagram("O 1" + "0" * 4299 + "\n").free_loops == 10**4299
+            with pytest.raises(DiagramError, match="^line 2: O count has more than 4300 digits$"):
+                parse_diagram("X a b b a o=1\nO 1" + "0" * 4300 + "\n")
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_triple_use_names_offending_line(self):
         text = "X a b b a o=1\nX a c c a o=1\n"
         with pytest.raises(DiagramError, match="line 2"):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vkbr.laurent import LaurentPoly, PolyError, parse_poly
 
@@ -35,6 +37,19 @@ def fraction_exponent(q):
     if f.denominator == 1:
         return f"^{f.numerator}"
     return f"^({f.numerator}/{f.denominator})"
+
+
+def exponent_spellings(q):
+    """The tokens after a variable that spell the quarter-unit exponent q:
+    ^n or ^-n, ^(n) or ^(-n), an unreduced ^(p/q), and nothing for 1."""
+    f = Fraction(q, 4)
+    sign = ["-"] if f < 0 else []
+    p, d = abs(f.numerator), f.denominator
+    unreduced = st.integers(1, 3).map(lambda k: ["^", "(", *sign, str(p * k), "/", str(d * k), ")"])
+    if d != 1:
+        return unreduced
+    plain = [["^", *sign, str(p)], ["^", "(", *sign, str(p), ")"]] + ([[]] if f == 1 else [])
+    return st.one_of(st.sampled_from(plain), unreduced)
 
 
 def random_poly(rng, variables, nterms=6, span=4):
@@ -151,6 +166,38 @@ class TestParse:
         for bad in ("A +", "A ^", "A^(1/3)", "Q", "A A", "2 **", "A^(1/2/3)"):
             with pytest.raises(PolyError):
                 parse_poly(bad, ABD)
+        # A zero denominator, and a digit outside ASCII (Arabic-Indic three).
+        for bad in ("A^(1/0)", "t^( 3 / 0 )", "\u0663*A"):
+            with pytest.raises(PolyError):
+                parse_poly(bad, ABD + T)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_parse_reads_every_spelling(self, data):
+        """A polynomial built by arithmetic, spelled with random whitespace,
+        shuffled factors, coefficients split into integer factors, repeated
+        variables and every exponent form, reads back as itself."""
+        variables = ABD + T
+        expected = LaurentPoly.zero(variables)
+        tokens = []
+        for i in range(data.draw(st.integers(1, 4))):
+            negative = data.draw(st.booleans())
+            term = LaurentPoly.constant(variables, -1 if negative else 1)
+            factors = []
+            for n in data.draw(st.lists(st.integers(0, 12), max_size=2)):
+                term = term * n
+                factors.append([str(n)])
+            powers = st.tuples(st.sampled_from(variables), st.integers(-12, 12))
+            for name, q in data.draw(st.lists(powers, max_size=4)):
+                term = term * LaurentPoly.monomial(variables, 1, {name: Fraction(q, 4)})
+                factors.append([name, *data.draw(exponent_spellings(q))])
+            expected = expected + term
+            tokens += ["-"] if negative else ["+"] if i else []
+            for j, factor in enumerate(data.draw(st.permutations(factors or [["1"]]))):
+                tokens += (["*"] if j else []) + factor
+        gap = st.sampled_from(["", "", " ", "\t", " \t "])
+        text = data.draw(gap) + "".join(token + data.draw(gap) for token in tokens)
+        assert parse_poly(text, variables) == expected
 
 
 class TestArithmetic:
