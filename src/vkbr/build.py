@@ -66,26 +66,24 @@ def find_switch_set(d: Diagram):
 
 
 def _trace_rotations(d: Diagram):
-    """Vertex rotations of the all-B state curves as (crossing, end) lists.
+    """Vertex rotations of the all-B state curves, as lists of the port
+    ids the curves leave by.
 
-    End "a" is the {1,2} connector, end "b" the {3,0} one.  The curve
-    leaves end "a" at port 1 and end "b" at port 3; on an alternating
-    diagram the arc from there enters port 2, the next "a", or port 0,
-    the next "b".
+    A curve leaves the {1,2} connector at port 1 and the {3,0} one at
+    port 3; ports 1 then 3 of each crossing in order start the curves
+    not yet traced.  On an alternating diagram the arc from there enters
+    port 2 or port 0 of the next connector, which the curve leaves at
+    that port ^ 3.
     """
     rotations = []
-    seen: set[tuple[int, str]] = set()
-    for start_ci in range(len(d.crossings)):
-        for start_end in "ab":
-            if (start_ci, start_end) in seen:
-                continue
-            curve: list[tuple[int, str]] = []
-            ci, end = start_ci, start_end
-            while (ci, end) not in seen:
-                seen.add((ci, end))
-                curve.append((ci, end))
-                q = d._mate[4 * ci + (1 if end == "a" else 3)]
-                ci, end = q >> 2, "a" if q & 3 == 2 else "b"
+    seen: set[int] = set()
+    for start in range(1, len(d._mate), 2):
+        curve, p = [], start
+        while p not in seen:
+            seen.add(p)
+            curve.append(p)
+            p = d._mate[p] ^ 3
+        if curve:
             rotations.append(curve)
     return rotations
 
@@ -125,7 +123,7 @@ def _build(d: Diagram, negative: frozenset) -> RibbonGraph:
         )
     rotations = _trace_rotations(d)
     vertices = [
-        (f"v{vi}", tuple(f"e{ci}{end}" for ci, end in curve))
+        (f"v{vi}", tuple(f"e{p >> 2}{'a' if p & 3 == 1 else 'b'}" for p in curve))
         for vi, curve in enumerate(rotations)
     ]
     for extra in range(d.free_loops):

@@ -48,7 +48,6 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import ceil, log10
 
 from ._kernels import frontier_histogram, histogram, state_delta_sweep
@@ -59,7 +58,7 @@ BRACKET_VARS = ("A", "B", "d")
 JONES_VARS = ("t",)
 # D = -t^(1/2) - t^(-1/2), the value of the loop variable d at the Jones point.
 _D_QUARTERS = {2: -1, -2: -1}  # by quarter exponent of t
-BIG_D = LaurentPoly(JONES_VARS, {(q,): c for q, c in _D_QUARTERS.items()})
+BIG_D = LaurentPoly._make(JONES_VARS, {(q,): c for q, c in _D_QUARTERS.items()})
 
 _LABEL = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -390,7 +389,7 @@ def _bracket_sum(n: int, rows, isolated: int = 0) -> LaurentPoly:
     of its ribbon graph as identity_rows counts them.  `isolated` counts
     the loops no site touches, a diagram's free loops (identity_rows adds
     the dart-less vertices itself)."""
-    return LaurentPoly(BRACKET_VARS, {
+    return LaurentPoly._make(BRACKET_VARS, {
         (4 * alpha, 4 * (n - alpha), 4 * (loops + isolated - 1)): count
         for (alpha, loops), count in rows
     })
@@ -455,20 +454,20 @@ def _jones_contraction(mate, site_shift, base, isolated, w) -> LaurentPoly:
 
 
 def jones_via_bracket(d: Diagram) -> LaurentPoly:
-    """jones by way of the whole bracket: kauffman_bracket(d) substituted
-    at A = t^(-1/4), B = t^(1/4), d = D, times (-1)^w t^(3w/4).  The
-    reference the direct evaluation is checked against."""
+    """jones by way of the whole bracket: kauffman_bracket(d) read at the
+    Jones point by at_jones_point.  The reference the direct evaluation
+    is checked against."""
     _check_jones(d)
-    value = kauffman_bracket(d).substitute(
-        {
-            "A": LaurentPoly.monomial(JONES_VARS, 1, t=Fraction(-1, 4)),
-            "B": LaurentPoly.monomial(JONES_VARS, 1, t=Fraction(1, 4)),
-            "d": BIG_D,
-        },
-        JONES_VARS,
-    )
-    w = writhe(d)
-    return LaurentPoly(JONES_VARS, {(3 * w,): -1 if w % 2 else 1}) * value
+    return at_jones_point(kauffman_bracket(d), writhe(d))
+
+
+def at_jones_point(bracket: LaurentPoly, w: int) -> LaurentPoly:
+    """A bracket in A, B, d at A = t^(-1/4), B = t^(1/4), d = D, times
+    (-1)^w t^(3w/4): the Jones polynomial of a diagram with that bracket
+    and writhe w, as the reference routes read it."""
+    a, b = (LaurentPoly._make(JONES_VARS, {(q,): 1}) for q in (-1, 1))
+    value = bracket.substitute({"A": a, "B": b, "d": BIG_D}, JONES_VARS)
+    return LaurentPoly._make(JONES_VARS, {(3 * w,): -1 if w % 2 else 1}) * value
 
 
 def _check_jones(d: Diagram) -> None:

@@ -22,13 +22,15 @@ optional exponent ``^n``, ``^-n`` or ``^(p)``, ``^(-p)``, ``^(p/q)``,
 expression, _FACTOR, reads a factor together with the operator before it,
 and one loop multiplies the factors into terms, so ``2*A*A`` reads as
 ``2*A^2`` and ``-A^(4/2)`` as ``-A^2``.  Anything else, a zero
-denominator or an exponent off the quarter lattice included, raises
+denominator, an exponent off the quarter lattice or a number with more
+digits than Python reads (sys.get_int_max_str_digits) included, raises
 PolyError.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from operator import add
 from typing import Mapping
@@ -215,50 +217,37 @@ class LaurentPoly:
     def __pow__(self, power: int) -> "LaurentPoly":
         if not isinstance(power, int):
             raise PolyError("use substitute() for fractional powers")
-        if power < 0:
-            return self._fractional_power(Fraction(power))
-        result = None
-        base = self
-        while power:
-            if power & 1:
-                result = base if result is None else result * base
-            power >>= 1
-            if power:
-                base = base * base
-        return LaurentPoly.one(self.variables) if result is None else result
+        return self._fractional_power(Fraction(power))
 
     def _fractional_power(self, power: Fraction) -> "LaurentPoly":
-        """self**power for a single-term self; power may be any quarter rational.
+        """self**power; power may be any quarter rational.
 
-        Negative and fractional powers only make sense for monomials whose
-        coefficient power stays an integer, e.g. coefficient 1 with any
-        power, or -1 with an integer power.
+        A nonnegative integer power of a polynomial that is not a single
+        term is taken by repeated squaring.  Every other power only makes
+        sense for a single term whose coefficient power stays an integer,
+        e.g. coefficient 1 with any power, or -1 with an integer power.
         """
         if len(self._terms) != 1:
-            if power.denominator == 1 and power >= 0:
-                return self ** int(power)
-            raise PolyError(
-                f"power {power} of a {len(self._terms)}-term polynomial is not "
-                "a Laurent polynomial"
-            )
+            if power.denominator != 1 or power < 0:
+                raise PolyError(f"power {power} of a {len(self._terms)}-term polynomial "
+                                "is not a Laurent polynomial")
+            result, base, m = None, self, int(power)
+            while m:
+                if m & 1:
+                    result = base if result is None else result * base
+                m >>= 1
+                if m:
+                    base = base * base
+            return LaurentPoly.one(self.variables) if result is None else result
         (exps, coeff), = self._terms.items()
-        if power.denominator == 1 and power >= 0:
-            new_coeff = coeff ** int(power)
-        elif coeff == 1:
-            new_coeff = 1
-        elif coeff == -1 and power.denominator == 1:
-            new_coeff = -1 if int(power) % 2 else 1
-        else:
+        if power.denominator != 1 and coeff != 1 or power < 0 and coeff not in (1, -1):
             raise PolyError(f"coefficient {coeff} has no integer power {power}")
-        new_exps = []
-        for q in exps:
-            scaled = power * q
-            if scaled.denominator != 1:
-                raise PolyError(
-                    f"power {power} leaves the quarter-integer exponent lattice"
-                )
-            new_exps.append(int(scaled))
-        return LaurentPoly._make(self.variables, {tuple(new_exps): new_coeff})
+        new_exps = [power * q for q in exps]
+        if any(e.denominator != 1 for e in new_exps):
+            raise PolyError(f"power {power} leaves the quarter-integer exponent lattice")
+        # only +-1 get here with a power not a natural number: (+-1)^p = (+-1)^|p|
+        new_coeff = coeff ** abs(int(power))
+        return LaurentPoly._make(self.variables, {tuple(map(int, new_exps)): new_coeff})
 
     # -- substitution -------------------------------------------------
 
@@ -283,28 +272,30 @@ class LaurentPoly:
         for name in self.variables:
             if name not in assignments:
                 raise PolyError(f"no assignment for variable {name!r}")
-        values = {}
         for name, value in assignments.items():
             if value.variables != variables:
                 raise PolyError(
                     f"assignment for {name!r} is over {value.variables}, "
                     f"expected {variables}"
                 )
-            values[name] = value
-        # Single-term replacements fold into each term's monomial.  The
-        # terms are then grouped by their powers of the other replacements,
-        # taken in increasing order, so each group costs one product per
-        # power it carries, and each such power is computed once, from the
-        # power one below when that is known.
+        # Single-term replacements fold into each term's monomial, each
+        # power computed once.  The terms are then grouped by their powers
+        # of the other replacements, so each group costs one product per
+        # power it carries.  A multi-term replacement's positive integer
+        # powers are built in a ladder, each from the power one below.
         powers: dict[tuple[str, int], LaurentPoly] = {}
+        ladders: dict[str, list[LaurentPoly]] = {}
 
         def power(name: str, q: int) -> "LaurentPoly":
             if (name, q) not in powers:
-                value = values[name]
-                below = powers.get((name, q - 4)) if len(value._terms) > 1 else None
-                powers[name, q] = (
-                    value._fractional_power(Fraction(q, 4)) if below is None else below * value
-                )
+                value = assignments[name]
+                if len(value._terms) > 1 and q > 0 and not q % 4:
+                    ladder = ladders.setdefault(name, [value])  # ladder[i] is value**(i + 1)
+                    while len(ladder) < q >> 2:
+                        ladder.append(ladder[-1] * value)
+                    powers[name, q] = ladder[(q >> 2) - 1]
+                else:
+                    powers[name, q] = value._fractional_power(Fraction(q, 4))
             return powers[name, q]
 
         groups: dict[tuple[tuple[str, int], ...], dict[tuple[int, ...], int]] = {}
@@ -314,7 +305,7 @@ class LaurentPoly:
             for name, q in zip(self.variables, exps):
                 if not q:
                     continue
-                if len(values[name]._terms) == 1:
+                if len(assignments[name]._terms) == 1:
                     ((m_exps, m_coeff),) = power(name, q)._terms.items()
                     mono = tuple(map(add, mono, m_exps))
                     coeff *= m_coeff
@@ -323,7 +314,7 @@ class LaurentPoly:
             group = groups.setdefault(tuple(rest), {})
             group[mono] = group.get(mono, 0) + coeff
         result: dict[tuple[int, ...], int] = {}
-        for rest, terms in sorted(groups.items()):
+        for rest, terms in groups.items():
             part = LaurentPoly._make(variables, terms)
             for name, q in rest:
                 part = part * power(name, q)
@@ -375,6 +366,9 @@ class LaurentPoly:
             if m["join"] != "*":
                 rows.append([-1 if m["join"] == "-" else 1, [0] * len(variables)])
             row = rows[-1]
+            limit = sys.get_int_max_str_digits()
+            if limit and max(len(n or "") for n in m.group("int", "num", "den")) > limit:
+                raise PolyError(f"a number has more than {limit} digits")
             if m["int"]:
                 row[0] *= int(m["int"])
             elif m["name"] not in variables:

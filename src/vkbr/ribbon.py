@@ -432,7 +432,7 @@ def _rank_poly(g: RibbonGraph, rows, neg: int) -> LaurentPoly:
         s_quarter = 2 * (2 * eneg - e_neg_total)
         exps = (4 * (k - k_g) + s_quarter, 4 * n_f - s_quarter, 4 * (k - bc + n_f))
         terms[exps] = terms.get(exps, 0) + count
-    return LaurentPoly(BR_VARS, terms)
+    return LaurentPoly._make(BR_VARS, terms)
 
 
 def signed_br_poly(g: RibbonGraph) -> LaurentPoly:

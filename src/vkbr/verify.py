@@ -28,25 +28,29 @@ frontier contraction, diagram._jones_contraction, which carries each
 key's polynomial in t^(1/4) and multiplies it by D for each loop a
 join closes; neither side substitutes or divides.
 
-bracket_via_rank_poly and jones_via_rank_poly keep the assembly through
-the whole rank polynomial, substituted term by term, as the reference
-the direct evaluation is checked against; diagram.jones_via_bracket does
-the same for the left side.
+bracket_via_rank_poly keeps the assembly through the whole rank
+polynomial, substituted term by term, as the reference the direct
+evaluation is checked against; jones_via_rank_poly reads the Jones point
+off it through diagram.at_jones_point, as diagram.jones_via_bracket does
+off the whole bracket on the left side.
+
+Before the sums are compared, _verify checks that the graph's site table
+is the diagram's port table relabelled; a mismatch is a builder fault
+and raises RuntimeError (exit 4 on the command line, never 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .build import build_ribbon, build_signed
 from .diagram import (
-    BIG_D,
     BRACKET_VARS,
     JONES_VARS,
     Diagram,
     _bracket_sum,
     _jones_contraction,
+    at_jones_point,
     jones,
     kauffman_bracket,
     writhe,
@@ -113,13 +117,6 @@ def bracket_via_rank_poly(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
     return prefactor * assembled
 
 
-def _jones_prefactor(w: int, stats: dict[str, int]) -> LaurentPoly:
-    """(-1)^w t^((3w-r+n)/4), shared by the graph-side Jones references."""
-    return LaurentPoly.monomial(
-        JONES_VARS, -1 if w % 2 else 1, t=Fraction(3 * w - stats["r"] + stats["n"], 4)
-    )
-
-
 def jones_from_graph(g: RibbonGraph, w: int, isolated: int = 0) -> LaurentPoly:
     """The right side of the Jones identity for a signed ribbon graph and
     writhe, evaluated at its point directly: the sum over F of
@@ -137,19 +134,13 @@ def jones_from_graph(g: RibbonGraph, w: int, isolated: int = 0) -> LaurentPoly:
 
 
 def jones_via_rank_poly(g: RibbonGraph, w: int) -> LaurentPoly:
-    """jones_from_graph by way of the whole signed rank polynomial: a term
-    x^a y^b z^c contributes t^((a-b)/2) D^(a+b-c+k-1), whose D exponent
-    is bc(F) - 1.  The terms are grouped by their power of D and the
-    groups summed by LaurentPoly products.  The reference the direct
-    evaluation is checked against."""
+    """jones_from_graph by way of the whole signed rank polynomial:
+    bracket_via_rank_poly read at the Jones point by
+    diagram.at_jones_point.  The reference the direct evaluation is
+    checked against."""
     if not g.vertices:
         raise ValueError("a graph with no vertices has no Jones polynomial")
-    stats = graph_stats(g)
-    groups: dict[int, LaurentPoly] = {}
-    for (a, b, c), coeff in br_poly(g, signed=True).terms():
-        p = int(a + b - c + stats["k"] - 1)
-        groups[p] = groups.get(p, 0) + LaurentPoly.monomial(JONES_VARS, coeff, t=(a - b) / 2)
-    return _jones_prefactor(w, stats) * sum(BIG_D ** p * group for p, group in groups.items())
+    return at_jones_point(bracket_via_rank_poly(g, True), w)
 
 
 def jones_via_tutte(g: RibbonGraph, w: int) -> LaurentPoly:
@@ -157,7 +148,8 @@ def jones_via_tutte(g: RibbonGraph, w: int) -> LaurentPoly:
 
     Only sound for genus-0 graphs with all edges positive, where the rank
     polynomial carries no z and no sign shifts; evaluates the Tutte
-    polynomial at (-t, -t^-1).
+    polynomial at (-t, -t^-1), times A^r B^n d^(k-1) read at the Jones
+    point by diagram.at_jones_point.
     """
     stats = graph_stats(g)
     if stats["genus"] != 0:
@@ -166,7 +158,22 @@ def jones_via_tutte(g: RibbonGraph, w: int) -> LaurentPoly:
         raise ValueError("the Tutte route needs all edge signs positive")
     t = LaurentPoly.variable(JONES_VARS, "t")
     value = tutte_via_br(g).substitute({"x": -t, "y": -t ** -1}, JONES_VARS)
-    return _jones_prefactor(w, stats) * BIG_D ** (stats["k"] - 1) * value
+    outside = LaurentPoly.monomial(BRACKET_VARS, 1, A=stats["r"], B=stats["n"], d=stats["k"] - 1)
+    return at_jones_point(outside, w) * value
+
+
+def _check_bijection(d: Diagram, g: RibbonGraph, switches) -> None:
+    """The state-subgraph bijection, checked in O(n): port p of crossing c
+    must be port 4c + (((p - k) mod 4) ^ 2) of edge c in g's site table, k
+    being c's over_in if c was switched to build g and 0 otherwise.  A
+    mismatch is a builder fault, not a failed identity."""
+    shift = {c: d.crossings[c].over_in for c in switches}
+    relabel = [(i & ~3) + (((i - shift.get(i >> 2, 0)) & 3) ^ 2) for i in range(len(d._mate))]
+    arc_mate = g._sites[0]
+    for i, j in enumerate(d._mate):
+        if len(arc_mate) != len(relabel) or arc_mate[relabel[i]] != relabel[j]:
+            raise RuntimeError(f"bijection check failed at edge {i >> 2}: the graph's "
+                               "site table is not the diagram's port table relabelled")
 
 
 def _verify(d: Diagram, mode: str, switches=None) -> VerifyReport:
@@ -184,6 +191,7 @@ def _verify(d: Diagram, mode: str, switches=None) -> VerifyReport:
         g, used = build_ribbon(crossings), ()
     else:
         g, used = build_signed(crossings, switches)
+    _check_bijection(crossings, g, used)
     stats = graph_stats(g)
     stats.update(v=stats["v"] + loops, k=stats["k"] + loops, bc=stats["bc"] + loops)
     if mode == "jones":

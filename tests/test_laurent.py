@@ -1,6 +1,7 @@
 """Tests for the exact Laurent polynomial engine."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from vkbr.laurent import LaurentPoly, PolyError, parse_poly
 
 ABD = ("A", "B", "d")
 T = ("t",)
+TU = ("t", "u")
 
 
 def mono(coeff=1, **exps):
@@ -171,6 +173,25 @@ class TestParse:
             with pytest.raises(PolyError):
                 parse_poly(bad, ABD + T)
 
+    def test_overlong_numbers_raise_poly_error(self):
+        """A coefficient, exponent, numerator or denominator with more
+        digits than Python converts from text raises PolyError naming the
+        limit, not a bare ValueError; one of exactly the limit parses."""
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            long = "1" * 4301
+            for text in (long + "*A", "A^" + long, "A^(-" + long + "/4)", "A^(4/" + long + ")",
+                         "A + 2*B^(" + long + ")"):
+                with pytest.raises(PolyError, match="more than 4300 digits"):
+                    parse_poly(text, ABD)
+            assert parse_poly("9" * 4300 + "*A", ABD) == mono(int("9" * 4300), A=1)
+            assert parse_poly("A^" + "0" * 4299 + "3", ABD) == mono(A=3)
+            zeros = "0" * 4299
+            assert parse_poly(f"B^(-{zeros}8/{zeros}4)", ABD) == mono(B=-2)
+        finally:
+            sys.set_int_max_str_digits(old)
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_parse_reads_every_spelling(self, data):
@@ -240,6 +261,60 @@ class TestArithmetic:
         p = LaurentPoly.one(T) + LaurentPoly.variable(T, "t")
         with pytest.raises(PolyError):
             p**-1
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.dictionaries(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+                        st.integers(-5, 5).filter(bool), min_size=1, max_size=4),
+        st.integers(0, 8),
+    )
+    def test_pow_is_the_repeated_product(self, terms, m):
+        # exponents in quarter-units, so off the integers too
+        p = LaurentPoly(TU, terms)
+        product = LaurentPoly.one(TU)
+        for _ in range(m):
+            product = product * p
+        assert p**m == product
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), st.sampled_from([1, -1]),
+           st.integers(0, 8))
+    def test_unit_terms_have_inverse_powers(self, exps, coeff, m):
+        p = LaurentPoly(TU, {exps: coeff})
+        assert p**-m * p**m == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-8, 8),
+           st.integers(-8, 8))
+    def test_quarter_powers_compose(self, exps, i, j):
+        # integer exponents, so every quarter power stays on the lattice
+        p = LaurentPoly(TU, {(4 * exps[0], 4 * exps[1]): 1})
+        root = p._fractional_power(Fraction(i, 4))
+        assert root * p._fractional_power(Fraction(j, 4)) == p._fractional_power(Fraction(i + j, 4))
+        assert root**j == p._fractional_power(Fraction(i * j, 4))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.dictionaries(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+                        st.integers(-5, 5).filter(bool), min_size=2, max_size=4),
+        st.integers(1, 8),
+        st.integers(1, 31).filter(lambda q: q % 4),
+    )
+    def test_powers_that_are_not_laurent_polynomials_raise(self, terms, m, q):
+        p = LaurentPoly(TU, terms)
+        with pytest.raises(PolyError):
+            p**-m
+        for power in (Fraction(q, 4), Fraction(-q, 4)):
+            with pytest.raises(PolyError):
+                p._fractional_power(power)
+        off_lattice = LaurentPoly(TU, {(q, 0): 1})  # t^(q/4), q not a multiple of 4
+        with pytest.raises(PolyError):
+            off_lattice._fractional_power(Fraction(1, 4))
+        with pytest.raises(PolyError):
+            LaurentPoly(TU, {(4, 0): -1})._fractional_power(Fraction(q, 4))
+        with pytest.raises(PolyError):
+            LaurentPoly(TU, {(4, 0): 2})**-m
 
 
 class TestSubstitution:
@@ -337,6 +412,30 @@ class TestSubstitution:
             T,
         )
         assert len(calls) == len(set(calls))
+
+    def test_each_power_of_a_sum_is_built_from_the_one_below(self, monkeypatch):
+        """Substituting D = -t^(1/2) - t^(-1/2) for d in the sum of d^k,
+        k = 0..200, takes at most two products per distinct power of D:
+        one to build it from the power below, one to apply it.  Repeated
+        squaring for each power would take about 2000."""
+        p = LaurentPoly(("d",), {(4 * k,): 1 for k in range(201)})
+        big_d = parse_poly("-t^(1/2) - t^(-1/2)", T)
+        calls = []
+        original = LaurentPoly.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+        value = p.substitute({"d": big_d}, T)
+        monkeypatch.undo()
+        assert len(calls) <= 2 * 200
+        expected, power = LaurentPoly.one(T), LaurentPoly.one(T)
+        for _ in range(200):
+            power = power * big_d
+            expected = expected + power
+        assert value == expected
 
     def test_substitution_values_compose_to_one(self):
         # The three bracket-side substitution monomials satisfy x*y*z^2 = 1.

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_ribbon, torus_braid
-from vkbr import diagram, fixtures, ribbon, verify
+from vkbr import build, diagram, fixtures, randgen, ribbon, verify
 from vkbr.build import (
     NotAlternatingError,
     NotColorableError,
@@ -26,6 +26,7 @@ from vkbr.diagram import (
     parse_diagram,
     writhe,
 )
+from vkbr.cli import main
 from vkbr.laurent import LaurentPoly
 from vkbr.limits import CAP_ENV_VAR
 from vkbr.randgen import KINDS, random_diagram
@@ -405,6 +406,45 @@ class TestReportShape:
         g = parse_ribbon(fixtures.SAMPLE_RIBBON)
         assert bracket_from_graph(g).variables == ("A", "B", "d")
         assert jones_from_graph(g, 1).variables == ("t",)
+
+
+class TestBijectionCheck:
+    """verify checks the graph's site table against the diagram's port
+    table before it compares the sums, so that a builder fault exits 4,
+    never 1 (identity failed) nor 0."""
+
+    @pytest.mark.parametrize("mode", ["--main", "--signed", "--jones"])
+    def test_builder_fault_exits_4(self, mode, monkeypatch, tmp_path, capsys):
+        trace = build._trace_rotations
+
+        def reversed_first(d):
+            rotations = trace(d)
+            rotations[0] = rotations[0][::-1]
+            return rotations
+
+        monkeypatch.setattr(build, "_trace_rotations", reversed_first)
+        path = tmp_path / "trefoil.txt"
+        path.write_text(fixtures.TREFOIL)
+        assert main(["verify", mode, str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bijection check failed at edge" in captured.err
+
+    def test_holds_on_random_diagrams(self, monkeypatch):
+        # randgen's "colorable" sampler past its cap for n = 14, 30, 60
+        monkeypatch.setattr(randgen, "MAX_RANDOM_CROSSINGS", 60)
+        cases = [(kind, n) for kind in ("alternating", "colorable") for n in range(13)]
+        cases += [("colorable", n) for n in (14, 30, 60)]
+        checked = 0
+        for kind, n in cases:
+            for seed in range(10):
+                d = randgen.random_diagram(n, seed, kind)
+                if kind == "alternating":
+                    verify._check_bijection(d, build_ribbon(d), ())
+                else:
+                    verify._check_bijection(d, *build_signed(d))
+                checked += 1
+        assert checked == 290
 
 
 class TestFreeLoops:
