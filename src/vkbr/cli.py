@@ -59,53 +59,51 @@ from .verify import (
 # DiagramError, RibbonError, PolyError, SizeLimitError and
 # NotAlternatingError are all ValueErrors.
 _INPUT_ERRORS = (ValueError, OSError)
-_VERIFY = {"main": verify_main, "signed": verify_signed, "jones": verify_jones}
+# verify mode -> (check, help text of its flag); "main" is the default.
+_VERIFY = {
+    "main": (verify_main, "unsigned bracket identity (default)"),
+    "signed": (verify_signed, "signed bracket identity"),
+    "jones": (verify_jones, "Jones assembly identity"),
+}
 
 
-def _read(path: str) -> str:
+def _load(kind: str, path: str):
+    """The diagram or ribbon graph, as kind says, in the file at path, "-"
+    for stdin.
+
+    The parsers are looked up when called, so that a wrapper installed
+    on this module's globals sees every call."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    return parse_diagram(text) if kind == "diagram" else parse_ribbon(text)
 
 
-def _diagram(path: str):
-    return parse_diagram(_read(path))
-
-
-def _ribbon(path: str):
-    return parse_ribbon(_read(path))
-
-
-def _cmd_bracket(args):
-    poly = kauffman_bracket(_diagram(args.file))
+def _cmd_bracket(args, d):
+    poly = kauffman_bracket(d)
     return 0, {"bracket": str(poly)}, [str(poly)]
 
 
-def _cmd_jones(args):
-    poly = jones(_diagram(args.file))
+def _cmd_jones(args, d):
+    poly = jones(d)
     return 0, {"jones": str(poly)}, [str(poly)]
 
 
-def _cmd_colorable(args):
-    switches = find_switch_set(_diagram(args.file))
+def _cmd_colorable(args, d):
+    switches = find_switch_set(d)
     if switches is None:
         return 3, {"colorable": False}, ["not colorable"]
     text = "colorable; switches: " + (" ".join(map(str, switches)) or "none")
     return 0, {"colorable": True, "switches": list(switches)}, [text]
 
 
-def _graph_payload(g, switches=None):
-    text = format_ribbon(g)
+def _emit_graph(args, g, switches=None):
     mapping = {str(i): edge_of_crossing(i) for i in range(g.edge_count)}
-    payload = {"graph": text, "map": mapping, "stats": graph_stats(g)}
+    payload = {"graph": format_ribbon(g), "map": mapping, "stats": graph_stats(g)}
     if switches is not None:
         payload["switches"] = list(switches)
-    return payload
-
-
-def _emit_graph(args, g, switches=None):
-    payload = _graph_payload(g, switches)
     map_lines = [f"{i} {edge_of_crossing(i)}" for i in range(g.edge_count)]
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -131,48 +129,37 @@ def _graph_sized(d):
     return d
 
 
-def _cmd_build_ribbon(args):
-    return _emit_graph(args, build_ribbon(_graph_sized(_diagram(args.file))))
+def _cmd_build_ribbon(args, d):
+    return _emit_graph(args, build_ribbon(_graph_sized(d)))
 
 
-def _cmd_build_signed(args):
-    g, switches = build_signed(_graph_sized(_diagram(args.file)))
+def _cmd_build_signed(args, d):
+    g, switches = build_signed(_graph_sized(d))
     return _emit_graph(args, g, switches)
 
 
-def _cmd_br_poly(args):
-    g = _ribbon(args.file)
+def _cmd_br_poly(args, g):
     poly = br_poly(g, signed=args.signed)
     payload = {"br_poly": str(poly), "signed": bool(args.signed), "stats": graph_stats(g)}
     return 0, payload, [str(poly)]
 
 
-def _cmd_tutte(args):
-    g = _ribbon(args.file)
+def _cmd_tutte(args, g):
     poly = tutte_via_br(g)
     return 0, {"tutte": str(poly), "stats": graph_stats(g)}, [str(poly)]
 
 
-def _cmd_genus(args):
-    g = _ribbon(args.file)
+def _cmd_genus(args, g):
     value = genus(g)
     return 0, {"genus": value, "stats": graph_stats(g)}, [str(value)]
 
 
-def _cmd_verify(args):
-    report = _VERIFY[args.mode](_diagram(args.file))
+def _cmd_verify(args, d):
+    report = _VERIFY[args.mode][0](d)
     left, right = str(report.left), str(report.right)
-    payload = {
-        "mode": args.mode,
-        "left": left,
-        "right": right,
-        "equal": report.equal,
-        "r": report.r,
-        "n": report.n,
-        "k": report.k,
-        "switches": list(report.switches),
-        "stats": report.stats,
-    }
+    payload = {"mode": args.mode, "left": left, "right": right, "equal": report.equal,
+               "r": report.r, "n": report.n, "k": report.k,
+               "switches": list(report.switches), "stats": report.stats}
     lines = [
         f"left:  {left}",
         f"right: {right}",
@@ -183,7 +170,7 @@ def _cmd_verify(args):
     return (0 if report.equal else 1), payload, lines
 
 
-def _cmd_random(args):
+def _cmd_random(args, _):
     kind = "alternating" if args.alternating else "colorable" if args.colorable else "any"
     d = random_diagram(args.n, args.seed, kind=kind)
     text = format_diagram(d)
@@ -239,12 +226,30 @@ def _selftest_cases():
     yield "sample-ribbon: frontier route equals sweep", frontier == sweep
 
 
-def _cmd_selftest(args):
+def _cmd_selftest(args, _):
     results = [{"name": name, "ok": ok} for name, ok in _selftest_cases()]
     all_ok = all(item["ok"] for item in results)
     lines = [f"{item['name']}: {'ok' if item['ok'] else 'FAIL'}" for item in results]
     lines.append(f"{sum(item['ok'] for item in results)}/{len(results)} checks passed")
     return (0 if all_ok else 1), {"results": results, "ok": all_ok}, lines
+
+
+# name -> (handler, input kind, help text), in the order of vkbr --help.
+# A command with an input kind takes a file argument, which main reads
+# and parses before it calls handler(args, input); one without gets None.
+_COMMANDS = {
+    "bracket": (_cmd_bracket, "diagram", "Kauffman bracket of a diagram"),
+    "jones": (_cmd_jones, "diagram", "Jones polynomial of a diagram"),
+    "colorable": (_cmd_colorable, "diagram", "report the switch set making a diagram alternate"),
+    "build-ribbon": (_cmd_build_ribbon, "diagram", "ribbon graph of an alternating diagram"),
+    "build-signed": (_cmd_build_signed, "diagram", "signed ribbon graph of a colorable diagram"),
+    "br-poly": (_cmd_br_poly, "ribbon graph", "rank polynomial of a ribbon graph"),
+    "tutte": (_cmd_tutte, "ribbon graph", "Tutte polynomial of the underlying graph"),
+    "genus": (_cmd_genus, "ribbon graph", "genus of a ribbon graph"),
+    "verify": (_cmd_verify, "diagram", "check a bracket or Jones identity both ways"),
+    "random": (_cmd_random, None, "generate a seeded random diagram"),
+    "selftest": (_cmd_selftest, None, "run the bundled examples end to end"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -255,68 +260,39 @@ def _build_parser() -> argparse.ArgumentParser:
             "ribbon graphs, rank polynomials, and identity checks."
         ),
     )
-    parser.add_argument(
-        "--json", action="store_true", help="emit a JSON report instead of text"
-    )
+    parser.add_argument("--json", action="store_true", help="emit a JSON report instead of text")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def diagram_cmd(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", help="diagram file, or - for stdin")
-        p.set_defaults(handler=handler)
-        return p
-
-    def ribbon_cmd(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", help="ribbon graph file, or - for stdin")
-        p.set_defaults(handler=handler)
-        return p
-
-    diagram_cmd("bracket", _cmd_bracket, "Kauffman bracket of a diagram")
-    diagram_cmd("jones", _cmd_jones, "Jones polynomial of a diagram")
-    diagram_cmd(
-        "colorable", _cmd_colorable, "report the switch set making a diagram alternate"
-    )
-    p = diagram_cmd("build-ribbon", _cmd_build_ribbon, "ribbon graph of an alternating diagram")
-    p.add_argument("-o", "--output", help="write the graph here and the crossing map to OUTPUT.map")
-    p = diagram_cmd("build-signed", _cmd_build_signed, "signed ribbon graph of a colorable diagram")
-    p.add_argument("-o", "--output", help="write the graph here and the crossing map to OUTPUT.map")
-    p = ribbon_cmd("br-poly", _cmd_br_poly, "rank polynomial of a ribbon graph")
-    p.add_argument("--signed", action="store_true", help="use the edge signs")
-    ribbon_cmd("tutte", _cmd_tutte, "Tutte polynomial of the underlying graph")
-    ribbon_cmd("genus", _cmd_genus, "genus of a ribbon graph")
-    p = diagram_cmd("verify", _cmd_verify, "check a bracket or Jones identity both ways")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--main", dest="mode", action="store_const", const="main",
-        help="unsigned bracket identity (default)",
-    )
-    mode.add_argument(
-        "--signed", dest="mode", action="store_const", const="signed",
-        help="signed bracket identity",
-    )
-    mode.add_argument(
-        "--jones", dest="mode", action="store_const", const="jones",
-        help="Jones assembly identity",
-    )
-    p.set_defaults(mode="main")
-    p = sub.add_parser("random", help="generate a seeded random diagram")
-    p.add_argument("-n", type=int, required=True, help=f"crossings, 0..{MAX_RANDOM_CROSSINGS}")
-    p.add_argument("--seed", type=int, required=True)
-    kind = p.add_mutually_exclusive_group()
-    kind.add_argument("--alternating", action="store_true")
-    kind.add_argument("--colorable", action="store_true")
-    p.set_defaults(handler=_cmd_random)
-    p = sub.add_parser("selftest", help="run the bundled examples end to end")
-    p.set_defaults(handler=_cmd_selftest)
+    parsers = {}
+    for name, (handler, kind, help_text) in _COMMANDS.items():
+        parsers[name] = sub.add_parser(name, help=help_text)
+        if kind is not None:
+            parsers[name].add_argument("file", help=f"{kind} file, or - for stdin")
+        parsers[name].set_defaults(handler=handler, kind=kind)
+    for name in ("build-ribbon", "build-signed"):
+        parsers[name].add_argument(
+            "-o", "--output", help="write the graph here and the crossing map to OUTPUT.map"
+        )
+    parsers["br-poly"].add_argument("--signed", action="store_true", help="use the edge signs")
+    mode = parsers["verify"].add_mutually_exclusive_group()
+    for name, (_, help_text) in _VERIFY.items():
+        mode.add_argument(
+            f"--{name}", dest="mode", action="store_const", const=name, help=help_text
+        )
+    parsers["verify"].set_defaults(mode="main")
+    rnd = parsers["random"]
+    rnd.add_argument("-n", type=int, required=True, help=f"crossings, 0..{MAX_RANDOM_CROSSINGS}")
+    rnd.add_argument("--seed", type=int, required=True)
+    flavour = rnd.add_mutually_exclusive_group()
+    flavour.add_argument("--alternating", action="store_true")
+    flavour.add_argument("--colorable", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        code, payload, lines = args.handler(args)
+        source = _load(args.kind, args.file) if args.kind else None
+        code, payload, lines = args.handler(args, source)
     except NotColorableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

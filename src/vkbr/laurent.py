@@ -168,6 +168,10 @@ class LaurentPoly:
         return self.variables == other.variables and self._terms == other._terms
 
     def __hash__(self):
+        # A constant equals its int, so it hashes like it.
+        zero = (0,) * len(self.variables)
+        if self._terms.keys() <= {zero}:
+            return hash(self._terms.get(zero, 0))
         return hash((self.variables, frozenset(self._terms.items())))
 
     # -- arithmetic ---------------------------------------------------

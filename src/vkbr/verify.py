@@ -176,7 +176,7 @@ def _check_bijection(d: Diagram, g: RibbonGraph, switches) -> None:
                                "site table is not the diagram's port table relabelled")
 
 
-def _verify(d: Diagram, mode: str, switches=None) -> VerifyReport:
+def _verify(d: Diagram, mode: str) -> VerifyReport:
     """The one body of the three checks; mode is "main", "signed" or "jones".
 
     Builds the graph of the crossings and its graph_stats once; the left
@@ -190,7 +190,7 @@ def _verify(d: Diagram, mode: str, switches=None) -> VerifyReport:
     if mode == "main":
         g, used = build_ribbon(crossings), ()
     else:
-        g, used = build_signed(crossings, switches)
+        g, used = build_signed(crossings)
     _check_bijection(crossings, g, used)
     stats = graph_stats(g)
     stats.update(v=stats["v"] + loops, k=stats["k"] + loops, bc=stats["bc"] + loops)
@@ -208,11 +208,11 @@ def verify_main(d: Diagram) -> VerifyReport:
     return _verify(d, "main")
 
 
-def verify_signed(d: Diagram, switches=None) -> VerifyReport:
+def verify_signed(d: Diagram) -> VerifyReport:
     """Check the signed bracket identity for a switchable diagram."""
-    return _verify(d, "signed", switches)
+    return _verify(d, "signed")
 
 
-def verify_jones(d: Diagram, switches=None) -> VerifyReport:
+def verify_jones(d: Diagram) -> VerifyReport:
     """Check the Jones assembly against the direct bracket route."""
-    return _verify(d, "jones", switches)
+    return _verify(d, "jones")

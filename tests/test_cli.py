@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -428,6 +429,169 @@ class TestErrorsAndSelftest:
         assert "switched-trefoil: signed identity: FAIL" in out
 
 
+def _help_block(lines):
+    return "".join(line + "\n" for line in lines)
+
+
+def _file_help(command, kind):
+    return _help_block([
+        f"usage: vkbr {command} [-h] file",
+        "",
+        "positional arguments:",
+        f"  file        {kind} file, or - for stdin",
+        "",
+        "options:",
+        "  -h, --help  show this help message and exit",
+    ])
+
+
+def _build_help(command):
+    return _help_block([
+        f"usage: vkbr {command} [-h] [-o OUTPUT] file",
+        "",
+        "positional arguments:",
+        "  file                  diagram file, or - for stdin",
+        "",
+        "options:",
+        "  -h, --help            show this help message and exit",
+        "  -o OUTPUT, --output OUTPUT",
+        "                        write the graph here and the crossing map to",
+        "                        OUTPUT.map",
+    ])
+
+
+COMMAND_LIST = (
+    "{bracket,jones,colorable,build-ribbon,build-signed,br-poly,tutte,genus,verify,random,selftest}"
+)
+
+# argv before --help -> the help text, as argparse prints it 80 columns wide.
+HELP = {
+    (): _help_block([
+        "usage: vkbr [-h] [--json]",
+        f"            {COMMAND_LIST}",
+        "            ...",
+        "",
+        "Bracket and Jones polynomials of virtual link diagrams, their ribbon graphs,",
+        "rank polynomials, and identity checks.",
+        "",
+        "positional arguments:",
+        f"  {COMMAND_LIST}",
+        "    bracket             Kauffman bracket of a diagram",
+        "    jones               Jones polynomial of a diagram",
+        "    colorable           report the switch set making a diagram alternate",
+        "    build-ribbon        ribbon graph of an alternating diagram",
+        "    build-signed        signed ribbon graph of a colorable diagram",
+        "    br-poly             rank polynomial of a ribbon graph",
+        "    tutte               Tutte polynomial of the underlying graph",
+        "    genus               genus of a ribbon graph",
+        "    verify              check a bracket or Jones identity both ways",
+        "    random              generate a seeded random diagram",
+        "    selftest            run the bundled examples end to end",
+        "",
+        "options:",
+        "  -h, --help            show this help message and exit",
+        "  --json                emit a JSON report instead of text",
+    ]),
+    ("bracket",): _file_help("bracket", "diagram"),
+    ("jones",): _file_help("jones", "diagram"),
+    ("colorable",): _file_help("colorable", "diagram"),
+    ("build-ribbon",): _build_help("build-ribbon"),
+    ("build-signed",): _build_help("build-signed"),
+    ("br-poly",): _help_block([
+        "usage: vkbr br-poly [-h] [--signed] file",
+        "",
+        "positional arguments:",
+        "  file        ribbon graph file, or - for stdin",
+        "",
+        "options:",
+        "  -h, --help  show this help message and exit",
+        "  --signed    use the edge signs",
+    ]),
+    ("tutte",): _file_help("tutte", "ribbon graph"),
+    ("genus",): _file_help("genus", "ribbon graph"),
+    ("verify",): _help_block([
+        "usage: vkbr verify [-h] [--main | --signed | --jones] file",
+        "",
+        "positional arguments:",
+        "  file        diagram file, or - for stdin",
+        "",
+        "options:",
+        "  -h, --help  show this help message and exit",
+        "  --main      unsigned bracket identity (default)",
+        "  --signed    signed bracket identity",
+        "  --jones     Jones assembly identity",
+    ]),
+    ("random",): _help_block([
+        "usage: vkbr random [-h] -n N --seed SEED [--alternating | --colorable]",
+        "",
+        "options:",
+        "  -h, --help     show this help message and exit",
+        "  -n N           crossings, 0..12",
+        "  --seed SEED",
+        "  --alternating",
+        "  --colorable",
+    ]),
+    ("selftest",): _help_block([
+        "usage: vkbr selftest [-h]",
+        "",
+        "options:",
+        "  -h, --help  show this help message and exit",
+    ]),
+}
+
+
+def call(capsys, monkeypatch, argv, stdin=""):
+    """(exit code, stdout, stderr) of one main call, argparse's exits included."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestHelpText:
+    """The help of vkbr and of each command, byte for byte.  Python 3.10
+    heads the options "optional arguments:", which reads here as 3.11's
+    "options:"."""
+
+    @pytest.mark.parametrize("argv", sorted(HELP), ids=lambda argv: " ".join(argv) or "vkbr")
+    def test_help(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = call(capsys, monkeypatch, [*argv, "--help"])
+        assert (code, err) == (0, "")
+        assert out.replace("optional arguments:", "options:") == HELP[argv]
+
+    def test_every_command_has_its_help(self):
+        commands = {argv[0] for argv in HELP if argv}
+        assert commands == set(COMMAND_LIST.strip("{}").split(","))
+
+
+def test_main_repeats_itself_in_one_process(capsys, monkeypatch, tmp_path):
+    """Every command twice, interleaved with the others in one process,
+    gives the same exit code, stdout and stderr both times."""
+    switched = format_diagram(apply_switches(parse_diagram(fixtures.SAMPLE_KNOT), (1,)))
+    calls = [(argv, stdin) for argv, stdin, _ in production_calls(switched)]
+    calls += [(["--json", *argv], stdin) for argv, stdin in calls]
+    calls += [
+        (["build-ribbon", "-o", str(tmp_path / "g.txt"), "-"], fixtures.SAMPLE_KNOT),
+        (["verify", "-"], fixtures.SAMPLE_KNOT),
+        (["random", "-n", "5", "--seed", "3", "--colorable"], ""),
+        (["random", "-n", "99", "--seed", "3"], ""),
+        (["selftest"], ""),
+        (["bracket", "-"], "X a b\n"),
+        (["br-poly", "-"], "V u : a1\n"),
+        (["verify", "--main", "--jones", "-"], ""),
+        (["build-signed", "-"], fixtures.VIRTUAL_HOPF),
+        (["nonsense"], ""),
+    ]
+    rounds = [[call(capsys, monkeypatch, argv, stdin) for argv, stdin in calls]
+              for _ in range(2)]
+    assert rounds[0] == rounds[1]
+    assert {code for code, _, _ in rounds[0]} == {0, 2, 3}
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
@@ -573,3 +737,31 @@ class TestStartup:
     def test_selftest_loads_numpy_and_passes(self):
         returncode, modules = imported_modules(["selftest"])
         assert returncode == 0 and loads_numpy(modules)
+
+
+class TestSameOutput:
+    """tools/same_output.py, on a small corpus: the checkout against itself,
+    and against a copy whose one help text differs."""
+
+    TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_output.py"
+    SRC = Path(vkbr.__file__).resolve().parent.parent
+
+    def same_output(self, old):
+        argv = [sys.executable, str(self.TOOL), "--old", str(old), "--new", str(self.SRC),
+                "--max-n", "2", "--seeds", "1"]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+        return proc.returncode, proc.stdout.splitlines(), proc.stderr
+
+    def test_the_checkout_matches_itself(self):
+        code, lines, err = self.same_output(self.SRC)
+        assert (code, err) == (0, "")
+        assert lines[-1].endswith(" calls, 0 differ") and len(lines) == 1
+
+    def test_a_changed_help_text_is_reported(self, tmp_path):
+        copy = tmp_path / "src" / "vkbr"
+        shutil.copytree(self.SRC / "vkbr", copy, ignore=shutil.ignore_patterns("__pycache__"))
+        cli = copy / "cli.py"
+        cli.write_text(cli.read_text().replace('"genus of a ribbon graph"', '"genus"'))
+        code, lines, _ = self.same_output(copy.parent)
+        assert code == 1 and lines[-1].endswith(" calls, 1 differ")
+        assert json.loads(lines[0])["argv"] == ["--help"]

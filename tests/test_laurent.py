@@ -90,6 +90,15 @@ class TestConstruction:
         with pytest.raises(PolyError):
             mono(1, A=1) + LaurentPoly.one(T)
 
+    @pytest.mark.parametrize("value", [0, 1, -7, 2**70])
+    def test_a_constant_hashes_like_its_int(self, value):
+        const = LaurentPoly.constant(T, value)
+        assert const == value and hash(const) == hash(value)
+        assert const in {value} and len({value, const}) == 1
+
+    def test_equal_polynomials_hash_alike(self):
+        assert hash(mono(2, A=1) + mono(3)) == hash(LaurentPoly(ABD, {(4, 0, 0): 2, (0, 0, 0): 3}))
+
 
 class TestCanonicalString:
     def test_bracket_of_sample_knot(self):

@@ -3,15 +3,21 @@
 perfbench/tracing.py wraps vkbr functions by (module, attribute) name, and
 the perfbench scripts import names from vkbr.  A rename in vkbr would
 break `perfbench/run.py --trace 1` without failing any other test, so both
-are checked here against the live package.
+are checked here against the live package.  A name that resolves can
+still escape its span, when a caller keeps its own reference to the
+function, so one traced call per reader must record that reader's span.
 """
 
 import ast
 import importlib
 import importlib.util
+import io
+import sys
 from pathlib import Path
 
 import pytest
+
+import vkbr.cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -74,3 +80,26 @@ def test_every_name_used_from_vkbr_exists(script):
     assert uses
     for dotted, attr in uses:
         _lookup(dotted, attr)
+
+
+@pytest.mark.parametrize(
+    "argv, text, span",
+    [
+        (["verify", "--signed", "-"], "X a b b a o=1\n", "diagram.parse"),
+        (["br-poly", "-"], "V u : a1 a2\nE a : a1 a2\n", "ribbon.parse"),
+    ],
+)
+def test_a_traced_call_records_its_parse_span(monkeypatch, capsys, argv, text, span):
+    """The command line must look its readers up where the spans are
+    installed; a reader it kept a reference to escapes them."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    restore = tracing.instrument(tracer)
+    try:
+        code = vkbr.cli.main(argv)
+    finally:
+        restore()
+    capsys.readouterr()
+    assert code == 0
+    assert span in tracer.names
