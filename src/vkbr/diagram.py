@@ -36,11 +36,16 @@ ports are 4c .. 4c+3, and a site's chosen join, port p to p ^ 1, is the
 A-splitting.  So `_mate` is the kernels' input as it stands, and the
 sites a kernel chooses are a state's A-splittings.
 
-File format, one item per line, # starts a comment:
+File format, one item per line; # starts a comment anywhere on a line,
+and a name is one or more ASCII letters, digits and underscores:
 
     X a b c d o=1     crossing with arc labels a b c d at ports 0..3,
                       over strand entering at port 1 (o=1 or o=3)
     O 2               two crossing-free loops
+
+Crossing and Diagram check every rule but a line's shape, so every
+diagram they accept prints as a file that parses back equal.  The ribbon
+format shares the name grammar (_NAME) and the line reader (_lines).
 """
 
 from __future__ import annotations
@@ -60,7 +65,22 @@ JONES_VARS = ("t",)
 _D_QUARTERS = {2: -1, -2: -1}  # by quarter exponent of t
 BIG_D = LaurentPoly._make(JONES_VARS, {(q,): c for q, c in _D_QUARTERS.items()})
 
-_LABEL = re.compile(r"[A-Za-z0-9_]+\Z")
+_NAME = re.compile(r"[A-Za-z0-9_]+")
+_OVER_IN = {"o=1": 1, "o=3": 3}
+
+
+def _is_name(value) -> bool:
+    """True when `value` is a name the file formats print and read back."""
+    return isinstance(value, str) and _NAME.fullmatch(value) is not None
+
+
+def _lines(text: str):
+    """(line number, stripped line, tokens) for each line of a diagram or
+    ribbon file that is not blank once its comment is cut off."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line, line.split()
 
 
 class DiagramError(ValueError):
@@ -85,10 +105,14 @@ class Crossing:
     over_in: int
 
     def __post_init__(self):
+        object.__setattr__(self, "ports", tuple(self.ports))
         if len(self.ports) != 4:
             raise DiagramError(f"crossing needs 4 ports, got {len(self.ports)}")
-        if self.over_in not in (1, 3):
-            raise DiagramError(f"over strand must enter at port 1 or 3, got {self.over_in}")
+        for label in self.ports:
+            if not _is_name(label):
+                raise DiagramError(f"bad arc label {label!r}")
+        if type(self.over_in) is not int or self.over_in not in (1, 3):
+            raise DiagramError(f"expected o=1 or o=3, got {self.over_in!r}")
 
     @property
     def sign(self) -> int:
@@ -119,8 +143,9 @@ class Diagram:
     _mate: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.free_loops < 0:
-            raise DiagramError(f"free loop count must be nonnegative, got {self.free_loops}")
+        object.__setattr__(self, "crossings", tuple(self.crossings))
+        if type(self.free_loops) is not int or self.free_loops < 0:
+            raise DiagramError(f"free loops must be a nonnegative int, got {self.free_loops!r}")
         in_slot, out_slot = _slot_maps(self)
         dangling = set(in_slot) ^ set(out_slot)
         if dangling:
@@ -137,50 +162,35 @@ class Diagram:
 
 
 def parse_diagram(text: str) -> Diagram:
-    """Parse the diagram file format; errors name the offending line."""
+    """Parse the diagram file format; errors name the offending line.
+    Crossing and Diagram check all but a line's shape (its directive and
+    token count), so parse_diagram(format_diagram(d)) == d for every d."""
     crossings: list[Crossing] = []
     crossing_lines: list[int] = []
     free_loops = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] == "X":
-            if len(tokens) != 6:
-                raise DiagramError(
-                    f"line {lineno}: X needs 4 arc labels and o=1|3, got {line!r}"
-                )
-            labels = tokens[1:5]
-            for label in labels:
-                if not _LABEL.match(label):
-                    raise DiagramError(f"line {lineno}: bad arc label {label!r}")
-            if tokens[5] not in ("o=1", "o=3"):
-                raise DiagramError(
-                    f"line {lineno}: expected o=1 or o=3, got {tokens[5]!r}"
-                )
-            crossings.append(Crossing(tuple(labels), int(tokens[5][2:])))
-            crossing_lines.append(lineno)
-        elif tokens[0] == "O":
-            if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
-                raise DiagramError(
-                    f"line {lineno}: O needs one nonnegative integer, got {line!r}"
-                )
-            try:
-                free_loops += int(tokens[1])
-            except ValueError:  # more digits than int() reads from text
-                limit = sys.get_int_max_str_digits()
-                raise DiagramError(f"line {lineno}: O count has more than {limit} digits") from None
-        else:
-            raise DiagramError(
-                f"line {lineno}: unknown directive {tokens[0]!r} (expected X or O)"
-            )
     try:
-        return Diagram(tuple(crossings), free_loops)
+        for lineno, line, tokens in _lines(text):
+            if tokens[0] == "X":
+                if len(tokens) != 6:
+                    raise DiagramError(f"X needs 4 arc labels and o=1|3, got {line!r}")
+                crossings.append(Crossing(tokens[1:5], _OVER_IN.get(tokens[5], tokens[5])))
+                crossing_lines.append(lineno)
+            elif tokens[0] == "O":
+                if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
+                    raise DiagramError(f"O needs one nonnegative integer, got {line!r}")
+                try:
+                    free_loops += int(tokens[1])
+                except ValueError:  # more digits than int() reads from text
+                    limit = sys.get_int_max_str_digits()
+                    raise DiagramError(f"O count has more than {limit} digits") from None
+            else:
+                raise DiagramError(f"unknown directive {tokens[0]!r} (expected X or O)")
+        return Diagram(crossings, free_loops)
     except DiagramError as exc:
-        if exc.crossing is None:
-            raise
-        raise DiagramError(f"line {crossing_lines[exc.crossing]}: {exc.detail}") from None
+        # Diagram names the crossing at fault; a line's own fault is at lineno.
+        if exc.crossing is not None:
+            lineno = crossing_lines[exc.crossing]
+        raise DiagramError(f"line {lineno}: {exc.detail}") from None
 
 
 def format_diagram(d: Diagram) -> str:
@@ -275,13 +285,8 @@ def apply_switches(d: Diagram, indices) -> Diagram:
     for i in chosen:
         if not 0 <= i < len(d.crossings):
             raise DiagramError(f"no crossing {i} to switch")
-    return Diagram(
-        tuple(
-            switch_crossing(c) if i in chosen else c
-            for i, c in enumerate(d.crossings)
-        ),
-        d.free_loops,
-    )
+    crossings = [switch_crossing(c) if i in chosen else c for i, c in enumerate(d.crossings)]
+    return Diagram(crossings, d.free_loops)
 
 
 # -- state sum ----------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from operator import add
+from operator import add, index
 from typing import Mapping
 
 
@@ -41,7 +41,9 @@ class PolyError(ValueError):
 
 
 def _quarter(value: int | Fraction, what: str = "exponent") -> int:
-    """Convert an exponent to quarter-units, rejecting off-lattice values."""
+    """Convert an int or Fraction exponent to quarter-units, rejecting off-lattice values."""
+    if not isinstance(value, (int, Fraction)):
+        raise PolyError(f"{what} {value!r} is not an int or a Fraction")
     q = Fraction(value) * 4
     if q.denominator != 1:
         raise PolyError(f"{what} {value} is not a multiple of 1/4")
@@ -77,9 +79,13 @@ class LaurentPoly:
                     raise PolyError(
                         f"exponent tuple {exps} does not match {width} variables"
                     )
+                try:  # a float or a str is refused, not truncated
+                    key, coeff = tuple(map(index, exps)), index(coeff)
+                except TypeError:
+                    raise PolyError(f"term {exps}: {coeff!r} needs integer exponents "
+                                    "and coefficient") from None
                 if coeff:
-                    key = tuple(map(int, exps))
-                    clean[key] = clean.get(key, 0) + int(coeff)
+                    clean[key] = clean.get(key, 0) + coeff
                     if not clean[key]:
                         del clean[key]
         self._terms = clean
@@ -103,7 +109,7 @@ class LaurentPoly:
     @classmethod
     def constant(cls, variables, coeff: int) -> "LaurentPoly":
         variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): int(coeff)})
+        return cls(variables, {(0,) * len(variables): coeff})
 
     @classmethod
     def one(cls, variables) -> "LaurentPoly":
@@ -137,7 +143,7 @@ class LaurentPoly:
             if name not in variables:
                 raise PolyError(f"unknown variable {name!r}; have {variables}")
             exps[variables.index(name)] = _quarter(value)
-        return cls(variables, {tuple(exps): int(coeff)})
+        return cls(variables, {tuple(exps): coeff})
 
     # -- inspection ---------------------------------------------------
 

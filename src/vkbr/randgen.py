@@ -43,10 +43,7 @@ def random_diagram(n: int, seed: int, kind: str = "any") -> Diagram:
     for i, ((c1, p1), (c2, p2)) in enumerate(arcs):
         ports[c1][p1] = f"a{i}"
         ports[c2][p2] = f"a{i}"
-    d = Diagram(
-        tuple(Crossing(tuple(ports[c]), over_in[c]) for c in range(n)),
-        free_loops=0,
-    )
+    d = Diagram([Crossing(ports[c], over_in[c]) for c in range(n)])
     if kind == "colorable":
         d = apply_switches(d, [c for c in range(n) if rng.getrandbits(1)])
     return d

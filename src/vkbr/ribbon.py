@@ -30,26 +30,30 @@ of arcs and joins are the boundary components, just as a state's loops
 are its curves.  Frontier contraction and the reference sweep both read
 this one table.
 
-File format, one item per line, # starts a comment:
+File format, one item per line; # starts a comment anywhere on a line:
 
     V u : a1 c1 b1 c2      vertex u, darts counterclockwise (may be empty)
     E a : a1 a2            edge a pairing darts a1 and a2
     E c : c1 c2 sign=-     a negative edge (sign=+ is the default)
+
+Names follow the diagram format's grammar: ASCII letters, digits and
+underscores.  Edge and RibbonGraph check every rule but a line's shape,
+so every graph they accept prints as a file that parses back equal.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from ._kernels import frontier_histogram, histogram, subgraph_sweep
+from .diagram import _is_name, _lines
 from .laurent import LaurentPoly
 from .limits import check_enumeration_size, check_sweep_memory
 
 BR_VARS = ("x", "y", "z")
 TUTTE_VARS = ("x", "y")
 
-_NAME = re.compile(r"[A-Za-z0-9_]+\Z")
+_SIGNS = {"sign=+": 1, "sign=-": -1}
 
 
 class RibbonError(ValueError):
@@ -74,12 +78,14 @@ class Edge:
     sign: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "darts", tuple(self.darts))
+        for name in (self.name, *self.darts):
+            if not _is_name(name):
+                raise RibbonError(f"bad name {name!r}")
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise RibbonError(f"expected sign=+ or sign=-, got {self.sign!r}")
         if len(self.darts) != 2 or self.darts[0] == self.darts[1]:
-            raise RibbonError(
-                f"edge {self.name!r} must pair two distinct darts, got {self.darts}"
-            )
-        if self.sign not in (1, -1):
-            raise RibbonError(f"edge {self.name!r} sign must be +1 or -1, got {self.sign}")
+            raise RibbonError(f"edge {self.name!r} must pair two distinct darts, got {self.darts}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +120,8 @@ class RibbonGraph:
         seen_vertices = set()
         dart_vertex: dict[str, int] = {}
         for vi, (name, darts) in enumerate(self.vertices):
+            if not _is_name(name):
+                raise RibbonError(f"bad name {name!r}", vertex=vi)
             if name in seen_vertices:
                 raise RibbonError(f"vertex {name!r} defined twice", vertex=vi)
             seen_vertices.add(name)
@@ -135,6 +143,9 @@ class RibbonGraph:
                 dart_edge[dart] = ei
         for dart, vi in dart_vertex.items():
             if dart not in dart_edge:
+                # Edge checks its own darts, so only a dart of no edge can be a bad name.
+                if not _is_name(dart):
+                    raise RibbonError(f"bad name {dart!r}", vertex=vi)
                 raise RibbonError(f"dart {dart!r} belongs to no edge", vertex=vi)
         # Positional tables: dart id = position in the concatenated rotations.
         self._dart_ids: dict[str, int] = {}
@@ -205,57 +216,35 @@ class RibbonGraph:
 
 
 def parse_ribbon(text: str) -> RibbonGraph:
-    """Parse the ribbon file format; errors name the offending line."""
-    vertices: list[tuple[str, tuple[str, ...]]] = []
+    """Parse the ribbon file format; errors name the offending line.
+    Edge and RibbonGraph check all but a line's shape (its directive and
+    token count), so parse_ribbon(format_ribbon(g)) == g for every g."""
+    vertices: list[tuple[str, list[str]]] = []
     edges: list[Edge] = []
     vertex_lines: list[int] = []
     edge_lines: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] == "V":
-            if len(tokens) < 3 or tokens[2] != ":":
-                raise RibbonError(f"line {lineno}: expected 'V name : darts...', got {line!r}")
-            name = tokens[1]
-            darts = tokens[3:]
-            for t in (name, *darts):
-                if not _NAME.match(t):
-                    raise RibbonError(f"line {lineno}: bad name {t!r}")
-            vertices.append((name, tuple(darts)))
-            vertex_lines.append(lineno)
-        elif tokens[0] == "E":
-            if len(tokens) not in (5, 6) or tokens[2] != ":":
-                raise RibbonError(
-                    f"line {lineno}: expected 'E name : dart dart [sign=+|-]', got {line!r}"
-                )
-            name, a, b = tokens[1], tokens[3], tokens[4]
-            for t in (name, a, b):
-                if not _NAME.match(t):
-                    raise RibbonError(f"line {lineno}: bad name {t!r}")
-            sign = 1
-            if len(tokens) == 6:
-                if tokens[5] not in ("sign=+", "sign=-"):
-                    raise RibbonError(
-                        f"line {lineno}: expected sign=+ or sign=-, got {tokens[5]!r}"
-                    )
-                sign = 1 if tokens[5] == "sign=+" else -1
-            try:
-                edges.append(Edge(name, (a, b), sign))
-            except RibbonError as exc:
-                raise RibbonError(f"line {lineno}: {exc}") from None
-            edge_lines.append(lineno)
-        else:
-            raise RibbonError(
-                f"line {lineno}: unknown directive {tokens[0]!r} (expected V or E)"
-            )
     try:
+        for lineno, line, tokens in _lines(text):
+            if tokens[0] == "V":
+                if len(tokens) < 3 or tokens[2] != ":":
+                    raise RibbonError(f"expected 'V name : darts...', got {line!r}")
+                vertices.append((tokens[1], tokens[3:]))
+                vertex_lines.append(lineno)
+            elif tokens[0] == "E":
+                if len(tokens) not in (5, 6) or tokens[2] != ":":
+                    raise RibbonError(f"expected 'E name : dart dart [sign=+|-]', got {line!r}")
+                sign = _SIGNS.get(tokens[5], tokens[5]) if len(tokens) == 6 else 1
+                edges.append(Edge(tokens[1], (tokens[3], tokens[4]), sign))
+                edge_lines.append(lineno)
+            else:
+                raise RibbonError(f"unknown directive {tokens[0]!r} (expected V or E)")
         return RibbonGraph(vertices, edges)
     except RibbonError as exc:
-        if exc.vertex is None and exc.edge is None:
-            raise
-        lineno = vertex_lines[exc.vertex] if exc.edge is None else edge_lines[exc.edge]
+        # RibbonGraph names the vertex or edge at fault; a line's own is at lineno.
+        if exc.edge is not None:
+            lineno = edge_lines[exc.edge]
+        elif exc.vertex is not None:
+            lineno = vertex_lines[exc.vertex]
         raise RibbonError(f"line {lineno}: {exc}") from None
 
 

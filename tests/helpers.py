@@ -3,11 +3,18 @@ oracle, torus braids and connected sums, and the command lines that must
 run without the sweeps."""
 
 import random
+import string
+
+from hypothesis import strategies as st
 
 from vkbr.build import build_signed, find_switch_set
 from vkbr.diagram import is_alternating, parse_diagram
 from vkbr.laurent import LaurentPoly
 from vkbr.ribbon import Edge, RibbonGraph, format_ribbon
+
+# Names for the round-trip tests: the name grammar's characters (ASCII
+# letters, digits, _), characters it refuses, and the empty string.
+ROUND_TRIP_NAMES = st.text(string.ascii_letters + string.digits + "_ #:-!éßλ", max_size=3)
 
 
 def random_ribbon(rng: random.Random, n_verts: int, n_edges: int, signed=False):

@@ -8,8 +8,10 @@ from fractions import Fraction
 from math import ceil, comb, log10
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import torus_braid
+from helpers import ROUND_TRIP_NAMES, torus_braid
 from vkbr import _kernels, diagram, fixtures
 from vkbr.cli import main
 from vkbr.diagram import (
@@ -159,6 +161,58 @@ class TestParsing:
             Diagram((Crossing(("a", "b", "b", "c"), 1),))
         with pytest.raises(DiagramError):
             Diagram((), free_loops=-1)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Crossing(("a!", "b", "b", "a"), 1), "bad arc label 'a!'"),
+            (lambda: Crossing(("x#", "y", "x#", "y"), 1), "bad arc label 'x#'"),
+            (lambda: Crossing(("a", "b", "b", 1), 1), "bad arc label 1"),
+            (lambda: Crossing(("a", "b", "b", "a"), True), "expected o=1 or o=3, got True"),
+            (lambda: Crossing(("a", "b", "b", "a"), "o=1"), "expected o=1 or o=3, got 'o=1'"),
+            (lambda: Diagram((), 1.5), "free loops must be a nonnegative int, got 1.5"),
+            (lambda: Diagram((), True), "free loops must be a nonnegative int, got True"),
+        ],
+    )
+    def test_types_refuse_what_the_format_cannot_print(self, build, message):
+        with pytest.raises(DiagramError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_containers_are_read_as_tuples(self):
+        d = Diagram([Crossing(["a", "b", "b", "a"], 1)])
+        assert d == parse_diagram(NEG_KINK)
+        assert isinstance(d.crossings, tuple) and isinstance(d.crossings[0].ports, tuple)
+        assert hash(d) == hash(parse_diagram(NEG_KINK))
+
+    def test_tabs_and_trailing_comments_are_read(self):
+        assert parse_diagram("X\ta b b a o=1 # c\n") == parse_diagram(NEG_KINK)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_accepted_diagram_round_trips(self, data):
+        """A random diagram with some arc labels, over entries and the loop
+        count redrawn, some of them unprintable: the types either refuse
+        it or it prints as a file that parses back equal."""
+        base = random_diagram(data.draw(st.integers(0, 4)), data.draw(st.integers(0, 99)))
+        rename = {}
+        for c in base.crossings:
+            for label in c.ports:
+                if label not in rename:
+                    rename[label] = data.draw(st.one_of(st.just(label), ROUND_TRIP_NAMES))
+        box = data.draw(st.sampled_from([tuple, list]))
+        try:
+            crossings = [
+                Crossing(
+                    box(rename[label] for label in c.ports),
+                    data.draw(st.sampled_from([c.over_in] * 3 + [1, 3, True, 2, "o=1"])),
+                )
+                for c in base.crossings
+            ]
+            d = Diagram(box(crossings), data.draw(st.sampled_from([0, 3, True, 1.5, -1])))
+        except DiagramError:
+            return
+        assert parse_diagram(format_diagram(d)) == d
 
 
 class TestStrandStructure:

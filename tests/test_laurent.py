@@ -4,6 +4,7 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,6 +90,29 @@ class TestConstruction:
     def test_variable_mismatch_rejected(self):
         with pytest.raises(PolyError):
             mono(1, A=1) + LaurentPoly.one(T)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: LaurentPoly(T, {(1.5,): 2}),
+            lambda: LaurentPoly(T, {(1,): 2.7}),
+            lambda: LaurentPoly(T, {("4",): 1}),
+            lambda: LaurentPoly(T, {(4,): "1"}),
+            lambda: LaurentPoly.constant(T, 2.0),
+            lambda: LaurentPoly.constant(T, "3"),
+            lambda: LaurentPoly.monomial(T, 2.7, t=1),
+            lambda: LaurentPoly.monomial(T, 1, t=0.5),
+            lambda: LaurentPoly.monomial(T, 1, t="1/2"),
+        ],
+    )
+    def test_non_integers_are_refused_not_truncated(self, build):
+        with pytest.raises(PolyError):
+            build()
+
+    def test_integer_types_are_read_as_ints(self):
+        p = LaurentPoly(T, {(np.int64(4),): np.int64(3), (True,): True})
+        assert p == LaurentPoly(T, {(4,): 3, (1,): 1})
+        assert all(type(c) is int for _, c in p.terms())
 
     @pytest.mark.parametrize("value", [0, 1, -7, 2**70])
     def test_a_constant_hashes_like_its_int(self, value):

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_ribbon, torus_braid, tutte_whitney
+from helpers import ROUND_TRIP_NAMES, random_ribbon, torus_braid, tutte_whitney
 from vkbr import fixtures, ribbon
 from vkbr.build import build_signed, find_switch_set
 from vkbr.diagram import parse_diagram
@@ -348,6 +350,9 @@ class TestTutte:
         assert tutte_via_br(g).variables == TUTTE_VARS
 
 
+EDGE_AB = Edge("e", ("a", "b"))
+
+
 class TestConstruction:
     def test_edge_validation(self):
         with pytest.raises(RibbonError, match="distinct darts"):
@@ -360,6 +365,57 @@ class TestConstruction:
         g2 = parse_ribbon("V u : a1 a2\nE a : a1 a2\n")
         assert g1 == g2
         assert g1 != parse_ribbon(NEGATIVE_LOOP)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Edge("a", ("x", "y"), 0), "expected sign=+ or sign=-, got 0"),
+            (lambda: Edge("a", ("x", "y"), "sign=-"), "expected sign=+ or sign=-, got 'sign=-'"),
+            (lambda: Edge("e#", ("a", "b")), "bad name 'e#'"),
+            (lambda: Edge("e", ("a", "b:")), "bad name 'b:'"),
+            (lambda: RibbonGraph([("v 0", ("a", "b"))], [EDGE_AB]), "bad name 'v 0'"),
+            (lambda: RibbonGraph([("v", ("a", "b", "é"))], [EDGE_AB]), "bad name 'é'"),
+        ],
+    )
+    def test_types_refuse_what_the_format_cannot_print(self, build, message):
+        with pytest.raises(RibbonError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_containers_are_read_as_tuples(self):
+        g = RibbonGraph([("u", ["a1", "a2"])], [Edge("a", ["a1", "a2"])])
+        assert g == parse_ribbon("V u : a1 a2\nE a : a1 a2\n")
+        assert isinstance(g.edges[0].darts, tuple)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_accepted_graph_round_trips(self, data):
+        """A random signed graph with some names and signs redrawn, some of
+        them unprintable: the types either refuse it or it prints as a
+        file that parses back equal."""
+        rng = random.Random(data.draw(st.integers(0, 99)))
+        base = random_ribbon(rng, rng.randint(1, 3), rng.randint(0, 3), signed=True)
+        rename = {}
+
+        def name(old):
+            if old not in rename:
+                rename[old] = data.draw(st.one_of(st.just(old), ROUND_TRIP_NAMES))
+            return rename[old]
+
+        box = data.draw(st.sampled_from([tuple, list]))
+        signs = [1, -1, True, 0, -1.0, "sign=-"]
+        try:
+            g = RibbonGraph(
+                [(name(v), box(map(name, darts))) for v, darts in base.vertices],
+                [
+                    Edge(name(e.name), box(map(name, e.darts)),
+                         data.draw(st.sampled_from([e.sign] * 3 + signs)))
+                    for e in base.edges
+                ],
+            )
+        except RibbonError:
+            return
+        assert parse_ribbon(format_ribbon(g)) == g
 
 
 COLORABLE = [

@@ -37,11 +37,13 @@ DIAGRAM_COMMANDS = (
 GRAPH_COMMANDS = (["br-poly"], ["br-poly", "--signed"], ["tutte"], ["genus"])
 BAD_DIAGRAMS = (
     "X a b\n", "X a b c d o=5\n", "X a b c d o=1\n", "X a a a a o=1\n", "O -1\n",
-    "O ²\n", "Q a b\n", "X a b b a o=1\nX a b b a o=1\n",
+    "O ²\n", "Q a b\n", "X a b b a o=1\nX a b b a o=1\n", "X a! b b a o=1\n",
+    "X a b b a o=2\n", "X\ta b b a o=1 # c\n",
 )
 BAD_GRAPHS = (
     "V u : a1\n", "E a : a1 a2\n", "V u : a1 a2\nE a : a1 a1\n", "V u : a1 a2\nV u : b1\n",
-    "V u : a1 a2\nE a : a1 a2 sign=0\n", "nonsense\n",
+    "V u : a1 a2\nE a : a1 a2 sign=0\n", "nonsense\n", "V u- : a1 a2\nE a : a1 a2\n",
+    "V u : a-1\n", "V u : a1 a2\nE a- : a1 a2\n", "V u : a1 a2\nE a : a1 a2 sign=x\n",
 )
 BAD_ARGV = (
     [], ["nonsense"], ["bracket"], ["--json"], ["random", "--seed", "1"],
