@@ -157,17 +157,10 @@ def _high_edge_labels(n_verts, ends, mask):
     import numpy as np
 
     parent = list(range(n_verts))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     for ei in range(mask.bit_length()):
         if (mask >> ei) & 1:
-            parent[find(int(ends[ei, 0]))] = find(int(ends[ei, 1]))
-    return np.array([[find(i) for i in range(n_verts)]], dtype=np.int32)
+            parent[_find(parent, int(ends[ei, 0]))] = _find(parent, int(ends[ei, 1]))
+    return np.array([[_find(parent, i) for i in range(n_verts)]], dtype=np.int32)
 
 
 def histogram(*columns):
@@ -361,14 +354,10 @@ def _port_step(arc_mate, s, slot_of, free):
     pad = [-1] * (width - start)
     shape = tuple(shape)
     index_of = {slot: i for i, slot in enumerate(linked)}.get
-    programs = {}
 
     def step(pair):
         ops = [pair[slot] for slot in linked]
-        pattern = tuple(map(index_of, ops))
-        program = programs.get(pattern)
-        if program is None:
-            program = programs[pattern] = _site_program(shape, pattern)
+        program = _site_program(shape, tuple(map(index_of, ops)))
         ops += tail
         out = []
         for writes, loops in program:
@@ -386,7 +375,7 @@ def _port_step(arc_mate, s, slot_of, free):
 _LINKED, _FRESH = 4, 5
 
 
-# A site's shape and a pattern range over a few hundred values, so the
+# A site's shape and a pattern take at most 76 values together, so the
 # cache stays small for the life of the process; its values are tuples.
 @lru_cache(maxsize=None)
 def _site_program(shape, pattern):
@@ -400,59 +389,53 @@ def _site_program(shape, pattern):
     index of the linked port the pairing pairs linked port i with, or
     None when it is some other open port, the end beyond i.  Operands
     0 .. a-1 are the slots of the a linked ports' partners, then come the
-    fresh ports' slots, the spare slots and -1.  The walk follows the
-    pairing, the arcs and the join from each end, an end beyond a linked
-    port or a fresh port, to the other, and pairs the two; each cycle
-    left over is a loop.
+    fresh ports' slots, the spare slots and -1.
+
+    The nodes are the site's ports 0..3, the open port 4 + i at the other
+    end of linked port i's arc, and the end 8 + i beyond that one.  Ties
+    join them by the pairing, the arcs and the join.  No node has more
+    than two ties, and only the ends, beyond a linked port or at a fresh
+    port, have one, so a class of the union-find over the ties is a path,
+    whose two ends the join pairs, or a loop, with no end.
     """
     linked = [q for q in range(4) if shape[q] == _LINKED]
     fresh = [q for q in range(4) if shape[q] == _FRESH]
     a, f = len(linked), len(fresh)
-    end_op = {("beyond", i): i for i in range(a) if pattern[i] is None}
-    end_op.update((("port", q), a + j) for j, q in enumerate(fresh))
+    end_op = {8 + i: i for i in range(a) if pattern[i] is None}
+    end_op.update((q, a + j) for j, q in enumerate(fresh))
     n_spare = max(0, a - f)
     spare_writes = [(a + f + j, a + f + n_spare) for j in range(n_spare)]
+    ties = []
+    for i, q in enumerate(linked):
+        ties.append((4 + i, q))
+        if pattern[i] is None:
+            ties.append((4 + i, 8 + i))
+        elif i < pattern[i]:
+            ties.append((4 + i, 4 + pattern[i]))
+    ties += [(q, shape[q]) for q in range(4) if q < shape[q] < _LINKED]
+    nodes = {x for tie in ties for x in tie} | {0, 1, 2, 3}
     program = []
     for flip in (1, 3):
-        ties, at = [], {}
-        for i, q in enumerate(linked):
-            ties.append((("linked", i), ("port", q)))
-            if pattern[i] is None:
-                ties.append((("beyond", i), ("linked", i)))
-            elif i < pattern[i]:
-                ties.append((("linked", i), ("linked", pattern[i])))
-        for q in range(4):
-            if shape[q] < _LINKED and q < shape[q]:
-                ties.append((("port", q), ("port", shape[q])))
-            if q < q ^ flip:
-                ties.append((("port", q), ("port", q ^ flip)))
-        for t, (x, y) in enumerate(ties):
-            at.setdefault(x, []).append(t)
-            at.setdefault(y, []).append(t)
-        used = set()
-
-        def run(node):
-            """Follow unused ties from node until none is left."""
-            while True:
-                t = next((t for t in at[node] if t not in used), None)
-                if t is None:
-                    return node
-                used.add(t)
-                x, y = ties[t]
-                node = y if node == x else x
-
+        parent = list(range(12))
+        for x, y in ties + [(q, q ^ flip) for q in range(4) if q < q ^ flip]:
+            parent[_find(parent, x)] = _find(parent, y)
+        ends = {}
+        for x, op in end_op.items():
+            ends.setdefault(_find(parent, x), []).append(op)
         writes = spare_writes[:]
-        for start in end_op:
-            if not used.issuperset(at[start]):
-                end = run(start)
-                writes += (end_op[start], end_op[end]), (end_op[end], end_op[start])
-        loops = 0
-        for t in range(len(ties)):
-            if t not in used:
-                loops += 1
-                run(ties[t][0])
+        for x, y in ends.values():
+            writes += (x, y), (y, x)
+        loops = len({_find(parent, x) for x in nodes}) - len(ends)
         program.append((tuple(writes), loops))
     return tuple(program)
+
+
+def _find(parent, i):
+    """The root of i's class in the union-find `parent`, halving the path."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
 
 
 def _vert_step(port_step, open_verts, ends, left, unit_comp):

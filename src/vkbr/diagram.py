@@ -143,7 +143,14 @@ class Diagram:
     _mate: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "crossings", tuple(self.crossings))
+        try:
+            object.__setattr__(self, "crossings", tuple(self.crossings))
+        except TypeError:
+            message = f"crossings must be a sequence of Crossing, got {self.crossings!r}"
+            raise DiagramError(message) from None
+        for ci, c in enumerate(self.crossings):
+            if not isinstance(c, Crossing):
+                raise DiagramError(f"expected a Crossing, got {c!r}", ci)
         if type(self.free_loops) is not int or self.free_loops < 0:
             raise DiagramError(f"free loops must be a nonnegative int, got {self.free_loops!r}")
         in_slot, out_slot = _slot_maps(self)

@@ -113,10 +113,23 @@ class RibbonGraph:
     """
 
     def __init__(self, vertices, edges):
-        self.vertices: tuple[tuple[str, tuple[str, ...]], ...] = tuple(
-            (name, tuple(darts)) for name, darts in vertices
-        )
-        self.edges: tuple[Edge, ...] = tuple(edges)
+        try:
+            vertices, edges = tuple(vertices), tuple(edges)
+        except TypeError:
+            raise RibbonError("vertices and edges must be sequences") from None
+        rotations = []
+        for vi, vertex in enumerate(vertices):
+            try:
+                name, darts = vertex
+                rotations.append((name, tuple(darts)))
+            except (TypeError, ValueError):
+                message = f"vertex {vi}: expected a (name, darts) pair, got {vertex!r}"
+                raise RibbonError(message, vertex=vi) from None
+        for ei, edge in enumerate(edges):
+            if not isinstance(edge, Edge):
+                raise RibbonError(f"edge {ei}: expected an Edge, got {edge!r}", edge=ei)
+        self.vertices: tuple[tuple[str, tuple[str, ...]], ...] = tuple(rotations)
+        self.edges: tuple[Edge, ...] = edges
         seen_vertices = set()
         dart_vertex: dict[str, int] = {}
         for vi, (name, darts) in enumerate(self.vertices):

@@ -61,8 +61,8 @@ from .ribbon import RibbonGraph, _plan, br_poly, graph_stats, identity_rows, tut
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Both sides of an identity check, the ribbon graph behind the right
-    side with its graph_stats, and the crossings switched to build it.
+    """Both sides of an identity check, the graph_stats of the ribbon
+    graph behind the right side, and the crossings switched to build it.
 
     The graph is that of the diagram's crossings.  The diagram's free
     loops, the whole graph's dart-less vertices, are counted in stats."""
@@ -70,7 +70,6 @@ class VerifyReport:
     left: LaurentPoly
     right: LaurentPoly
     equal: bool
-    graph: RibbonGraph
     stats: dict[str, int]
     switches: tuple[int, ...] = ()
 
@@ -200,7 +199,7 @@ def _verify(d: Diagram, mode: str) -> VerifyReport:
     else:
         left = kauffman_bracket(d)
         right = bracket_from_graph(g, mode == "signed", loops)
-    return VerifyReport(left, right, left == right, g, stats, used)
+    return VerifyReport(left, right, left == right, stats, used)
 
 
 def verify_main(d: Diagram) -> VerifyReport:

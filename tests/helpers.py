@@ -1,6 +1,6 @@
 """Shared test utilities: random ribbon graphs, an independent Tutte
-oracle, torus braids and connected sums, and the command lines that must
-run without the sweeps."""
+oracle, torus braids, connected sums and one-point joins, and the command
+lines that must run without the sweeps."""
 
 import random
 import string
@@ -154,3 +154,23 @@ def production_calls(text: str):
         for argv in (["br-poly"], ["br-poly", "--signed"], ["tutte"], ["genus"]):
             calls.append((argv + ["-"], graph, 0))
     return calls
+
+
+def one_point_join(g1: RibbonGraph, g2: RibbonGraph, v1: int = 0, v2: int = 0) -> RibbonGraph:
+    """The one-point join of two ribbon graphs at g1's vertex v1 and g2's
+    vertex v2, their names renamed apart.
+
+    The joined vertex's rotation is v1's followed by v2's.  A spanning
+    subgraph of the join is one of each graph, with the ranks and
+    nullities adding, and the two boundary components through the corners
+    the join cuts merging into one, so the rank polynomial of the join,
+    signed or not, is the product of the two graphs'.
+    """
+    vertices, edges = [], []
+    for i, g in enumerate((g1, g2)):
+        vertices.append([(f"p{i}_{v}", [f"p{i}_{d}" for d in darts]) for v, darts in g.vertices])
+        edges += [Edge(f"p{i}_{e.name}", [f"p{i}_{d}" for d in e.darts], e.sign) for e in g.edges]
+    first, second = vertices
+    name, darts = first[v1]
+    first[v1] = (name, darts + second.pop(v2)[1])
+    return RibbonGraph(first + second, edges)

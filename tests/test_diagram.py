@@ -179,6 +179,20 @@ class TestParsing:
             build()
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "crossings, index",
+        [
+            ([("a", "b", "b", "a")], 0),
+            ([Crossing(("a", "b", "b", "a"), 1), "X c d d c o=1"], 1),
+            (Crossing(("a", "b", "b", "a"), 1), None),
+            (None, None),
+        ],
+    )
+    def test_wrong_element_types_raise_diagram_error(self, crossings, index):
+        with pytest.raises(DiagramError) as exc:
+            Diagram(crossings)
+        assert exc.value.crossing == index
+
     def test_containers_are_read_as_tuples(self):
         d = Diagram([Crossing(["a", "b", "b", "a"], 1)])
         assert d == parse_diagram(NEG_KINK)

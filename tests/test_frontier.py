@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vkbr
-from helpers import closed_braid, connected_sum, production_calls, random_ribbon, torus_braid
+from helpers import (
+    closed_braid,
+    connected_sum,
+    one_point_join,
+    production_calls,
+    random_ribbon,
+    torus_braid,
+)
 from vkbr import _kernels, diagram, fixtures, limits, ribbon
 from vkbr.build import NotColorableError, build_signed, find_switch_set
 from vkbr.cli import main
@@ -449,6 +456,27 @@ class TestConnectedSums:
             path.write_text(total)
             assert main(["verify", "--signed", str(path)]) == 0
             assert "equal: yes" in capsys.readouterr().out
+
+
+class TestOnePointJoins:
+    """The rank polynomial of a one-point join, signed or not, is the
+    product of its pieces': an oracle for the contraction with vertex
+    partitions past the sweeps' cap, where only the pieces' own
+    polynomials are checked against the sweeps."""
+
+    @pytest.mark.parametrize("sizes", [(15, 15), (14, 9), (12, 12), (8, 15)])
+    def test_rank_polynomials_multiply(self, monkeypatch, sizes):
+        monkeypatch.setenv("VKBR_MAX_CROSSINGS", "30")
+        rng = random.Random(sum(sizes))
+        for _ in range(3):
+            g1, g2 = (random_ribbon(rng, rng.randint(1, 5), e, signed=True) for e in sizes)
+            v1, v2 = (rng.randrange(g.vertex_count) for g in (g1, g2))
+            join = one_point_join(g1, g2, v1, v2)
+            assert join.edge_count == sum(sizes)
+            for signed in (False, True):
+                pieces = [br_poly_routes(g, signed) for g in (g1, g2)]
+                assert all(frontier == sweep for frontier, sweep in pieces)
+                assert br_poly(join, signed=signed) == pieces[0][0] * pieces[1][0]
 
 
 class VertexStepRan(Exception):

@@ -1,5 +1,7 @@
-"""The vectorised enumeration kernels agree with the per-index traces."""
+"""The vectorised enumeration kernels agree with the per-index traces, and
+each site program of the frontier contraction with a traced graph."""
 
+import itertools
 import random
 
 import numpy as np
@@ -123,3 +125,95 @@ class TestOneLayout:
             loops = state_delta_sweep(n, mate)
             rows = _kernels.frontier_histogram(mate, [1 << s for s in range(n)])
             assert rows == [((i, 0, int(loops[i])), 1) for i in range(1 << n)]
+
+
+def _matchings(items):
+    """Every partial matching of `items`, as a dict mapping each matched
+    item to its partner."""
+    if not items:
+        yield {}
+        return
+    first, rest = items[0], items[1:]
+    yield from _matchings(rest)
+    for j, other in enumerate(rest):
+        for matching in _matchings(rest[:j] + rest[j + 1:]):
+            yield {**matching, first: other, other: first}
+
+
+def _site_cases():
+    """Every (shape, pattern) a step can meet: the arcs that join ports of
+    the site to each other, each other port linked or fresh, and the
+    pairing of the linked ports among themselves."""
+    for arcs in _matchings([0, 1, 2, 3]):
+        rest = [q for q in range(4) if q not in arcs]
+        for marks in itertools.product((_kernels._LINKED, _kernels._FRESH), repeat=len(rest)):
+            shape = [arcs.get(q) for q in range(4)]
+            for q, mark in zip(rest, marks):
+                shape[q] = mark
+            a = marks.count(_kernels._LINKED)
+            for pairs in _matchings(list(range(a))):
+                yield tuple(shape), tuple(pairs.get(i) for i in range(a))
+
+
+def _traced_program(shape, pattern):
+    """(writes as a set, loops) of each join, read off the site as a graph:
+    a node for each port, for the open port at the far end of each linked
+    port's arc and for the end beyond it, and an edge for each join, arc
+    and link of the pairing.  Each component is a path between two ends
+    or a cycle."""
+    linked = [q for q in range(4) if shape[q] == _kernels._LINKED]
+    fresh = [q for q in range(4) if shape[q] == _kernels._FRESH]
+    a, f = len(linked), len(fresh)
+    spare = max(0, a - f)
+    operand = {("beyond", i): i for i in range(a) if pattern[i] is None}
+    operand.update((("port", q), a + j) for j, q in enumerate(fresh))
+    program = []
+    for flip in (1, 3):
+        edges = [(("port", q), ("port", q ^ flip)) for q in (0, 1, 2, 3) if q < q ^ flip]
+        edges += [(("port", q), ("port", r)) for q, r in enumerate(shape) if q < r < _kernels._LINKED]
+        for i, q in enumerate(linked):
+            edges.append((("open", i), ("port", q)))
+            p = pattern[i]
+            if p is None:
+                edges.append((("open", i), ("beyond", i)))
+            elif i < p:
+                edges.append((("open", i), ("open", p)))
+        near = {}
+        for x, y in edges:
+            near.setdefault(x, []).append(y)
+            near.setdefault(y, []).append(x)
+        assert all(len(ys) <= 2 for ys in near.values())
+        writes = {(a + f + j, a + f + spare) for j in range(spare)}
+        loops, seen = 0, set()
+        for start in near:
+            if start in seen:
+                continue
+            component, todo = {start}, [start]
+            while todo:
+                for y in near[todo.pop()]:
+                    if y not in component:
+                        component.add(y)
+                        todo.append(y)
+            seen |= component
+            ends = [x for x in component if len(near[x]) == 1]
+            assert set(ends) == component & operand.keys()
+            if ends:
+                x, y = (operand[end] for end in ends)
+                writes |= {(x, y), (y, x)}
+            else:
+                loops += 1
+        program.append((writes, loops))
+    return program
+
+
+class TestSitePrograms:
+    def test_every_site_program_is_the_traced_one(self):
+        cases = list(_site_cases())
+        assert len(cases) == len(set(cases)) == 76
+        for shape, pattern in cases:
+            program = _kernels._site_program(shape, pattern)
+            assert len(program) == 2
+            for (writes, loops), traced in zip(program, _traced_program(shape, pattern)):
+                # No two writes set one slot, so their order does not matter.
+                assert len({at for at, _ in writes}) == len(writes)
+                assert (set(writes), loops) == traced

@@ -382,6 +382,22 @@ class TestConstruction:
             build()
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "vertices, edges, at",
+        [
+            ([("u", "a", "b")], [], {"vertex": 0}),
+            ([("u", ("a", "b")), ("w", 5)], [EDGE_AB], {"vertex": 1}),
+            ([("u", ("a", "b"))], [("e", "a", "b")], {"edge": 0}),
+            ([("u", ("a", "b"))], EDGE_AB, {}),
+            (None, [], {}),
+        ],
+    )
+    def test_wrong_element_types_raise_ribbon_error(self, vertices, edges, at):
+        with pytest.raises(RibbonError) as exc:
+            RibbonGraph(vertices, edges)
+        assert (exc.value.vertex, exc.value.edge) == (at.get("vertex"), at.get("edge"))
+        assert str(exc.value).startswith("".join(f"{kind} {i}: " for kind, i in at.items()))
+
     def test_containers_are_read_as_tuples(self):
         g = RibbonGraph([("u", ["a1", "a2"])], [Edge("a", ["a1", "a2"])])
         assert g == parse_ribbon("V u : a1 a2\nE a : a1 a2\n")
