@@ -74,6 +74,15 @@ def _is_name(value) -> bool:
     return isinstance(value, str) and _NAME.fullmatch(value) is not None
 
 
+def _tuple(value) -> tuple | None:
+    """`value` as a tuple, or None for a string or a non-sequence: a string
+    where a sequence belongs is refused, never read as its characters."""
+    try:
+        return None if isinstance(value, str) else tuple(value)
+    except TypeError:
+        return None
+
+
 def _lines(text: str):
     """(line number, stripped line, tokens) for each line of a diagram or
     ribbon file that is not blank once its comment is cut off."""
@@ -105,9 +114,10 @@ class Crossing:
     over_in: int
 
     def __post_init__(self):
-        object.__setattr__(self, "ports", tuple(self.ports))
-        if len(self.ports) != 4:
-            raise DiagramError(f"crossing needs 4 ports, got {len(self.ports)}")
+        ports = _tuple(self.ports)
+        if ports is None or len(ports) != 4:
+            raise DiagramError(f"crossing needs 4 arc labels, got {self.ports!r}")
+        object.__setattr__(self, "ports", ports)
         for label in self.ports:
             if not _is_name(label):
                 raise DiagramError(f"bad arc label {label!r}")
@@ -143,11 +153,10 @@ class Diagram:
     _mate: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "crossings", tuple(self.crossings))
-        except TypeError:
-            message = f"crossings must be a sequence of Crossing, got {self.crossings!r}"
-            raise DiagramError(message) from None
+        crossings = _tuple(self.crossings)
+        if crossings is None:
+            raise DiagramError(f"crossings must be a sequence of Crossing, got {self.crossings!r}")
+        object.__setattr__(self, "crossings", crossings)
         for ci, c in enumerate(self.crossings):
             if not isinstance(c, Crossing):
                 raise DiagramError(f"expected a Crossing, got {c!r}", ci)
@@ -423,7 +432,8 @@ def jones(d: Diagram) -> LaurentPoly:
     """
     _check_jones(d)
     n = len(d.crossings)
-    return _jones_contraction(_plan(d), [-2] * n, n, d.free_loops, writhe(d))
+    check_enumeration_size(n, f"Jones polynomial of a {n}-crossing diagram")
+    return _jones_contraction(d._mate, [-2] * n, n, d.free_loops, writhe(d))
 
 
 def _jones_contraction(mate, site_shift, base, isolated, w) -> LaurentPoly:

@@ -27,8 +27,9 @@ _kernels): edge s is site s and owns ports 4s .. 4s+3, two per dart, an
 arc joins each dart to the next one counterclockwise at its vertex, and
 the site's chosen join puts the edge in the subgraph.  The closed loops
 of arcs and joins are the boundary components, just as a state's loops
-are its curves.  Frontier contraction and the reference sweep both read
-this one table.
+are its curves.  Frontier contraction and the reference sweep read this
+table.  The per-subgraph trace subgraph_stats walks the vertex and edge
+names instead, so it checks the table rather than sharing it.
 
 File format, one item per line; # starts a comment anywhere on a line:
 
@@ -43,10 +44,10 @@ so every graph they accept prints as a file that parses back equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ._kernels import frontier_histogram, histogram, subgraph_sweep
-from .diagram import _is_name, _lines
+from .diagram import _is_name, _lines, _tuple
 from .laurent import LaurentPoly
 from .limits import check_enumeration_size, check_sweep_memory
 
@@ -78,7 +79,11 @@ class Edge:
     sign: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "darts", tuple(self.darts))
+        darts = _tuple(self.darts)
+        if darts is None:
+            message = f"edge {self.name!r} must pair two distinct darts, got {self.darts!r}"
+            raise RibbonError(message)
+        object.__setattr__(self, "darts", darts)
         for name in (self.name, *self.darts):
             if not _is_name(name):
                 raise RibbonError(f"bad name {name!r}")
@@ -102,34 +107,39 @@ class SubgraphStats:
         return (self.k - self.bc + self.n) // 2
 
 
+@dataclass(frozen=True)
 class RibbonGraph:
     """An edge-ordered rotation system with signed edges.
 
     Vertices and edges keep their construction order; spanning subgraphs
-    are bitmasks over edges in that order.  Instances are immutable by
-    convention.  The rotations are read once, at construction, into the
-    site table `_sites` that frontier contraction and the reference sweep
-    both read; `==` and `repr` leave it out.
+    are bitmasks over edges in that order.  The rotations are read once,
+    at construction, into the site table `_sites` that frontier
+    contraction and the reference sweep read; `==` and `repr` leave it
+    out.  The per-subgraph trace subgraph_stats reads the names instead.
     """
 
-    def __init__(self, vertices, edges):
-        try:
-            vertices, edges = tuple(vertices), tuple(edges)
-        except TypeError:
-            raise RibbonError("vertices and edges must be sequences") from None
+    vertices: tuple[tuple[str, tuple[str, ...]], ...]
+    edges: tuple[Edge, ...]
+    # (arc_mate, site_verts) in the kernels' port layout, read from the names once.
+    _sites: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        vertices, edges = _tuple(self.vertices), _tuple(self.edges)
+        if vertices is None or edges is None:
+            raise RibbonError("vertices and edges must be sequences")
         rotations = []
         for vi, vertex in enumerate(vertices):
-            try:
-                name, darts = vertex
-                rotations.append((name, tuple(darts)))
-            except (TypeError, ValueError):
+            pair = _tuple(vertex) or ()
+            darts = _tuple(pair[1]) if len(pair) == 2 else None
+            if darts is None:
                 message = f"vertex {vi}: expected a (name, darts) pair, got {vertex!r}"
-                raise RibbonError(message, vertex=vi) from None
+                raise RibbonError(message, vertex=vi)
+            rotations.append((pair[0], darts))
         for ei, edge in enumerate(edges):
             if not isinstance(edge, Edge):
                 raise RibbonError(f"edge {ei}: expected an Edge, got {edge!r}", edge=ei)
-        self.vertices: tuple[tuple[str, tuple[str, ...]], ...] = tuple(rotations)
-        self.edges: tuple[Edge, ...] = edges
+        object.__setattr__(self, "vertices", tuple(rotations))
+        object.__setattr__(self, "edges", edges)
         seen_vertices = set()
         dart_vertex: dict[str, int] = {}
         for vi, (name, darts) in enumerate(self.vertices):
@@ -142,60 +152,41 @@ class RibbonGraph:
                 if dart in dart_vertex:
                     raise RibbonError(f"dart {dart!r} appears at two vertex positions", vertex=vi)
                 dart_vertex[dart] = vi
-        dart_edge: dict[str, int] = {}
+        # Edge s with darts x, x' owns ports x in, x' out, x' in, x out:
+        # in_port gives each dart its in port, 4s or 4s+2.
+        in_port: dict[str, int] = {}
         seen_edges = set()
         for ei, edge in enumerate(self.edges):
             if edge.name in seen_edges:
                 raise RibbonError(f"edge {edge.name!r} defined twice", edge=ei)
             seen_edges.add(edge.name)
-            for dart in edge.darts:
-                if dart in dart_edge:
+            for side, dart in enumerate(edge.darts):
+                if dart in in_port:
                     raise RibbonError(f"dart {dart!r} belongs to two edges", edge=ei)
                 if dart not in dart_vertex:
                     raise RibbonError(f"dart {dart!r} is not placed at any vertex", edge=ei)
-                dart_edge[dart] = ei
+                in_port[dart] = 4 * ei + 2 * side
         for dart, vi in dart_vertex.items():
-            if dart not in dart_edge:
+            if dart not in in_port:
                 # Edge checks its own darts, so only a dart of no edge can be a bad name.
                 if not _is_name(dart):
                     raise RibbonError(f"bad name {dart!r}", vertex=vi)
                 raise RibbonError(f"dart {dart!r} belongs to no edge", vertex=vi)
-        # Positional tables: dart id = position in the concatenated rotations.
-        self._dart_ids: dict[str, int] = {}
-        self._vert_off: list[int] = [0]
+        # The site table (arc_mate, site_verts) in the kernels' port layout,
+        # with edge s as site s.  A dart's out port is its in port ^ 3, and
+        # an arc joins x's out port to the in port of rot(x), the next dart
+        # counterclockwise at its vertex.  The chosen join (x in to x' out,
+        # x' in to x out) then steps from x to rot(x') as the face
+        # permutation of a subgraph holding the edge does, and the unchosen
+        # one steps from x to rot(x): the closed loops are the boundary
+        # components.  site_verts holds each edge's two end vertices.
+        mate = [0] * (4 * len(self.edges))
         for _, darts in self.vertices:
-            for dart in darts:
-                self._dart_ids[dart] = len(self._dart_ids)
-            self._vert_off.append(len(self._dart_ids))
-        self._dart_vertex = [dart_vertex[d] for d in self._dart_ids]
-        self._edge_of_dart = [dart_edge[d] for d in self._dart_ids]
-        self._partner = [0] * len(self._dart_ids)
-        ends = [tuple(self._dart_ids[d] for d in edge.darts) for edge in self.edges]
-        for a, b in ends:
-            self._partner[a] = b
-            self._partner[b] = a
-        # The site table (arc_mate, site_verts) that both routes read, in
-        # the kernels' port layout with edge s as site s.  The ports of an
-        # edge with darts x, x' are x in, x' out, x' in, x out, so a dart's
-        # out port is its in port ^ 3, and an arc joins x's out port to
-        # the in port of rot(x), the next dart counterclockwise at its
-        # vertex.  The chosen join (x in to x' out, x' in to x out) then
-        # steps from x to rot(x') as the face permutation of a subgraph
-        # holding the edge does, and the unchosen one steps from x to
-        # rot(x): the closed loops are the boundary components.
-        # site_verts holds each edge's two end vertices.
-        in_port = [0] * len(self._dart_ids)
-        for s, (a, b) in enumerate(ends):
-            in_port[a], in_port[b] = 4 * s, 4 * s + 2
-        mate = [0] * (4 * len(ends))
-        for lo, hi in zip(self._vert_off, self._vert_off[1:]):
-            for x in range(lo, hi):
-                out, into = in_port[x] ^ 3, in_port[x + 1 if x + 1 < hi else lo]
+            for x, nxt in zip(darts, darts[1:] + darts[:1]):
+                out, into = in_port[x] ^ 3, in_port[nxt]
                 mate[out], mate[into] = into, out
-        self._sites = (
-            tuple(mate),
-            tuple((self._dart_vertex[a], self._dart_vertex[b]) for a, b in ends),
-        )
+        ends = tuple((dart_vertex[a], dart_vertex[b]) for a, b in (e.darts for e in self.edges))
+        object.__setattr__(self, "_sites", (tuple(mate), ends))
 
     @property
     def vertex_count(self) -> int:
@@ -217,15 +208,8 @@ class RibbonGraph:
                 mask |= 1 << ei
         return mask
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RibbonGraph):
-            return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
-
     def __repr__(self) -> str:
-        return (
-            f"RibbonGraph({self.vertex_count} vertices, {self.edge_count} edges)"
-        )
+        return f"RibbonGraph({self.vertex_count} vertices, {self.edge_count} edges)"
 
 
 def parse_ribbon(text: str) -> RibbonGraph:
@@ -276,13 +260,15 @@ def format_ribbon(g: RibbonGraph) -> str:
 def subgraph_stats(g: RibbonGraph, subset: int) -> SubgraphStats:
     """Stats of one spanning subgraph, as a direct pure-Python trace.
 
-    `subset` is a bitmask over edges in graph order.  Kept independent of
-    the sweep kernel on purpose.
+    `subset` is a bitmask over edges in graph order.  The trace walks the
+    vertex and edge names and never reads the site table, so it stays
+    independent of the input the contraction and the sweep share.
     """
     v = g.vertex_count
     e = g.edge_count
     if not 0 <= subset < (1 << e):
         raise RibbonError(f"subset {subset} out of range for {e} edges")
+    vertex_of = {d: vi for vi, (_, darts) in enumerate(g.vertices) for d in darts}
     parent = list(range(v))
 
     def find(i: int) -> int:
@@ -292,29 +278,23 @@ def subgraph_stats(g: RibbonGraph, subset: int) -> SubgraphStats:
         return i
 
     k = v
-    e_f = 0
-    for ei in range(e):
+    partner: dict[str, str] = {}
+    for ei, edge in enumerate(g.edges):
         if (subset >> ei) & 1:
-            e_f += 1
-            a, b = (g._dart_ids[d] for d in g.edges[ei].darts)
-            ra, rb = find(g._dart_vertex[a]), find(g._dart_vertex[b])
+            a, b = edge.darts
+            partner[a], partner[b] = b, a
+            ra, rb = find(vertex_of[a]), find(vertex_of[b])
             if ra != rb:
                 parent[ra] = rb
                 k -= 1
     bc = 0
-    nxt: dict[int, int] = {}
-    for vi in range(v):
-        present = [
-            d
-            for d in range(g._vert_off[vi], g._vert_off[vi + 1])
-            if (subset >> g._edge_of_dart[d]) & 1
-        ]
+    nxt: dict[str, str] = {}
+    for _, darts in g.vertices:
+        present = [d for d in darts if d in partner]
         if not present:
             bc += 1
-        else:
-            for pos, d in enumerate(present):
-                nxt[d] = present[(pos + 1) % len(present)]
-    seen: set[int] = set()
+        nxt.update(zip(present, present[1:] + present[:1]))
+    seen: set[str] = set()
     for d in nxt:
         if d in seen:
             continue
@@ -322,9 +302,9 @@ def subgraph_stats(g: RibbonGraph, subset: int) -> SubgraphStats:
         x = d
         while x not in seen:
             seen.add(x)
-            x = nxt[g._partner[x]]
+            x = nxt[partner[x]]
     r = v - k
-    return SubgraphStats(k, r, e_f - r, bc)
+    return SubgraphStats(k, r, len(partner) // 2 - r, bc)
 
 
 def genus(g: RibbonGraph) -> int:
@@ -385,11 +365,18 @@ def identity_rows(g: RibbonGraph, signed: bool = False):
     alpha starts from the number of negative edges, and a chosen edge
     adds 1 to it, or -1 when negative.
     """
-    neg, (mate, _) = _plan(g, signed, "bracket")
-    shifts = [-1 if (neg >> s) & 1 else 1 for s in range(g.edge_count)]
-    bare = sum(not darts for _, darts in g.vertices)
-    rows = frontier_histogram(mate, shifts)
-    return [((neg.bit_count() + shift, loops + bare), count) for (shift, _, loops), count in rows]
+    mate, steps, alpha0, bare = _identity_plan(g, signed, "bracket")
+    rows = frontier_histogram(mate, steps)
+    return [((alpha0 + shift, loops + bare), count) for (shift, _, loops), count in rows]
+
+
+def _identity_plan(g: RibbonGraph, signed: bool, what: str):
+    """(arc_mate, steps, alpha0, bare) of identity_rows and
+    verify.jones_from_graph, after the cap check on `what`: alpha(F) is
+    alpha0 plus the steps of F's edges, and bare counts dart-less vertices."""
+    neg, (mate, _) = _plan(g, signed, what)
+    steps = [-1 if (neg >> s) & 1 else 1 for s in range(g.edge_count)]
+    return mate, steps, neg.bit_count(), sum(not darts for _, darts in g.vertices)
 
 
 def _plan(g: RibbonGraph, signed: bool, what: str = "rank polynomial"):

@@ -56,7 +56,7 @@ from .diagram import (
     writhe,
 )
 from .laurent import LaurentPoly
-from .ribbon import RibbonGraph, _plan, br_poly, graph_stats, identity_rows, tutte_via_br
+from .ribbon import RibbonGraph, _identity_plan, br_poly, graph_stats, identity_rows, tutte_via_br
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,9 @@ def jones_from_graph(g: RibbonGraph, w: int, isolated: int = 0) -> LaurentPoly:
     a chosen edge weighing t^(-1/2), or t^(1/2) when negative; `isolated`
     is as in bracket_from_graph.
     """
-    neg, (mate, _) = _plan(g, True, "bracket")
-    shifts = [2 if (neg >> s) & 1 else -2 for s in range(g.edge_count)]
-    bare = sum(not darts for _, darts in g.vertices)
-    base = g.edge_count - 2 * neg.bit_count()  # alpha starts at e-
-    return _jones_contraction(mate, shifts, base, bare + isolated, w)
+    mate, steps, alpha0, bare = _identity_plan(g, True, "Jones polynomial")
+    shifts = [-2 * step for step in steps]  # t's quarter exponent e - 2 alpha
+    return _jones_contraction(mate, shifts, g.edge_count - 2 * alpha0, bare + isolated, w)
 
 
 def jones_via_rank_poly(g: RibbonGraph, w: int) -> LaurentPoly:

@@ -1,6 +1,6 @@
-"""Shared test utilities: random ribbon graphs, an independent Tutte
-oracle, torus braids, connected sums and one-point joins, and the command
-lines that must run without the sweeps."""
+"""Shared test utilities: random ribbon graphs, their edges' end
+vertices, an independent Tutte oracle, torus braids, connected sums and
+one-point joins, and the command lines that must run without the sweeps."""
 
 import random
 import string
@@ -38,6 +38,13 @@ def random_ribbon(rng: random.Random, n_verts: int, n_edges: int, signed=False):
     return RibbonGraph(
         [(f"v{i}", rot) for i, rot in enumerate(rotations)], edges
     )
+
+
+def end_vertices(g: RibbonGraph):
+    """The end vertices of each edge, as vertex indices, read from the
+    names alone."""
+    vertex_of = {d: vi for vi, (_, darts) in enumerate(g.vertices) for d in darts}
+    return [(vertex_of[a], vertex_of[b]) for a, b in (e.darts for e in g.edges)]
 
 
 def tutte_whitney(n_verts: int, endpoints, variables=("x", "y")) -> LaurentPoly:

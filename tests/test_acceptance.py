@@ -18,7 +18,7 @@ from collections import Counter
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from helpers import random_ribbon, tutte_whitney
+from helpers import end_vertices, random_ribbon, tutte_whitney
 from vkbr import fixtures
 from vkbr.build import build_ribbon, build_signed, find_switch_set
 from vkbr.cli import main as cli_main
@@ -215,24 +215,10 @@ def test_structural_invariants_hold_across_generated_objects():
         edges = rng.randint(3, 10)
         g = random_ribbon(rng, rng.randint(1, 4), edges)
         checked_ten = checked_ten or edges == 10
-        endpoints = [
-            (
-                g._dart_vertex[g._dart_ids[e.darts[0]]],
-                g._dart_vertex[g._dart_ids[e.darts[1]]],
-            )
-            for e in g.edges
-        ]
-        assert tutte_via_br(g) == tutte_whitney(g.vertex_count, endpoints)
+        assert tutte_via_br(g) == tutte_whitney(g.vertex_count, end_vertices(g))
     if not checked_ten:
         g = random_ribbon(rng, 3, 10)
-        endpoints = [
-            (
-                g._dart_vertex[g._dart_ids[e.darts[0]]],
-                g._dart_vertex[g._dart_ids[e.darts[1]]],
-            )
-            for e in g.edges
-        ]
-        assert tutte_via_br(g) == tutte_whitney(g.vertex_count, endpoints)
+        assert tutte_via_br(g) == tutte_whitney(g.vertex_count, end_vertices(g))
 
 
 @criterion

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import vkbr
-from helpers import production_calls
+from helpers import production_calls, torus_braid
 from vkbr import fixtures, limits, ribbon, verify
+from vkbr.build import build_signed
 from vkbr.cli import main
 from vkbr.diagram import apply_switches, format_diagram, is_alternating, parse_diagram
 from vkbr.ribbon import parse_ribbon, tutte_via_br
@@ -399,6 +400,20 @@ class TestErrorsAndSelftest:
         assert (code, out) == (2, "")
         assert "rank polynomial of a 25-edge ribbon graph" in err
         assert "sweep" not in err
+
+    def test_cap_names_the_jones_polynomial(self, capsys, monkeypatch, tmp_path):
+        # Both Jones routes refuse T(2,25) as a Jones computation, not a bracket.
+        monkeypatch.delenv("VKBR_MAX_CROSSINGS", raising=False)
+        path = tmp_path / "t225.txt"
+        path.write_text(torus_braid(2, 25))
+        for argv in (["jones"], ["verify", "--jones"]):
+            code, out, err = run(capsys, *argv, str(path))
+            assert (code, out) == (2, "")
+            assert "Jones polynomial of a 25-crossing diagram" in err
+            assert "bracket" not in err
+        g, _ = build_signed(parse_diagram(torus_braid(2, 25)))
+        with pytest.raises(limits.SizeLimitError, match="^Jones polynomial of a 25-edge ribbon"):
+            verify.jones_from_graph(g, 25)
 
     def test_selftest_passes(self, capsys):
         code, out, _ = run(capsys, "selftest")

@@ -168,6 +168,8 @@ class TestParsing:
             (lambda: Crossing(("a!", "b", "b", "a"), 1), "bad arc label 'a!'"),
             (lambda: Crossing(("x#", "y", "x#", "y"), 1), "bad arc label 'x#'"),
             (lambda: Crossing(("a", "b", "b", 1), 1), "bad arc label 1"),
+            (lambda: Crossing("abcd", 1), "crossing needs 4 arc labels, got 'abcd'"),
+            (lambda: Crossing(("a", "b"), 1), "crossing needs 4 arc labels, got ('a', 'b')"),
             (lambda: Crossing(("a", "b", "b", "a"), True), "expected o=1 or o=3, got True"),
             (lambda: Crossing(("a", "b", "b", "a"), "o=1"), "expected o=1 or o=3, got 'o=1'"),
             (lambda: Diagram((), 1.5), "free loops must be a nonnegative int, got 1.5"),

@@ -1,12 +1,13 @@
 """Rotation systems, subgraph statistics and the rank polynomials."""
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ROUND_TRIP_NAMES, random_ribbon, torus_braid, tutte_whitney
+from helpers import ROUND_TRIP_NAMES, end_vertices, random_ribbon, torus_braid, tutte_whitney
 from vkbr import fixtures, ribbon
 from vkbr.build import build_signed, find_switch_set
 from vkbr.diagram import parse_diagram
@@ -22,6 +23,7 @@ from vkbr.ribbon import (
     br_poly,
     format_ribbon,
     genus,
+    graph_stats,
     parse_ribbon,
     signed_br_poly,
     subgraph_stats,
@@ -323,7 +325,7 @@ class TestTutte:
         rng = random.Random(13)
         for _ in range(15):
             g = random_ribbon(rng, rng.randint(1, 4), rng.randint(0, 6))
-            assert tutte_via_br(g) == tutte_whitney(g.vertex_count, _endpoints(g))
+            assert tutte_via_br(g) == tutte_whitney(g.vertex_count, end_vertices(g))
 
     def test_random_matches_networkx(self):
         # A third oracle, written apart from this package; networkx is not
@@ -335,7 +337,7 @@ class TestTutte:
         graphs = [random_ribbon(rng, rng.randint(1, 4), rng.randint(0, 8)) for _ in range(20)]
         loops = parallel = False
         for g in graphs:
-            ends = [tuple(sorted(pair)) for pair in _endpoints(g)]
+            ends = [tuple(sorted(pair)) for pair in end_vertices(g)]
             loops |= any(u == w for u, w in ends)
             parallel |= any(u != w and ends.count((u, w)) > 1 for u, w in ends)
             multigraph = nx.MultiGraph(ends)
@@ -373,6 +375,7 @@ class TestConstruction:
             (lambda: Edge("a", ("x", "y"), "sign=-"), "expected sign=+ or sign=-, got 'sign=-'"),
             (lambda: Edge("e#", ("a", "b")), "bad name 'e#'"),
             (lambda: Edge("e", ("a", "b:")), "bad name 'b:'"),
+            (lambda: Edge("e", "ab"), "edge 'e' must pair two distinct darts, got 'ab'"),
             (lambda: RibbonGraph([("v 0", ("a", "b"))], [EDGE_AB]), "bad name 'v 0'"),
             (lambda: RibbonGraph([("v", ("a", "b", "é"))], [EDGE_AB]), "bad name 'é'"),
         ],
@@ -390,6 +393,8 @@ class TestConstruction:
             ([("u", ("a", "b"))], [("e", "a", "b")], {"edge": 0}),
             ([("u", ("a", "b"))], EDGE_AB, {}),
             (None, [], {}),
+            ([("u", "ab")], [EDGE_AB], {"vertex": 0}),
+            ([("u", ("a", "b")), "wc"], [EDGE_AB], {"vertex": 1}),
         ],
     )
     def test_wrong_element_types_raise_ribbon_error(self, vertices, edges, at):
@@ -499,17 +504,38 @@ class TestSiteTable:
     def test_equality_and_repr_ignore_the_table(self):
         g = parse_ribbon(SAMPLE)
         other = parse_ribbon(SAMPLE)
-        other._sites = ((), ())
+        object.__setattr__(other, "_sites", ((), ()))
         assert other == g and repr(other) == repr(g)
         assert repr(g) == "RibbonGraph(2 vertices, 3 edges)"
 
+    def test_the_reference_trace_never_reads_the_table(self):
+        # A wrong table: edge 0's two joins exchanged (its ports 1 and 3
+        # swapped).  The empty subgraph then closes bc({e0}) = v +- 1 loops
+        # instead of v, so br_poly's one x^(v-k) y^0 term gains a power of
+        # z, while subgraph_stats, which walks the names, moves nowhere.
+        rng = random.Random(43)
+        graphs = [build_signed(parse_diagram(fixtures.DIAGRAMS[name]))[0] for name in COLORABLE]
+        graphs += [parse_ribbon(text) for text in (SAMPLE, THETA_PLANAR, THETA_TWISTED,
+                   LOOPS_SEPARATED, LOOPS_INTERLEAVED, NEGATIVE_LOOP, fixtures.SAMPLE_RIBBON)]
+        graphs += [random_ribbon(rng, rng.randint(1, 5), rng.randint(1, 8), signed=True)
+                   for _ in range(40)]
+        swap = {1: 3, 3: 1}  # port ids 1 and 3 are edge 0's
+        for g in filter(lambda g: g.edges, graphs):
+            mate, verts = g._sites
+            wrong = [0] * len(mate)
+            for i, j in enumerate(mate):
+                wrong[swap.get(i, i)] = swap.get(j, j)
+            bad = RibbonGraph(g.vertices, g.edges)
+            object.__setattr__(bad, "_sites", (tuple(wrong), verts))
+            for subset in range(1 << g.edge_count):
+                assert subgraph_stats(bad, subset) == subgraph_stats(g, subset)
+            assert graph_stats(bad) == graph_stats(g) and genus(bad) == genus(g)
+            assert br_poly(bad) != br_poly(g)
 
-def _endpoints(g: RibbonGraph):
-    """The end vertices of each edge, as vertex indices."""
-    return [
-        (g._dart_vertex[g._dart_ids[e.darts[0]]], g._dart_vertex[g._dart_ids[e.darts[1]]])
-        for e in g.edges
-    ]
+    def test_frozen(self):
+        g = parse_ribbon(SAMPLE)
+        with pytest.raises(FrozenInstanceError):
+            g.edges = ()
 
 
 def _disjoint_union(g1: RibbonGraph, g2: RibbonGraph) -> RibbonGraph:
