@@ -129,6 +129,12 @@ def _graph_sized(d):
     return d
 
 
+def _output_option(parser):
+    parser.add_argument(
+        "-o", "--output", help="write the graph here and the crossing map to OUTPUT.map"
+    )
+
+
 def _cmd_build_ribbon(args, d):
     return _emit_graph(args, build_ribbon(_graph_sized(d)))
 
@@ -142,6 +148,10 @@ def _cmd_br_poly(args, g):
     poly = br_poly(g, signed=args.signed)
     payload = {"br_poly": str(poly), "signed": bool(args.signed), "stats": graph_stats(g)}
     return 0, payload, [str(poly)]
+
+
+def _signed_option(parser):
+    parser.add_argument("--signed", action="store_true", help="use the edge signs")
 
 
 def _cmd_tutte(args, g):
@@ -170,12 +180,31 @@ def _cmd_verify(args, d):
     return (0 if report.equal else 1), payload, lines
 
 
+def _verify_modes(parser):
+    mode = parser.add_mutually_exclusive_group()
+    for name, (_, help_text) in _VERIFY.items():
+        mode.add_argument(
+            f"--{name}", dest="mode", action="store_const", const=name, help=help_text
+        )
+    parser.set_defaults(mode="main")
+
+
 def _cmd_random(args, _):
     kind = "alternating" if args.alternating else "colorable" if args.colorable else "any"
     d = random_diagram(args.n, args.seed, kind=kind)
     text = format_diagram(d)
     payload = {"diagram": text, "n": args.n, "seed": args.seed, "kind": kind}
     return 0, payload, [text.rstrip("\n")]
+
+
+def _random_options(parser):
+    parser.add_argument(
+        "-n", type=int, required=True, help=f"crossings, 0..{MAX_RANDOM_CROSSINGS}"
+    )
+    parser.add_argument("--seed", type=int, required=True)
+    flavour = parser.add_mutually_exclusive_group()
+    flavour.add_argument("--alternating", action="store_true")
+    flavour.add_argument("--colorable", action="store_true")
 
 
 def _selftest_diagrams():
@@ -234,25 +263,43 @@ def _cmd_selftest(args, _):
     return (0 if all_ok else 1), {"results": results, "ok": all_ok}, lines
 
 
-# name -> (handler, input kind, help text), in the order of vkbr --help.
-# A command with an input kind takes a file argument, which main reads
-# and parses before it calls handler(args, input); one without gets None.
+# name -> (handler, input kind, help text, options), in the order of
+# vkbr --help.  A command with an input kind takes a file argument, which
+# main reads and parses before it calls handler(args, input); one without
+# gets None.  options(parser), where given, adds the command's others.
 _COMMANDS = {
-    "bracket": (_cmd_bracket, "diagram", "Kauffman bracket of a diagram"),
-    "jones": (_cmd_jones, "diagram", "Jones polynomial of a diagram"),
-    "colorable": (_cmd_colorable, "diagram", "report the switch set making a diagram alternate"),
-    "build-ribbon": (_cmd_build_ribbon, "diagram", "ribbon graph of an alternating diagram"),
-    "build-signed": (_cmd_build_signed, "diagram", "signed ribbon graph of a colorable diagram"),
-    "br-poly": (_cmd_br_poly, "ribbon graph", "rank polynomial of a ribbon graph"),
-    "tutte": (_cmd_tutte, "ribbon graph", "Tutte polynomial of the underlying graph"),
-    "genus": (_cmd_genus, "ribbon graph", "genus of a ribbon graph"),
-    "verify": (_cmd_verify, "diagram", "check a bracket or Jones identity both ways"),
-    "random": (_cmd_random, None, "generate a seeded random diagram"),
-    "selftest": (_cmd_selftest, None, "run the bundled examples end to end"),
+    "bracket": (_cmd_bracket, "diagram", "Kauffman bracket of a diagram", None),
+    "jones": (_cmd_jones, "diagram", "Jones polynomial of a diagram", None),
+    "colorable": (_cmd_colorable, "diagram",
+                  "report the switch set making a diagram alternate", None),
+    "build-ribbon": (_cmd_build_ribbon, "diagram",
+                     "ribbon graph of an alternating diagram", _output_option),
+    "build-signed": (_cmd_build_signed, "diagram",
+                     "signed ribbon graph of a colorable diagram", _output_option),
+    "br-poly": (_cmd_br_poly, "ribbon graph", "rank polynomial of a ribbon graph", _signed_option),
+    "tutte": (_cmd_tutte, "ribbon graph", "Tutte polynomial of the underlying graph", None),
+    "genus": (_cmd_genus, "ribbon graph", "genus of a ribbon graph", None),
+    "verify": (_cmd_verify, "diagram",
+               "check a bracket or Jones identity both ways", _verify_modes),
+    "random": (_cmd_random, None, "generate a seeded random diagram", _random_options),
+    "selftest": (_cmd_selftest, None, "run the bundled examples end to end", None),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _named_command(argv):
+    """The command argv names, found as argparse finds it: the first word
+    that does not start with "-", since the options before it, --json and
+    -h, take no value.  None when that word is no command, or there is none."""
+    word = next((arg for arg in argv if not arg.startswith("-")), None)
+    return word if word in _COMMANDS else None
+
+
+def _build_parser(named=None) -> argparse.ArgumentParser:
+    """The parser of vkbr.  Every command is in it, for --help, the usage
+    line and the list of choices, but only the command `named` gets its
+    arguments, or every command when named is None.  main names the
+    command its argv names, so that a call builds no argument of a command
+    it does not run."""
     parser = argparse.ArgumentParser(
         prog="vkbr",
         description=(
@@ -262,34 +309,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON report instead of text")
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {}
-    for name, (handler, kind, help_text) in _COMMANDS.items():
-        parsers[name] = sub.add_parser(name, help=help_text)
+    for name, (handler, kind, help_text, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(handler=handler, kind=kind)
+        if named not in (None, name):
+            continue
         if kind is not None:
-            parsers[name].add_argument("file", help=f"{kind} file, or - for stdin")
-        parsers[name].set_defaults(handler=handler, kind=kind)
-    for name in ("build-ribbon", "build-signed"):
-        parsers[name].add_argument(
-            "-o", "--output", help="write the graph here and the crossing map to OUTPUT.map"
-        )
-    parsers["br-poly"].add_argument("--signed", action="store_true", help="use the edge signs")
-    mode = parsers["verify"].add_mutually_exclusive_group()
-    for name, (_, help_text) in _VERIFY.items():
-        mode.add_argument(
-            f"--{name}", dest="mode", action="store_const", const=name, help=help_text
-        )
-    parsers["verify"].set_defaults(mode="main")
-    rnd = parsers["random"]
-    rnd.add_argument("-n", type=int, required=True, help=f"crossings, 0..{MAX_RANDOM_CROSSINGS}")
-    rnd.add_argument("--seed", type=int, required=True)
-    flavour = rnd.add_mutually_exclusive_group()
-    flavour.add_argument("--alternating", action="store_true")
-    flavour.add_argument("--colorable", action="store_true")
+            command.add_argument("file", help=f"{kind} file, or - for stdin")
+        if options is not None:
+            options(command)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(_named_command(argv)).parse_args(argv)
     try:
         source = _load(args.kind, args.file) if args.kind else None
         code, payload, lines = args.handler(args, source)

@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, JSON reports, files."""
 
+import importlib.util
 import io
 import json
 import os
@@ -14,7 +15,7 @@ import vkbr
 from helpers import production_calls, torus_braid
 from vkbr import fixtures, limits, ribbon, verify
 from vkbr.build import build_signed
-from vkbr.cli import main
+from vkbr.cli import _COMMANDS, _build_parser, _named_command, main
 from vkbr.diagram import apply_switches, format_diagram, is_alternating, parse_diagram
 from vkbr.ribbon import parse_ribbon, tutte_via_br
 
@@ -581,6 +582,61 @@ class TestHelpText:
     def test_every_command_has_its_help(self):
         commands = {argv[0] for argv in HELP if argv}
         assert commands == set(COMMAND_LIST.strip("{}").split(","))
+
+
+def _same_output_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "same_output.py"
+    spec = importlib.util.spec_from_file_location("same_output", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def _named_parser_corpus():
+    """Every command in use, with and without --json; each with -h and with
+    a missing file; same_output's malformed argv; and -- before a command."""
+    tool = _same_output_tool()
+    commands = [*tool.DIAGRAM_COMMANDS, *tool.GRAPH_COMMANDS,
+                ["build-ribbon", "-o", "out.txt"], ["build-signed", "-o", "out.txt"]]
+    calls = [[*command, "-"] for command in commands] + [["selftest"]]
+    calls += [["random", "-n", "3", "--seed", "1", *flag]
+              for flag in ([], ["--alternating"], ["--colorable"])]
+    calls += [["--json", *argv] for argv in calls]
+    for name in _COMMANDS:
+        calls += [[name, "-h"], [name, "missing.txt"]]
+    return calls + [list(argv) for argv in tool.BAD_ARGV] + [["--json", "--", "verify", "-"]]
+
+
+class TestNamedParser:
+    """main gives arguments only to the command argv names; on every argv
+    that parser reads what the parser with every command's arguments reads."""
+
+    @pytest.mark.parametrize("argv", _named_parser_corpus(), ids=lambda argv: " ".join(argv))
+    def test_same_namespace_or_same_exit(self, capsys, argv):
+        results = []
+        for named in (_named_command(argv), None):
+            try:
+                results.append(_build_parser(named).parse_args(argv))
+            except SystemExit as exc:
+                captured = capsys.readouterr()
+                results.append((exc.code, captured.out, captured.err))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--json", "--", "verify", "-"], "verify"),
+        (["-h", "random"], "random"),
+        (["bracket", "genus"], "bracket"),
+        (["--help"], None),
+        (["nonsense", "bracket"], None),
+        ([], None),
+    ])
+    def test_the_named_command(self, argv, named):
+        assert _named_command(argv) == named
+
+    def test_other_commands_take_no_arguments(self, capsys):
+        with pytest.raises(SystemExit):
+            _build_parser("bracket").parse_args(["jones", "knot.txt"])
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: knot.txt\n")
 
 
 def test_main_repeats_itself_in_one_process(capsys, monkeypatch, tmp_path):

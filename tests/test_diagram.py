@@ -148,6 +148,10 @@ class TestParsing:
         with pytest.raises(DiagramError, match=r"^line 4: arc 'c' never leaves a crossing$"):
             parse_diagram(text)
 
+    def test_arc_that_never_enters_names_its_line(self):
+        with pytest.raises(DiagramError, match=r"^line 1: arc 'a' never enters a crossing$"):
+            parse_diagram("X b c c a o=1\n")
+
     def test_direct_construction_names_the_crossing(self):
         crossings = (Crossing(("a", "b", "b", "a"), 1), Crossing(("a", "c", "c", "a"), 1))
         with pytest.raises(DiagramError, match="^crossing 1: arc 'a' occurs twice") as exc:
@@ -278,6 +282,10 @@ class TestStrandStructure:
         assert switch_crossing(c) == Crossing(("b", "c", "d", "a"), 3)
         c = Crossing(("a", "b", "c", "d"), 3)
         assert switch_crossing(c) == Crossing(("d", "a", "b", "c"), 1)
+
+    def test_switching_a_missing_crossing_rejected(self):
+        with pytest.raises(DiagramError, match="^no crossing 1 to switch$"):
+            apply_switches(parse_diagram(NEG_KINK), (0, 1))
 
 
 def _label_mate(d):
@@ -439,6 +447,9 @@ class TestBracket:
     def test_cap_env_validation(self, monkeypatch):
         monkeypatch.setenv("VKBR_MAX_CROSSINGS", "many")
         with pytest.raises(SizeLimitError):
+            kauffman_bracket(parse_diagram(NEG_KINK))
+        monkeypatch.setenv("VKBR_MAX_CROSSINGS", "-1")
+        with pytest.raises(SizeLimitError, match="must be nonnegative, got -1"):
             kauffman_bracket(parse_diagram(NEG_KINK))
 
 

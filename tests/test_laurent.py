@@ -91,6 +91,10 @@ class TestConstruction:
         with pytest.raises(PolyError):
             mono(1, A=1) + LaurentPoly.one(T)
 
+    def test_exponent_tuple_of_the_wrong_width_rejected(self):
+        with pytest.raises(PolyError, match=r"^exponent tuple \(4, 0\) does not match 3 var"):
+            LaurentPoly(ABD, {(4, 0): 1})
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -290,6 +294,17 @@ class TestArithmetic:
         assert p**-1 == LaurentPoly.monomial(T, -1, t=-2)
         assert p**-2 == LaurentPoly.monomial(T, 1, t=-4)
 
+    def test_non_integer_pow_rejected(self):
+        with pytest.raises(PolyError, match="use substitute"):
+            mono(1, A=1) ** 0.5
+
+    def test_other_types_do_not_combine(self):
+        with pytest.raises(PolyError, match="^cannot combine LaurentPoly with str$"):
+            mono(1, A=1) + "A"
+
+    def test_equality_with_other_types_is_left_to_them(self):
+        assert mono(1, A=1).__eq__("A") is NotImplemented
+
     def test_negative_pow_of_sum_rejected(self):
         p = LaurentPoly.one(T) + LaurentPoly.variable(T, "t")
         with pytest.raises(PolyError):
@@ -384,6 +399,11 @@ class TestSubstitution:
         }
         with pytest.raises(PolyError):
             p.substitute(sub, T)
+
+    def test_assignment_over_other_variables_rejected(self):
+        sub = {"A": LaurentPoly.one(T), "B": LaurentPoly.one(T), "d": LaurentPoly.one(TU)}
+        with pytest.raises(PolyError, match=r"^assignment for 'd' is over \('t', 'u'\)"):
+            mono(1, A=1).substitute(sub, T)
 
     def test_missing_assignment_rejected(self):
         p = mono(1, A=1, B=1)
@@ -484,6 +504,10 @@ class TestAccessors:
         assert p.coefficient(A=2, B=1, d=1) == 3
         assert p.coefficient(A=1, B=2) == 2
         assert p.coefficient(A=5) == 0
+
+    def test_coefficient_of_an_unknown_variable_rejected(self):
+        with pytest.raises(PolyError, match="^unknown variable 'q'"):
+            bracket_of_sample_knot().coefficient(q=1)
 
     def test_terms_iteration_in_canonical_order(self):
         p = mono(2, A=1) + mono(1, B=1)

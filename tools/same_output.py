@@ -8,10 +8,12 @@ repository (a `git worktree` of the parent commit, say):
 
 Each tree runs the whole corpus in one child process, which imports
 `vkbr` from that tree alone, with COLUMNS=80 so that help text wraps the
-same way.  The corpus is every subcommand, in text and with --json, on
-every bundled fixture, on `random_diagram(n, seed, kind)` for every kind,
-n <= --max-n and seeds 0 .. --seeds - 1, and on the signed ribbon graphs
-of the colourable ones; `random` on the same (n, seed, kind); each
+same way, and with VKBR_MAX_CROSSINGS unset.  The corpus is every
+subcommand, in text and with --json, on every bundled fixture, on the
+torus knot T(2, 25), one past the default crossing cap of 24 whatever
+--max-n is, on `random_diagram(n, seed, kind)` for every kind, n <=
+--max-n and seeds 0 .. --seeds - 1, and on the signed ribbon graphs of
+the colourable ones; `random` on the same (n, seed, kind); each
 --help; and malformed files, malformed arguments and missing files.  The
 `-o` calls record the files they write too.  The inputs are built with
 the --new tree.
@@ -53,6 +55,11 @@ BAD_ARGV = (
 )
 
 
+def closed_two_braid(q):
+    """Diagram text of the closed 2-braid sigma_1^q, the torus link T(2, q)."""
+    return "".join(f"X a{i} b{i} b{(i + 1) % q} a{(i + 1) % q} o=1\n" for i in range(q))
+
+
 def build_corpus(workdir, max_n, seeds):
     """[argv, stdin] for every call, the inputs written under workdir."""
     from vkbr import fixtures
@@ -61,7 +68,9 @@ def build_corpus(workdir, max_n, seeds):
     from vkbr.randgen import KINDS, random_diagram
     from vkbr.ribbon import format_ribbon
 
-    diagrams = list(fixtures.DIAGRAMS.values())
+    # T(2, 25) is past the default cap of 24, so the commands that sum over
+    # its states or its graph's subgraphs refuse it.
+    diagrams = [*fixtures.DIAGRAMS.values(), closed_two_braid(25)]
     for kind in KINDS:
         for n in range(max_n + 1):
             diagrams += [format_diagram(random_diagram(n, s, kind)) for s in range(seeds)]
@@ -146,6 +155,7 @@ def run_corpus(corpus_path, results_path):
 def run_tree(tree, corpus_path, results_path):
     """Start the child that runs the corpus under tree."""
     env = dict(os.environ, PYTHONPATH=tree, COLUMNS="80")
+    env.pop("VKBR_MAX_CROSSINGS", None)
     argv = [sys.executable, os.path.abspath(__file__), "--run", corpus_path, results_path]
     return subprocess.Popen(argv, env=env, stderr=subprocess.PIPE, text=True)
 
