@@ -23,6 +23,7 @@ the graph of the switched diagram, and mark the switched edges negative.
 from __future__ import annotations
 
 from .diagram import Diagram, _fails_to_alternate, apply_switches, is_alternating
+from .limits import BYTES_PER_FREE_LOOP, check_memory
 from .ribbon import Edge, RibbonGraph
 
 
@@ -93,8 +94,9 @@ def build_ribbon(d: Diagram) -> RibbonGraph:
 
     Vertices are named v0, v1, ... in discovery order; the edge of
     crossing i is named ei with darts eia and eib.  Free loops become
-    isolated vertices.
+    isolated vertices, after a check that they fit in memory.
     """
+    _check_free_loops(d)
     return _build(d, frozenset())
 
 
@@ -103,8 +105,10 @@ def build_signed(d: Diagram, switches=None):
 
     Switches the crossings in `switches` (found automatically when None),
     builds the graph of the switched diagram, and marks the switched edges
-    negative.  Returns (graph, switches).
+    negative.  Returns (graph, switches).  The free loops' memory is
+    checked first, as in build_ribbon.
     """
+    _check_free_loops(d)
     if switches is None:
         switches = find_switch_set(d)
         if switches is None:
@@ -114,6 +118,13 @@ def build_signed(d: Diagram, switches=None):
     switches = tuple(sorted(set(switches)))
     switched = apply_switches(d, switches)
     return _build(switched, frozenset(switches)), switches
+
+
+def _check_free_loops(d: Diagram) -> None:
+    """Refuse, before anything is allocated, a graph whose dart-less
+    vertices, one per free loop, would not fit in memory."""
+    check_memory(BYTES_PER_FREE_LOOP * d.free_loops,
+                 f"ribbon graph of a diagram with {d.free_loops} free loops")
 
 
 def _build(d: Diagram, negative: frozenset) -> RibbonGraph:

@@ -35,7 +35,6 @@ from .diagram import (
     format_diagram,
     writhe,
 )
-from .limits import BYTES_PER_FREE_LOOP, check_memory
 from .randgen import MAX_RANDOM_CROSSINGS, random_diagram
 from .ribbon import (
     br_poly,
@@ -121,14 +120,6 @@ def _emit_graph(args, g, switches=None):
     return 0, payload, lines
 
 
-def _graph_sized(d):
-    """d, once the graph to print fits in memory: each free loop becomes a
-    dart-less vertex, held and printed one by one."""
-    check_memory(BYTES_PER_FREE_LOOP * d.free_loops,
-                 f"ribbon graph of a diagram with {d.free_loops} free loops")
-    return d
-
-
 def _output_option(parser):
     parser.add_argument(
         "-o", "--output", help="write the graph here and the crossing map to OUTPUT.map"
@@ -136,11 +127,11 @@ def _output_option(parser):
 
 
 def _cmd_build_ribbon(args, d):
-    return _emit_graph(args, build_ribbon(_graph_sized(d)))
+    return _emit_graph(args, build_ribbon(d))
 
 
 def _cmd_build_signed(args, d):
-    g, switches = build_signed(_graph_sized(d))
+    g, switches = build_signed(d)
     return _emit_graph(args, g, switches)
 
 
@@ -160,8 +151,8 @@ def _cmd_tutte(args, g):
 
 
 def _cmd_genus(args, g):
-    value = genus(g)
-    return 0, {"genus": value, "stats": graph_stats(g)}, [str(value)]
+    stats = graph_stats(g)
+    return 0, {"genus": stats["genus"], "stats": stats}, [str(stats["genus"])]
 
 
 def _cmd_verify(args, d):
@@ -297,9 +288,9 @@ def _named_command(argv):
 def _build_parser(named=None) -> argparse.ArgumentParser:
     """The parser of vkbr.  Every command is in it, for --help, the usage
     line and the list of choices, but only the command `named` gets its
-    arguments, or every command when named is None.  main names the
-    command its argv names, so that a call builds no argument of a command
-    it does not run."""
+    -h, defaults and arguments, or every command when named is None.  main
+    names the command its argv names, so that a call builds no argument of
+    a command it does not run."""
     parser = argparse.ArgumentParser(
         prog="vkbr",
         description=(
@@ -310,10 +301,11 @@ def _build_parser(named=None) -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit a JSON report instead of text")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, kind, help_text, options) in _COMMANDS.items():
+        if named not in (None, name):
+            sub.add_parser(name, help=help_text, add_help=False)
+            continue
         command = sub.add_parser(name, help=help_text)
         command.set_defaults(handler=handler, kind=kind)
-        if named not in (None, name):
-            continue
         if kind is not None:
             command.add_argument("file", help=f"{kind} file, or - for stdin")
         if options is not None:

@@ -4,8 +4,8 @@ Both state sums (2^n splitting states, 2^e spanning subgraphs) refuse to
 run past a configurable size, whichever route computes them.  The default
 cap is 24; the environment variable VKBR_MAX_CROSSINGS overrides it for
 both kinds of sum.  A sweep also refuses when its arrays would not fit in
-memory, which only a raised cap can bring about.  The commands that print
-a ribbon graph refuse when its dart-less vertices, one per free loop of
+memory, which only a raised cap can bring about.  The ribbon graph
+builders refuse when the graph's dart-less vertices, one per free loop of
 the diagram, would not fit.  Memory is checked before the allocation,
 against physical memory or the address-space limit (ulimit -v) if lower.
 """

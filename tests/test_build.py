@@ -5,7 +5,7 @@ from dataclasses import astuple
 
 import pytest
 
-from vkbr import fixtures
+from vkbr import build, fixtures, limits
 from vkbr.build import (
     NotAlternatingError,
     NotColorableError,
@@ -15,6 +15,7 @@ from vkbr.build import (
     find_switch_set,
 )
 from vkbr.diagram import (
+    Diagram,
     apply_switches,
     components,
     is_alternating,
@@ -22,6 +23,7 @@ from vkbr.diagram import (
     parse_diagram,
     split_stats,
 )
+from vkbr.limits import SizeLimitError
 from vkbr.randgen import KINDS, random_diagram
 from vkbr.ribbon import (
     br_poly,
@@ -305,3 +307,18 @@ class TestBuildSigned:
         g, switches = build_signed(d, switches=(2, 1, 2))
         assert switches == (1, 2)
         assert g.negative_mask() == 0b110
+
+
+@pytest.mark.parametrize("builder", [build_ribbon, build_signed])
+def test_free_loops_refused_before_anything_is_built(monkeypatch, builder):
+    """Both builders check the free loops' memory before the switch search
+    and before any vertex is allocated."""
+    def fail(*_):
+        raise AssertionError("reached past the memory check")
+
+    monkeypatch.setattr(limits, "physical_memory", lambda: 10**12)
+    monkeypatch.setattr(build, "_build", fail)
+    monkeypatch.setattr(build, "find_switch_set", fail)
+    with pytest.raises(SizeLimitError, match="ribbon graph of a diagram with "
+                                             "1000000000000 free loops"):
+        builder(Diagram((), 10**12))

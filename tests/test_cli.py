@@ -593,8 +593,10 @@ def _same_output_tool():
 
 
 def _named_parser_corpus():
-    """Every command in use, with and without --json; each with -h and with
-    a missing file; same_output's malformed argv; and -- before a command."""
+    """Every command in use, with and without --json; each with -h, with
+    --json and -h and with a missing file; same_output's malformed argv;
+    -- before a command; -h after the file; two command words; and option
+    prefixes."""
     tool = _same_output_tool()
     commands = [*tool.DIAGRAM_COMMANDS, *tool.GRAPH_COMMANDS,
                 ["build-ribbon", "-o", "out.txt"], ["build-signed", "-o", "out.txt"]]
@@ -603,8 +605,10 @@ def _named_parser_corpus():
               for flag in ([], ["--alternating"], ["--colorable"])]
     calls += [["--json", *argv] for argv in calls]
     for name in _COMMANDS:
-        calls += [[name, "-h"], [name, "missing.txt"]]
-    return calls + [list(argv) for argv in tool.BAD_ARGV] + [["--json", "--", "verify", "-"]]
+        calls += [[name, "-h"], ["--json", name, "-h"], [name, "missing.txt"]]
+    calls += [list(argv) for argv in tool.BAD_ARGV]
+    return calls + [["--json", "--", "verify", "-"], ["verify", "-", "-h"],
+                    ["verify", "genus", "-h"], ["verify", "--sig", "-"], ["br-poly", "--s", "-"]]
 
 
 class TestNamedParser:
@@ -637,6 +641,20 @@ class TestNamedParser:
         with pytest.raises(SystemExit):
             _build_parser("bracket").parse_args(["jones", "knot.txt"])
         assert capsys.readouterr().err.endswith("error: unrecognized arguments: knot.txt\n")
+        # Nor their own -h, while the named and the full parser print the
+        # same help for each command.
+        for b in _COMMANDS:
+            for a in _COMMANDS.keys() - {b}:
+                with pytest.raises(SystemExit) as exc:
+                    _build_parser(a).parse_args([b, "-h"])
+                err = capsys.readouterr().err
+                assert exc.value.code == 2 and err.endswith("error: unrecognized arguments: -h\n")
+            helps = []
+            for named in (b, None):
+                with pytest.raises(SystemExit) as exc:
+                    _build_parser(named).parse_args([b, "-h"])
+                helps.append((exc.value.code, capsys.readouterr()))
+            assert helps[0] == helps[1] and helps[0][0] == 0 and helps[0][1].out
 
 
 def test_main_repeats_itself_in_one_process(capsys, monkeypatch, tmp_path):

@@ -302,12 +302,13 @@ class TestSweepMemoryCheck:
             ribbon._sweep_rows(parse_ribbon(fixtures.SAMPLE_RIBBON), 0)
 
     def test_cli_exits_2(self, monkeypatch, capsys):
-        # selftest is the one subcommand that runs the sweeps; the Hopf
-        # link is the first fixture whose sweep needs more than 100 bytes.
-        monkeypatch.setattr(limits, "physical_memory", lambda: 100)
+        # selftest is the one subcommand that runs the sweeps; the trefoil
+        # is the first fixture whose sweep needs more than 300 bytes, and
+        # the unknot's one free loop (300 bytes) is let through.
+        monkeypatch.setattr(limits, "physical_memory", lambda: 300)
         assert main(["selftest"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: state sweep of a 2-crossing diagram") and "physical memory" in err
+        assert err.startswith("error: state sweep of a 3-crossing diagram") and "physical memory" in err
 
     def test_raised_cap_sweep_refused(self, monkeypatch):
         # 2^40 indices: refused from the estimate, nothing allocated.
