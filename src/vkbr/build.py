@@ -116,7 +116,7 @@ def build_signed(d: Diagram, switches=None):
                 "no set of crossing switches makes this diagram alternate"
             )
     switches = tuple(sorted(set(switches)))
-    switched = apply_switches(d, switches)
+    switched = apply_switches(d, switches) if switches else d
     return _build(switched, frozenset(switches)), switches
 
 

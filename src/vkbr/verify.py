@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .build import build_ribbon, build_signed
+from .build import build_signed
 from .diagram import (
     BRACKET_VARS,
     JONES_VARS,
@@ -184,10 +184,7 @@ def _verify(d: Diagram, mode: str) -> VerifyReport:
     """
     loops = d.free_loops
     crossings = Diagram(d.crossings) if loops else d
-    if mode == "main":
-        g, used = build_ribbon(crossings), ()
-    else:
-        g, used = build_signed(crossings)
+    g, used = build_signed(crossings, () if mode == "main" else None)
     _check_bijection(crossings, g, used)
     stats = graph_stats(g)
     stats.update(v=stats["v"] + loops, k=stats["k"] + loops, bc=stats["bc"] + loops)

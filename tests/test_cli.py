@@ -13,7 +13,7 @@ import pytest
 
 import vkbr
 from helpers import production_calls, torus_braid
-from vkbr import fixtures, limits, ribbon, verify
+from vkbr import _kernels, fixtures, limits, ribbon, verify
 from vkbr.build import build_signed
 from vkbr.cli import _COMMANDS, _build_parser, _named_command, main
 from vkbr.diagram import apply_switches, format_diagram, is_alternating, parse_diagram
@@ -444,6 +444,40 @@ class TestErrorsAndSelftest:
         assert "switched-trefoil: graph side equals substituted rank polynomial: FAIL" in out
         assert "switched-trefoil: signed identity: FAIL" in out
 
+    def test_selftest_reports_a_check_that_raises(self, capsys, monkeypatch):
+        # A kernel fault: a chosen join that closes 2 or more loops counts
+        # one more.  The positive kink's bracket then has no inverse at
+        # the Jones point, so jones_via_bracket raises; that check fails
+        # on its own line, the others still run, and selftest exits 1.
+        original = _kernels._site_program
+
+        def miscount(shape, pattern):
+            (writes, loops), unchosen = original(shape, pattern)
+            return (writes, loops + (loops >= 2)), unchosen
+
+        monkeypatch.setattr(_kernels, "_site_program", miscount)
+        code, out, err = run(capsys, "selftest")
+        lines = out.splitlines()
+        assert (code, err) == (1, "")
+        assert len(lines) == 49 and lines[-1].endswith("/48 checks passed")
+        assert "trefoil: frontier route equals traces: FAIL" in lines
+        assert ("positive-kink: Jones at its point equals substituted bracket: FAIL "
+                "(PolyError: power -1 of a 2-term polynomial is not a Laurent polynomial)") in lines
+        code, out, _ = run(capsys, "--json", "selftest")
+        results = json.loads(out)["results"]
+        assert code == 1 and len(results) == 48
+        assert [item["error"] for item in results if "error" in item] == [
+            "PolyError: power -1 of a 2-term polynomial is not a Laurent polynomial"
+        ]
+
+    def test_selftest_size_limit_exits_2(self, capsys, monkeypatch):
+        # A refused size is no fault of a check: it ends the run as on any
+        # command.  The trefoil's state table is past a cap of 2.
+        monkeypatch.setenv("VKBR_MAX_CROSSINGS", "2")
+        code, out, err = run(capsys, "selftest")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "3-crossing" in err
+
 
 def _help_block(lines):
     return "".join(line + "\n" for line in lines)
@@ -797,12 +831,12 @@ def loads_numpy(modules):
     return any(name.split(".")[0] == "numpy" for name in modules)
 
 
-STARTUP_CALLS = production_calls(fixtures.SAMPLE_KNOT)
+STARTUP_CALLS = production_calls(fixtures.SAMPLE_KNOT) + [(["selftest"], "", 0)]
 
 
 class TestStartup:
-    """numpy serves only the reference sweeps, so the production commands
-    start without loading it."""
+    """numpy serves only the reference sweeps, which the tests run, so no
+    command loads it, selftest included."""
 
     def test_import_leaves_numpy_unloaded(self):
         proc = subprocess.run(
@@ -816,16 +850,12 @@ class TestStartup:
     @pytest.mark.parametrize(
         "argv, stdin, code",
         STARTUP_CALLS,
-        ids=[" ".join(argv[:-1]) for argv, _, _ in STARTUP_CALLS],
+        ids=[" ".join(arg for arg in argv if arg != "-") for argv, _, _ in STARTUP_CALLS],
     )
     def test_production_command_leaves_numpy_unloaded(self, argv, stdin, code):
         returncode, modules = imported_modules(argv, stdin)
         assert returncode == code
         assert "vkbr.diagram" in modules and not loads_numpy(modules)
-
-    def test_selftest_loads_numpy_and_passes(self):
-        returncode, modules = imported_modules(["selftest"])
-        assert returncode == 0 and loads_numpy(modules)
 
 
 class TestSameOutput:

@@ -6,7 +6,8 @@ polynomial, carried through the contraction at its point, against the
 whole bracket substituted afterwards.
 
 Run from the root of a checkout (the tests directory supplies the random
-ribbon graphs and the torus braids):
+ribbon graphs and the torus braids).  The sweeps need numpy, which the
+project's `test` extra installs:
 
     PYTHONPATH=src:tests python3 tools/route_gate.py
 
