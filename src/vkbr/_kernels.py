@@ -15,11 +15,11 @@ greedy order it picks itself, with a table whose size depends on the
 width of the frontier rather than on the number of states or subgraphs.
 It needs nothing but Python integers.
 
-The sweeps are the brute-force reference it is checked against.  They go
-through the exponential index space, with bit s of an index set when site
-s is chosen, and record small integer statistics per index; histogram
-counts the distinct rows of those statistics, and the exact polynomial
-assembly happens afterwards in ordinary Python integers.  Indices are
+The sweeps are the brute-force reference it is checked against, and no
+command runs them.  They go through the exponential index space, with bit
+s of an index set when site s is chosen, and record small integer
+statistics per index; tests/reference.py checks a sweep's memory before
+it runs and counts the distinct rows of its statistics.  Indices are
 processed a chunk at a time with numpy array operations: a chunk holds
 every combination of the low bits under one fixed setting of the high
 bits, with one row per index.  Both sweeps count loops by one rule,
@@ -37,6 +37,12 @@ from heapq import heappop, heappush
 
 # Elements per work array of one chunk (128 KiB as int32, 256 KiB as intp).
 CHUNK_ELEMS = 1 << 15
+
+
+# -- reference sweeps -------------------------------------------------------
+# They stay here, not in tests/reference.py, while perfbench/tracing.py
+# wraps state_delta_sweep and subgraph_sweep by name as vkbr._kernels
+# attributes; they move once the benchmark drops those kernel spans.
 
 
 def _chunk_loop_counts(arc_mate, row_elems=0):
@@ -161,31 +167,6 @@ def _high_edge_labels(n_verts, ends, mask):
         if (mask >> ei) & 1:
             parent[_find(parent, int(ends[ei, 0]))] = _find(parent, int(ends[ei, 1]))
     return np.array([[_find(parent, i) for i in range(n_verts)]], dtype=np.int32)
-
-
-def histogram(*columns):
-    """The distinct rows of equal-length integer columns, with their counts.
-
-    Yields (row, count) with row a tuple of ints, in increasing order of
-    rows.  Each column becomes one mixed-radix digit, offset by its least
-    value, so the count array spans only the product of the columns'
-    ranges, however large their values.
-    """
-    import numpy as np
-
-    lows = [int(col.min()) for col in columns]
-    spans = [int(col.max()) - low + 1 for col, low in zip(columns, lows)]
-    key = np.zeros(len(columns[0]), dtype=np.int64)
-    for col, low, span in zip(columns, lows, spans):
-        key = key * span + (col.astype(np.int64) - low)
-    counts = np.bincount(key)
-    for flat in np.flatnonzero(counts):
-        row = []
-        rest = int(flat)
-        for low, span in zip(reversed(lows), reversed(spans)):
-            rest, digit = divmod(rest, span)
-            row.append(low + digit)
-        yield tuple(reversed(row)), int(counts[flat])
 
 
 # -- frontier contraction -------------------------------------------------

@@ -14,7 +14,7 @@ port and exactly once as an incoming one.
 Port p of crossing c has the port id 4c+p.  A diagram reads its arcs once,
 when it is made, into a pairing over port ids: `_mate[i]` is the port id
 at the other end of the arc at port id i.  The strand walks, the ribbon
-graph builder and the sweep kernels all read this one table.  An arc
+graph builder and the kernels all read this one table.  An arc
 alternates when it joins an under port (0 or 2) to an over port (1 or 3),
 that is when its two port ids differ in parity.
 
@@ -55,9 +55,9 @@ import sys
 from dataclasses import dataclass, field
 from math import ceil, log10
 
-from ._kernels import frontier_histogram, histogram, state_delta_sweep
+from ._kernels import frontier_histogram
 from .laurent import LaurentPoly
-from .limits import SizeLimitError, check_enumeration_size, check_sweep_memory
+from .limits import SizeLimitError, check_enumeration_size
 
 BRACKET_VARS = ("A", "B", "d")
 JONES_VARS = ("t",)
@@ -368,15 +368,6 @@ def kauffman_bracket(d: Diagram) -> LaurentPoly:
     return _bracket_sum(len(d.crossings), _frontier_rows(_plan(d)), d.free_loops)
 
 
-def bracket_routes(d: Diagram) -> tuple[LaurentPoly, LaurentPoly]:
-    """The bracket by frontier contraction, as kauffman_bracket computes
-    it, and by the reference state sweep; the two must be equal."""
-    mate = _plan(d)
-    n = len(d.crossings)
-    return tuple(_bracket_sum(n, rows, d.free_loops)
-                 for rows in (_frontier_rows(mate), _sweep_rows(mate)))
-
-
 def _plan(d: Diagram) -> tuple[int, ...]:
     """The arc pairing, after the cap check."""
     n = len(d.crossings)
@@ -390,16 +381,6 @@ def _frontier_rows(mate: tuple[int, ...]):
     n = len(mate) // 4
     rows = frontier_histogram(mate, [1] * n)
     return [((alpha, curves), count) for (alpha, _, curves), count in rows]
-
-
-def _sweep_rows(mate: tuple[int, ...]):
-    """The rows of _frontier_rows, from the reference state sweep."""
-    import numpy as np
-
-    n = len(mate) // 4
-    check_sweep_memory(n, f"state sweep of a {n}-crossing diagram")
-    masks = np.arange(1 << n, dtype=np.int64)
-    return histogram(np.bitwise_count(masks), state_delta_sweep(n, mate))
 
 
 def _bracket_sum(n: int, rows, isolated: int = 0) -> LaurentPoly:

@@ -3,20 +3,16 @@
 Both state sums (2^n splitting states, 2^e spanning subgraphs) refuse to
 run past a configurable size, whichever route computes them.  The default
 cap is 24; the environment variable VKBR_MAX_CROSSINGS overrides it for
-both kinds of sum.  A sweep also refuses when its arrays would not fit in
-memory, which only a raised cap can bring about.  The ribbon graph
-builders refuse when the graph's dart-less vertices, one per free loop of
-the diagram, would not fit.  Memory is checked before the allocation,
-against physical memory or the address-space limit (ulimit -v) if lower.
+both kinds of sum.  The ribbon graph builders refuse when the graph's
+dart-less vertices, one per free loop of the diagram, would not fit.
+Memory is checked before the allocation, against physical memory or the
+address-space limit (ulimit -v) if lower.
 """
 
 import os
 
 DEFAULT_CAP = 24
 CAP_ENV_VAR = "VKBR_MAX_CROSSINGS"
-# Bytes a sweep holds per index at its peak: its int16 outputs, and the
-# int64 mask, popcount and histogram key arrays with their temporaries.
-SWEEP_BYTES_PER_INDEX = 48
 # Bytes build-ribbon and build-signed hold per free loop at their peak: the
 # dart-less vertex, its name, its entries in the graph's tables and its line
 # of output (about 270 of resident memory per loop on O 1000000).
@@ -87,9 +83,3 @@ def check_memory(need: int, what: str) -> None:
             f"{what}: it needs about {need} bytes, more than the "
             f"{budget[0]} bytes of {budget[1]}"
         )
-
-
-def check_sweep_memory(n_bits: int, what: str) -> None:
-    """Raise SizeLimitError when a sweep over 2^n_bits indices would need
-    more bytes than there is memory, before it allocates them."""
-    check_memory(SWEEP_BYTES_PER_INDEX << n_bits, what)

@@ -46,10 +46,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._kernels import frontier_histogram, histogram, subgraph_sweep
+from ._kernels import frontier_histogram
 from .diagram import _is_name, _lines, _tuple
 from .laurent import LaurentPoly
-from .limits import check_enumeration_size, check_sweep_memory
+from .limits import check_enumeration_size
 
 BR_VARS = ("x", "y", "z")
 TUTTE_VARS = ("x", "y")
@@ -344,14 +344,6 @@ def br_poly(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
     return _rank_poly(g, _frontier_rows(sites, neg), neg)
 
 
-def br_poly_routes(g: RibbonGraph, signed: bool = False) -> tuple[LaurentPoly, LaurentPoly]:
-    """br_poly by frontier contraction, as br_poly computes it, and by the
-    reference subgraph sweep; the two must be equal."""
-    neg, sites = _plan(g, signed)
-    frontier = _frontier_rows(sites, neg)
-    return _rank_poly(g, frontier, neg), _rank_poly(g, _sweep_rows(g, neg), neg)
-
-
 def identity_rows(g: RibbonGraph, signed: bool = False):
     """((alpha(F), bc(F)), count) over the spanning subgraphs F of g, by
     frontier contraction over the edges alone, with no vertex partitions.
@@ -396,18 +388,6 @@ def _frontier_rows(sites, neg: int):
     shifts = [unit_chosen + ((neg >> s) & 1) for s in range(len(verts))]
     return [((*divmod(shift, unit_chosen), k, bc), count)
             for (shift, k, bc), count in frontier_histogram(mate, shifts, verts)]
-
-
-def _sweep_rows(g: RibbonGraph, neg: int):
-    """The rows of _frontier_rows, from the reference subgraph sweep of
-    the same site table, which leaves out dart-less vertices too."""
-    import numpy as np
-
-    e = g.edge_count
-    check_sweep_memory(e, f"subgraph sweep of a {e}-edge ribbon graph")
-    k_arr, bc_arr = subgraph_sweep(g._sites, e)
-    masks = np.arange(1 << e, dtype=np.int64)
-    return histogram(np.bitwise_count(masks), np.bitwise_count(masks & neg), k_arr, bc_arr)
 
 
 def _rank_poly(g: RibbonGraph, rows, neg: int) -> LaurentPoly:

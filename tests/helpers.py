@@ -1,14 +1,17 @@
 """Shared test utilities: random ribbon graphs, their edges' end
-vertices, an independent Tutte oracle, torus braids, connected sums and
-one-point joins, and the command lines that must run without the sweeps."""
+vertices, an independent Tutte oracle, torus braids and the closed form
+of their Jones polynomials, connected sums, one-point joins, Reidemeister
+II moves and mirror images, and the command lines that must run without
+the sweeps."""
 
+import itertools
 import random
 import string
 
 from hypothesis import strategies as st
 
 from vkbr.build import build_signed, find_switch_set
-from vkbr.diagram import is_alternating, parse_diagram
+from vkbr.diagram import Crossing, Diagram, apply_switches, format_diagram, is_alternating, parse_diagram
 from vkbr.laurent import LaurentPoly
 from vkbr.ribbon import Edge, RibbonGraph, format_ribbon
 
@@ -109,6 +112,22 @@ def torus_braid(p: int, q: int) -> str:
     return "".join(lines)
 
 
+def torus_knot_jones(p, q):
+    """V(T(p, q)) = t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2)
+    for coprime p, q (Jones, 1987), with the division done on integer
+    coefficient lists."""
+    num = [0] * (p + q + 1)
+    for power, sign in ((0, 1), (p + 1, -1), (q + 1, -1), (p + q, 1)):
+        num[power] += sign
+    quotient = [0] * (p + q - 1)
+    for i in range(len(quotient)):  # divide by 1 - t^2, lowest power first
+        quotient[i] = num[i]
+        num[i + 2] += quotient[i]
+    assert not any(num[len(quotient):]), "1 - t^2 does not divide the numerator"
+    shift = (p - 1) * (q - 1) // 2
+    return LaurentPoly(("t",), {(4 * (i + shift),): c for i, c in enumerate(quotient) if c})
+
+
 def connected_sum(*texts: str) -> str:
     """Diagram text of the connected sum of the given diagrams, each with
     at least one crossing, their arcs renamed apart.
@@ -181,3 +200,42 @@ def one_point_join(g1: RibbonGraph, g2: RibbonGraph, v1: int = 0, v2: int = 0) -
     name, darts = first[v1]
     first[v1] = (name, darts + second.pop(v2)[1])
     return RibbonGraph(first + second, edges)
+
+
+def r2_move(text: str, a: str, b: str, o1: int, o2: int | None = None) -> str:
+    """Diagram text after a Reidemeister II move that pushes arc a over
+    arc b, two distinct arcs of the diagram.
+
+    Arcs are abstract and virtual crossings are not recorded, so any two
+    arcs can meet.  a splits into a1 a2 a3 and b into b1 b2 b3, with a1
+    and b1 leaving where a and b left, and a3 and b3 reaching where they
+    arrived.  Crossing c1 takes b1 -> b2 under (ports 0 -> 2) and a1 ->
+    a2 over, entering at o1; crossing c2 takes b2 -> b3 under and a2 ->
+    a3 over, entering at o2 = 4 - o1.  So the two crossings have opposite
+    signs and bound a bigon.  Any other o2 gives a diagram that is not a
+    move of this one.
+    """
+    d = parse_diagram(text)
+    used = {label for c in d.crossings for label in c.ports}
+    assert a != b and {a, b} <= used, (a, b)
+    fresh = (f"r{i}" for i in itertools.count() if f"r{i}" not in used)
+    a1, a2, a3, b1, b2, b3 = itertools.islice(fresh, 6)
+    ends = {a: (a3, a1), b: (b3, b1)}  # by label: (at its in port, at its out port)
+    crossings = []
+    for c in d.crossings:
+        outs = (2, c.over_in ^ 2)
+        ports = [ends[x][p in outs] if x in ends else x for p, x in enumerate(c.ports)]
+        crossings.append(Crossing(ports, c.over_in))
+    for under_in, under_out, over_in, over_out, o in (
+        (b1, b2, a1, a2, o1), (b2, b3, a2, a3, 4 - o1 if o2 is None else o2)
+    ):
+        ports = [under_in, None, under_out, None]
+        ports[o], ports[o ^ 2] = over_in, over_out
+        crossings.append(Crossing(ports, o))
+    return format_diagram(Diagram(crossings, d.free_loops))
+
+
+def mirror(text: str) -> str:
+    """Diagram text of the mirror image: every crossing switched."""
+    d = parse_diagram(text)
+    return format_diagram(apply_switches(d, range(len(d.crossings))))

@@ -1,9 +1,10 @@
 """Frontier contraction against the sweeps and the per-index traces; the
 sweeps run only as the reference."""
 
-import importlib.util
 import io
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -12,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import vkbr
 from helpers import (
     closed_braid,
     connected_sum,
@@ -21,15 +21,14 @@ from helpers import (
     random_ribbon,
     torus_braid,
 )
+from reference import check_sweep_memory, diagram_sweep_rows, graph_sweep_rows
 from vkbr import _kernels, diagram, fixtures, limits, ribbon
 from vkbr.build import NotColorableError, build_signed, find_switch_set
 from vkbr.cli import main
 from vkbr.diagram import (
     Diagram,
-    bracket_routes,
     format_diagram,
     jones,
-    jones_via_bracket,
     kauffman_bracket,
     parse_diagram,
     split_stats,
@@ -40,17 +39,10 @@ from vkbr.randgen import KINDS, random_diagram
 from vkbr.ribbon import (
     RibbonGraph,
     br_poly,
-    br_poly_routes,
     parse_ribbon,
     subgraph_stats,
 )
-from vkbr.verify import (
-    bracket_from_graph,
-    bracket_via_rank_poly,
-    verify_jones,
-    verify_main,
-    verify_signed,
-)
+from vkbr.verify import verify_jones, verify_main, verify_signed
 
 
 COLORABLE = [
@@ -62,7 +54,7 @@ COLORABLE = [
 def diagram_rows(d):
     """((alpha, curves), count) rows of a diagram: (frontier, sweep)."""
     mate = diagram._plan(d)
-    return diagram._frontier_rows(mate), list(diagram._sweep_rows(mate))
+    return diagram._frontier_rows(mate), diagram_sweep_rows(mate)
 
 
 def traced_diagram_rows(d):
@@ -77,7 +69,23 @@ def traced_diagram_rows(d):
 def graph_rows(g, signed=True):
     """((e(F), e-(F), k(F), bc(F)), count) rows of a graph: (frontier, sweep)."""
     neg, sites = ribbon._plan(g, signed)
-    return ribbon._frontier_rows(sites, neg), list(ribbon._sweep_rows(g, neg))
+    return ribbon._frontier_rows(sites, neg), graph_sweep_rows(g, neg)
+
+
+def swept_bracket(d):
+    """The bracket assembled from the sweep's rows, once they equal the
+    frontier's."""
+    frontier, sweep = diagram_rows(d)
+    assert frontier == sweep
+    return diagram._bracket_sum(len(d.crossings), sweep, d.free_loops)
+
+
+def swept_rank_poly(g, signed=False):
+    """br_poly(g, signed) assembled from the sweep's rows, once they equal
+    the frontier's."""
+    frontier, sweep = graph_rows(g, signed)
+    assert frontier == sweep
+    return ribbon._rank_poly(g, sweep, g.negative_mask() if signed else 0)
 
 
 def traced_graph_rows(g):
@@ -150,7 +158,7 @@ class TestDiagramRoutes:
             unit = len(mate)  # above curves - 1
             weighed = _kernels.frontier_histogram(mate, [unit] * (unit // 4), loop_weight={1: 1})
             expected = [((unit * alpha + curves - 1, 0, 0), count)
-                        for (alpha, curves), count in diagram._sweep_rows(mate)]
+                        for (alpha, curves), count in diagram_sweep_rows(mate)]
             assert weighed == expected
 
     def test_empty_diagram(self):
@@ -174,21 +182,17 @@ class TestDiagramRoutes:
             fixtures.TREFOIL, fixtures.HOPF_LINK, fixtures.POSITIVE_KINK, "O 2\n"
         ))
         assert_diagram_routes_agree(d)
-        frontier, sweep = bracket_routes(d)
-        assert frontier == sweep
 
     def test_bracket_routes_agree_past_the_traces(self):
         d = parse_diagram(closed_braid(13))
-        frontier, sweep = bracket_routes(d)
-        assert frontier == sweep == kauffman_bracket(d)
+        assert swept_bracket(d) == kauffman_bracket(d)
 
 
 class TestGraphRoutes:
     def test_sample_ribbon(self):
         g = parse_ribbon(fixtures.SAMPLE_RIBBON)
         assert_graph_routes_agree(g)
-        frontier, sweep = br_poly_routes(g)
-        assert str(frontier) == str(sweep) == "x*y + x + y^2*z^2 + 3*y + 2"
+        assert str(swept_rank_poly(g)) == str(br_poly(g)) == "x*y + x + y^2*z^2 + 3*y + 2"
 
     @pytest.mark.parametrize("name", COLORABLE)
     def test_graph_of_every_colorable_fixture(self, name):
@@ -198,7 +202,7 @@ class TestGraphRoutes:
     def test_zero_edges(self):
         g = RibbonGraph([("u", ()), ("w", ())], [])
         assert graph_rows(g) == ([((0, 0, 0, 0), 1)], [((0, 0, 0, 0), 1)])
-        assert br_poly_routes(g) == (LaurentPoly.one(ribbon.BR_VARS),) * 2
+        assert swept_rank_poly(g) == br_poly(g) == LaurentPoly.one(ribbon.BR_VARS)
 
     def test_random_graphs(self):
         # Loops, dart-less vertices, several components and negative edges
@@ -237,20 +241,20 @@ def _forbid_sweeps(monkeypatch):
     def refuse(*_):
         raise AssertionError("a sweep ran")
 
-    monkeypatch.setattr(vkbr.diagram, "state_delta_sweep", refuse)
-    monkeypatch.setattr(vkbr.ribbon, "subgraph_sweep", refuse)
+    monkeypatch.setattr(_kernels, "state_delta_sweep", refuse)
+    monkeypatch.setattr(_kernels, "subgraph_sweep", refuse)
 
 
 def _count_sweeps(monkeypatch):
     calls = Counter()
-    for module, name in ((vkbr.diagram, "state_delta_sweep"), (vkbr.ribbon, "subgraph_sweep")):
-        original = getattr(module, name)
+    for name in ("state_delta_sweep", "subgraph_sweep"):
+        original = getattr(_kernels, name)
 
         def counted(*args, _original=original, _name=name):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(_kernels, name, counted)
     return calls
 
 
@@ -270,10 +274,9 @@ class TestRouteChoice:
     def test_reference_routes_run_each_sweep_once(self, monkeypatch):
         d = parse_diagram(fixtures.TREFOIL)
         calls = _count_sweeps(monkeypatch)
-        frontier, sweep = bracket_routes(d)
-        assert frontier == sweep
-        frontier, sweep = br_poly_routes(build_signed(d)[0], signed=True)
-        assert frontier == sweep
+        assert swept_bracket(d) == kauffman_bracket(d)
+        g, _ = build_signed(d)
+        assert swept_rank_poly(g, signed=True) == br_poly(g, signed=True)
         assert calls == {"state_delta_sweep": 1, "subgraph_sweep": 1}
 
     def test_no_production_command_sweeps(self, monkeypatch, capsys):
@@ -297,9 +300,13 @@ class TestSweepMemoryCheck:
         monkeypatch.setattr(limits, "physical_memory", lambda: 100)
         _forbid_sweeps(monkeypatch)
         with pytest.raises(SizeLimitError, match="physical memory"):
-            diagram._sweep_rows(parse_diagram(fixtures.TREFOIL)._mate)
+            diagram_sweep_rows(parse_diagram(fixtures.TREFOIL)._mate)
         with pytest.raises(SizeLimitError, match="physical memory"):
-            ribbon._sweep_rows(parse_ribbon(fixtures.SAMPLE_RIBBON), 0)
+            graph_sweep_rows(parse_ribbon(fixtures.SAMPLE_RIBBON), 0)
+        # 48 bytes per index: 2 indices need 96 bytes, 4 need 192.
+        check_sweep_memory(1, "a 2-index sweep")
+        with pytest.raises(SizeLimitError, match=r"a 4-index sweep: it needs about 192 bytes"):
+            check_sweep_memory(2, "a 4-index sweep")
 
     def test_selftest_needs_no_sweep_memory(self, monkeypatch, capsys):
         # selftest checks the frontier against the per-state traces and
@@ -317,7 +324,7 @@ class TestSweepMemoryCheck:
         _forbid_sweeps(monkeypatch)
         mate = parse_diagram(closed_braid(40))._mate
         with pytest.raises(SizeLimitError, match="40-crossing"):
-            diagram._sweep_rows(mate)
+            diagram_sweep_rows(mate)
 
     def test_frontier_route_needs_no_sweep_memory(self, monkeypatch):
         monkeypatch.setattr(limits, "physical_memory", lambda: 100)
@@ -327,8 +334,8 @@ class TestSweepMemoryCheck:
     def test_unknown_memory_allows_the_sweep(self, monkeypatch):
         monkeypatch.setattr(limits, "physical_memory", lambda: None)
         calls = _count_sweeps(monkeypatch)
-        frontier, sweep = bracket_routes(parse_diagram(fixtures.NEGATIVE_KINK))
-        assert str(frontier) == str(sweep) == "A + B*d"
+        d = parse_diagram(fixtures.NEGATIVE_KINK)
+        assert str(swept_bracket(d)) == str(kauffman_bracket(d)) == "A + B*d"
         assert calls == {"state_delta_sweep": 1}
 
 
@@ -437,9 +444,7 @@ class TestConnectedSums:
             assert len(d.crossings) == pieces * size
             bracket = LaurentPoly.one(diagram.BRACKET_VARS)
             for part in parts:
-                frontier, sweep = bracket_routes(part)
-                assert frontier == sweep
-                bracket = bracket * frontier
+                bracket = bracket * swept_bracket(part)
             assert kauffman_bracket(d) == bracket
             # The sum keeps every strand's direction, so the writhes add,
             # for link pieces as for knots.
@@ -475,9 +480,8 @@ class TestOnePointJoins:
             join = one_point_join(g1, g2, v1, v2)
             assert join.edge_count == sum(sizes)
             for signed in (False, True):
-                pieces = [br_poly_routes(g, signed) for g in (g1, g2)]
-                assert all(frontier == sweep for frontier, sweep in pieces)
-                assert br_poly(join, signed=signed) == pieces[0][0] * pieces[1][0]
+                pieces = [swept_rank_poly(g, signed) for g in (g1, g2)]
+                assert br_poly(join, signed=signed) == pieces[0] * pieces[1]
 
 
 class VertexStepRan(Exception):
@@ -527,29 +531,40 @@ class TestNoVertexBookkeeping:
             for signed in (False, True):
                 mask = neg if signed else 0
                 folded = Counter()
-                for (ef, eneg, _, bc), count in ribbon._sweep_rows(g, mask):
+                for (ef, eneg, _, bc), count in graph_sweep_rows(g, mask):
                     # alpha: positive edges in F and negative edges outside it
                     folded[ef - 2 * eneg + mask.bit_count(), bc + bare] += count
                 assert ribbon.identity_rows(g, signed) == sorted(folded.items())
 
 
 class TestRouteGate:
-    """tools/route_gate.py times private helpers of the routes, and only
-    by hand; this keeps its timers in step with them.  main() is not
-    called: it raises the cap and randgen's limit for the whole process."""
+    """tools/route_gate.py is run only by hand; this keeps it importable
+    without numpy and its timers in step with the routes.  main() is not
+    called: its tables run past the cap and take minutes."""
 
     def test_timers_run(self):
-        path = Path(__file__).resolve().parents[1] / "tools" / "route_gate.py"
-        spec = importlib.util.spec_from_file_location("route_gate", path)
-        gate = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gate)
-        d = parse_diagram(fixtures.TREFOIL)
-        g, _ = build_signed(d)
-        for times in (
-            gate.bracket_times(d),
-            gate.rank_times(g),
-            gate.two_route_times(jones, jones_via_bracket, d),
-            gate.two_route_times(bracket_from_graph, bracket_via_rank_poly, g, True),
-        ):
-            assert len(times) == 2
-            assert all(isinstance(t, float) and t > 0 for t in times)
+        root = Path(__file__).resolve().parents[1]
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, 'tools')\n"
+            "import route_gate as gate\n"
+            "from helpers import torus_braid\n"
+            "from vkbr.build import build_signed\n"
+            "from vkbr.diagram import jones, jones_via_bracket, parse_diagram\n"
+            "from vkbr.randgen import random_diagram\n"
+            "from vkbr.verify import bracket_from_graph, bracket_via_rank_poly\n"
+            "g, _ = build_signed(random_diagram(6, 0, 'colorable'))\n"
+            "gate.report('graph side', 6, [gate.two_route_times(\n"
+            "    bracket_from_graph, bracket_via_rank_poly, g, True)])\n"
+            "d = parse_diagram(torus_braid(2, 11))\n"
+            "gate.report('T(2,11)', 11, [gate.two_route_times(jones, jones_via_bracket, d)])\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(["src", "tests"])}
+        proc = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        *rows, numpy_loaded = proc.stdout.splitlines()
+        assert [row.split(" | ")[:3] for row in rows] == [["| graph side", "6", "1"],
+                                                         ["| T(2,11)", "11", "1"]]
+        assert numpy_loaded == "False"

@@ -112,3 +112,53 @@ def test_the_scan_sees_an_unnamed_function():
     caller = 'LAYERS = [("pkg.module", "by_string")]\nprint(C().used, helper)\n'
     assert unnamed_definitions([module], [module, caller]) == ["unused"]
     assert unnamed_definitions([module], [module]) == ["by_string", "helper", "unused", "used"]
+
+
+# -- the kernels' boundary -------------------------------------------------
+# numpy serves only the reference sweeps, which stay in _kernels for the
+# tests and the benchmark's traces; every other module reaches _kernels
+# through frontier_histogram alone.
+
+KERNELS = "_kernels"
+
+
+def boundary_faults(source: str) -> list[str]:
+    """Imports anywhere in a module, at any depth, of numpy, or of any
+    name from _kernels but frontier_histogram (_kernels itself included)."""
+    faults = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "numpy" or KERNELS in parts:
+                    faults.append(alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            for alias in node.names:
+                if parts[0] == "numpy" or alias.name == KERNELS:
+                    faults.append(f"{node.module}.{alias.name}")
+                elif KERNELS in parts and alias.name != "frontier_histogram":
+                    faults.append(f"{node.module}.{alias.name}")
+    return faults
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in MODULES if path.stem != KERNELS], ids=lambda path: path.name
+)
+def test_only_kernels_reach_numpy_and_the_sweeps(path):
+    assert boundary_faults(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_sees_the_boundary_crossed():
+    source = (
+        "from ._kernels import frontier_histogram, histogram\n"
+        "from vkbr import _kernels\n"
+        "import vkbr._kernels\n"
+        "def sweep():\n"
+        "    import numpy as np\n"
+        "    from numpy import arange\n"
+    )
+    assert boundary_faults(source) == [
+        "_kernels.histogram", "vkbr._kernels", "vkbr._kernels", "numpy", "numpy.arange"
+    ]
+    assert boundary_faults("from ._kernels import frontier_histogram\n") == []

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_ribbon, torus_braid
+from helpers import random_ribbon, torus_braid, torus_knot_jones
 from vkbr import build, diagram, fixtures, randgen, ribbon, verify
 from vkbr.build import (
     NotAlternatingError,
@@ -346,22 +346,6 @@ class TestDirectEvaluation:
         for route in (jones_from_graph, jones_via_rank_poly):
             with pytest.raises(ValueError, match="no vertices"):
                 route(g, 0)
-
-
-def torus_knot_jones(p, q):
-    """V(T(p, q)) = t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2)
-    for coprime p, q (Jones, 1987), with the division done on integer
-    coefficient lists."""
-    num = [0] * (p + q + 1)
-    for power, sign in ((0, 1), (p + 1, -1), (q + 1, -1), (p + q, 1)):
-        num[power] += sign
-    quotient = [0] * (p + q - 1)
-    for i in range(len(quotient)):  # divide by 1 - t^2, lowest power first
-        quotient[i] = num[i]
-        num[i + 2] += quotient[i]
-    assert not any(num[len(quotient):]), "1 - t^2 does not divide the numerator"
-    shift = (p - 1) * (q - 1) // 2
-    return LaurentPoly(("t",), {(4 * (i + shift),): c for i, c in enumerate(quotient) if c})
 
 
 class TestTorusKnots:
