@@ -1,8 +1,8 @@
 """Kernel backend flag, kept for callers that record the run conditions.
 
-Frontier contraction in _kernels is pure Python and the reference sweeps
-are vectorised numpy, with no compiled alternative, so nothing is ever
-compiled just in time.
+Frontier contraction in _kernels and the reference sweeps are pure
+Python, with no compiled alternative, so nothing is ever compiled just
+in time.
 """
 
 JIT_ENABLED = False

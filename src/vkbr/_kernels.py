@@ -17,17 +17,9 @@ It needs nothing but Python integers.
 
 The sweeps are the brute-force reference it is checked against, and no
 command runs them.  They go through the exponential index space, with bit
-s of an index set when site s is chosen, and record small integer
-statistics per index; tests/reference.py checks a sweep's memory before
-it runs and counts the distinct rows of its statistics.  Indices are
-processed a chunk at a time with numpy array operations: a chunk holds
-every combination of the low bits under one fixed setting of the high
-bits, with one row per index.  Both sweeps count loops by one rule,
-_chunk_loop_counts: loops are half the cycles of port -> arc_mate[join(port)],
-counted for a batch of joins, one per row, by min-label pointer doubling.
-Every work array holds at most about CHUNK_ELEMS values, whatever the
-size of the sweep.  numpy is imported only when a sweep runs, so a
-process that never calls one never loads it.
+s of an index set when site s is chosen, and count each index's loops by
+walking them, one index at a time; tests/reference.py checks a sweep's
+memory before it runs and counts the distinct rows of its statistics.
 """
 
 from __future__ import annotations
@@ -35,75 +27,28 @@ from __future__ import annotations
 from functools import lru_cache
 from heapq import heappop, heappush
 
-# Elements per work array of one chunk (128 KiB as int32, 256 KiB as intp).
-CHUNK_ELEMS = 1 << 15
-
-
 # -- reference sweeps -------------------------------------------------------
 # They stay here, not in tests/reference.py, while perfbench/tracing.py
 # wraps state_delta_sweep and subgraph_sweep by name as vkbr._kernels
 # attributes; they move once the benchmark drops those kernel spans.
 
 
-def _chunk_loop_counts(arc_mate, row_elems=0):
-    """Closed loops of every way of choosing sites, a chunk of choices at
-    a time.
-
-    Choice i chooses site s when bit s of i is set.  A loop through 2L
-    ports splits into two L-cycles of the permutation
-    P_i(x) = arc_mate[join_i(x)], one through every other port each way
-    round, so loops are half its cycles.  Both joins pair an even port
-    with an odd one, so when every arc does too, as in every ribbon
-    graph's table and every alternating diagram, a loop's ports alternate
-    in parity and one of its two cycles holds its even ports: then P_i
-    runs on the even ports alone, each cycle a loop, at half the work.
-
-    Yields (first, n_low, loops): loops[j] counts the loops of choice
-    first + j for j < 2^n_low, as int16.  Chunks are sized for rows of
-    one element per port P_i runs on, or of `row_elems` if that is more.
-
-    A chunk stacks its permutations as the rows of one flat permutation,
-    each row mapping into its own positions.  After r rounds label[x] is
-    the least flat index among the first 2^r points of x's orbit, so once
-    2^r covers the longest cycle exactly one point per cycle, its least,
-    keeps its own index.  The work arrays are allocated once per sweep and
-    reused by every chunk, and the pointers are intp so that take() makes
-    no index copy: with fresh arrays per chunk the sweep's speed depended
-    on whether earlier allocations had left the C allocator returning
-    freed memory to the system.  Indices are in range by construction;
-    mode="wrap" only skips numpy's check.
-    """
-    import numpy as np
-
-    mate = np.asarray(arc_mate, dtype=np.intp)
-    ports = np.arange(len(mate), dtype=np.intp)
-    n = len(mate) >> 2
-    bit_of, off, on = ports >> 2, mate[ports ^ 3], mate[ports ^ 1]
-    cycles_per_loop = 2
-    if ((ports ^ mate) & 1).all():
-        bit_of, off, on, cycles_per_loop = bit_of[::2], off[::2] >> 1, on[::2] >> 1, 1
-    fit = (CHUNK_ELEMS // max(len(bit_of), row_elems, 1)).bit_length() - 1
-    n_low = max(0, min(n, fit))
-    rows = np.arange(1 << n_low, dtype=np.intp)[:, None]
-    template = np.where((rows >> bit_of) & 1, on, off) + rows * len(bit_of)
-    step = on - off
-    own = np.arange(template.size, dtype=np.int32)
-    label, gathered = np.empty_like(own), np.empty_like(own)
-    shifted, *ptr_bufs = (np.empty(template.shape, dtype=np.intp) for _ in range(3))
-    rounds = (2 * n - 1).bit_length()  # a cycle has at most 2n points
-    for first in range(0, 1 << n, 1 << n_low):
-        perm = template
-        if first:  # bits at and above n_low, the same in every row
-            perm = np.add(template, ((np.int64(first) >> bit_of) & 1) * step, out=shifted)
-        ptr = perm.ravel()
-        np.copyto(label, own)
-        for r in range(rounds):
-            np.take(label, ptr, out=gathered, mode="wrap")
-            np.minimum(label, gathered, out=label)
-            if r + 1 < rounds:
-                ptr = np.take(ptr, ptr, out=ptr_bufs[r % 2].ravel(), mode="wrap")
-        cycles = (label == own).reshape(1 << n_low, -1).sum(axis=1, dtype=np.int16)
-        yield first, n_low, cycles // cycles_per_loop
+def _loops(arc_mate, mask):
+    """Closed loops of arcs and joins when the sites set in mask are
+    chosen: each walk goes from a port across its site's join, then along
+    the arc at the port it reaches, until it is back where it started."""
+    seen = [False] * len(arc_mate)
+    loops = 0
+    for start in range(len(arc_mate)):
+        if seen[start]:
+            continue
+        loops += 1
+        p = start
+        while not seen[p]:
+            q = p ^ (1 if mask >> (p >> 2) & 1 else 3)
+            seen[p] = seen[q] = True
+            p = arc_mate[q]
+    return loops
 
 
 def state_delta_sweep(n_crossings, arc_mate):
@@ -111,15 +56,9 @@ def state_delta_sweep(n_crossings, arc_mate):
 
     arc_mate: the arc pairing over port ids 4c+p, crossing c being site
     c.  State bit c set = A-splitting at crossing c, the chosen join.
-    Returns int16[2^n], indexed by state.
+    Returns a list indexed by state.
     """
-    import numpy as np
-
-    n = int(n_crossings)
-    out = np.empty(1 << n, dtype=np.int16)
-    for first, n_low, loops in _chunk_loop_counts(arc_mate):
-        out[first:first + (1 << n_low)] = loops
-    return out
+    return [_loops(arc_mate, state) for state in range(1 << int(n_crossings))]
 
 
 def subgraph_sweep(sites, n_edges):
@@ -129,44 +68,27 @@ def subgraph_sweep(sites, n_edges):
     frontier_histogram reads, with edge s as site s; bit s of a subset
     set puts the edge in it, the chosen join.  bc counts the loops, as in
     state_delta_sweep.  k counts the classes of the vertices that some
-    site touches, from vertex labels that double over a chunk's low
-    edges: the labels of mask | 1<<j are those of mask with the class of
-    one end of edge j merged into that of the other, starting from a
-    union-find over the chunk's fixed high edges.  A dart-less vertex
-    touches no site; it would add one to k and to bc of every subgraph,
-    which the caller adds in ordinary integers, so the outputs stay small.
-    Returns (k, bc) as int16[2^e] each, indexed by edge subset.
+    site touches, by a union-find over the subset's edges.  A dart-less
+    vertex touches no site; it would add one to k and to bc of every
+    subgraph, which the caller adds itself.  Returns (k, bc) as lists
+    indexed by edge subset.
     """
-    import numpy as np
-
     arc_mate, site_verts = sites
-    e = int(n_edges)
-    ends = np.asarray(site_verts, dtype=np.intp).reshape(e, 2)
-    touched = np.unique(ends)
-    v = int(ends.max(initial=-1)) + 1
-    k_out = np.empty(1 << e, dtype=np.int16)
-    bc_out = np.empty(1 << e, dtype=np.int16)
-    for first, n_low, loops in _chunk_loop_counts(arc_mate, v):
-        done = slice(first, first + (1 << n_low))
-        bc_out[done] = loops
-        labels = _high_edge_labels(v, ends, first)
-        for u, w in ends[:n_low]:
-            merged = np.where(labels == labels[:, u, None], labels[:, w, None], labels)
-            labels = np.concatenate((labels, merged))
-        k_out[done] = (labels[:, touched] == touched).sum(axis=1)
-    return k_out, bc_out
-
-
-def _high_edge_labels(n_verts, ends, mask):
-    """int32[1, v]: each vertex labelled by a root vertex of its component
-    in the subgraph of the edges set in `mask`."""
-    import numpy as np
-
-    parent = list(range(n_verts))
-    for ei in range(mask.bit_length()):
-        if (mask >> ei) & 1:
-            parent[_find(parent, int(ends[ei, 0]))] = _find(parent, int(ends[ei, 1]))
-    return np.array([[_find(parent, i) for i in range(n_verts)]], dtype=np.int32)
+    touched = {v for ends in site_verts for v in ends}
+    n_verts = 1 + max(touched, default=-1)
+    k, bc = [], []
+    for subset in range(1 << int(n_edges)):
+        parent = list(range(n_verts))
+        classes = len(touched)
+        for s, (u, w) in enumerate(site_verts):
+            if subset >> s & 1:
+                u, w = _find(parent, u), _find(parent, w)
+                if u != w:
+                    parent[u] = w
+                    classes -= 1
+        k.append(classes)
+        bc.append(_loops(arc_mate, subset))
+    return k, bc
 
 
 # -- frontier contraction -------------------------------------------------

@@ -6,9 +6,8 @@ The bracket of an alternating diagram equals
 
 for its ribbon graph G, and the same shape holds for switchable diagrams
 with the signed polynomial of the signed graph.  The check computes both
-sides by disjoint code paths (state sum over the crossings on the left,
-subgraph sum over the edges on the right) and compares canonical
-polynomials exactly.
+sides, a state sum over the crossings on the left and a subgraph sum over
+the edges on the right, and compares canonical polynomials exactly.
 
 The right side is evaluated at the identity's own point, never built as
 R_G.  At x = Bd/A, y = Ad/B, z = 1/d a closed vertex class weighs
@@ -34,9 +33,13 @@ evaluation is checked against; jones_via_rank_poly reads the Jones point
 off it through diagram.at_jones_point, as diagram.jones_via_bracket does
 off the whole bracket on the left side.
 
-Before the sums are compared, _verify checks that the graph's site table
-is the diagram's port table relabelled; a mismatch is a builder fault
-and raises RuntimeError (exit 4 on the command line, never 1).
+Both sums run _kernels.frontier_histogram on one port table: before
+they are compared, _verify checks that the graph's site table is the
+diagram's port table relabelled, and a mismatch is a builder fault that
+raises RuntimeError (exit 4 on the command line, never 1).  So the two
+sides are not independent, and a kernel fault can make both wrong alike
+and pass; the tests' reference sweeps and move oracles catch it, as do
+selftest's per-state and per-subgraph traces, but this check does not.
 """
 
 from __future__ import annotations

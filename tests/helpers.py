@@ -1,7 +1,7 @@
 """Shared test utilities: random ribbon graphs, their edges' end
 vertices, an independent Tutte oracle, torus braids and the closed form
 of their Jones polynomials, connected sums, one-point joins, Reidemeister
-II moves and mirror images, and the command lines that must run without
+I and II moves and mirror images, and the command lines that must run without
 the sweeps."""
 
 import itertools
@@ -232,6 +232,32 @@ def r2_move(text: str, a: str, b: str, o1: int, o2: int | None = None) -> str:
         ports = [under_in, None, under_out, None]
         ports[o], ports[o ^ 2] = over_in, over_out
         crossings.append(Crossing(ports, o))
+    return format_diagram(Diagram(crossings, d.free_loops))
+
+
+def r1_move(text: str, arc: str, o: int) -> str:
+    """Diagram text after a Reidemeister I move that puts a kink on arc,
+    an arc of the diagram.
+
+    The out end of arc takes a fresh label k1, and a new crossing takes
+    the kink: k1 enters it under at port 0, leaves at port 2 as a fresh
+    k2, which enters over at port o and leaves at port 4 - o as arc.  So
+    the strand keeps its direction, and o = 1 or 3 gives the kink either
+    sign.
+    """
+    d = parse_diagram(text)
+    used = {label for c in d.crossings for label in c.ports}
+    assert arc in used, arc
+    fresh = (f"k{i}" for i in itertools.count() if f"k{i}" not in used)
+    k1, k2 = itertools.islice(fresh, 2)
+    crossings = []
+    for c in d.crossings:
+        outs = (2, c.over_in ^ 2)
+        ports = [k1 if x == arc and p in outs else x for p, x in enumerate(c.ports)]
+        crossings.append(Crossing(ports, c.over_in))
+    ports = [k1, None, k2, None]
+    ports[o], ports[4 - o] = k2, arc
+    crossings.append(Crossing(ports, o))
     return format_diagram(Diagram(crossings, d.free_loops))
 
 

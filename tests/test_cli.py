@@ -835,8 +835,8 @@ STARTUP_CALLS = production_calls(fixtures.SAMPLE_KNOT) + [(["selftest"], "", 0)]
 
 
 class TestStartup:
-    """numpy serves only the reference sweeps, which the tests run, so no
-    command loads it, selftest included."""
+    """No module of vkbr imports numpy, and no command loads it, selftest
+    included: its import alone would take about 150 ms of a call."""
 
     def test_import_leaves_numpy_unloaded(self):
         proc = subprocess.run(

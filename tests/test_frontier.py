@@ -66,10 +66,12 @@ def traced_diagram_rows(d):
     return sorted(counts.items())
 
 
-def graph_rows(g, signed=True):
-    """((e(F), e-(F), k(F), bc(F)), count) rows of a graph: (frontier, sweep)."""
-    neg, sites = ribbon._plan(g, signed)
-    return ribbon._frontier_rows(sites, neg), graph_sweep_rows(g, neg)
+def graph_rows(g, *signs):
+    """((e(F), e-(F), k(F), bc(F)), count) rows of a graph, signed or not
+    as each of signs says: (frontier, sweep) for each, from one sweep."""
+    plans = [ribbon._plan(g, signed) for signed in signs]
+    sweeps = graph_sweep_rows(g, *(neg for neg, _ in plans))
+    return [(ribbon._frontier_rows(sites, neg), sweep) for (neg, sites), sweep in zip(plans, sweeps)]
 
 
 def swept_bracket(d):
@@ -80,12 +82,14 @@ def swept_bracket(d):
     return diagram._bracket_sum(len(d.crossings), sweep, d.free_loops)
 
 
-def swept_rank_poly(g, signed=False):
-    """br_poly(g, signed) assembled from the sweep's rows, once they equal
-    the frontier's."""
-    frontier, sweep = graph_rows(g, signed)
-    assert frontier == sweep
-    return ribbon._rank_poly(g, sweep, g.negative_mask() if signed else 0)
+def swept_rank_polys(g, *signs):
+    """br_poly(g, signed) for each of signs, assembled from one sweep's
+    rows once they equal the frontier's."""
+    polys = []
+    for signed, (frontier, sweep) in zip(signs, graph_rows(g, *signs)):
+        assert frontier == sweep
+        polys.append(ribbon._rank_poly(g, sweep, g.negative_mask() if signed else 0))
+    return polys
 
 
 def traced_graph_rows(g):
@@ -109,9 +113,8 @@ def assert_diagram_routes_agree(d, traced=True):
 
 
 def assert_graph_routes_agree(g, traced=True):
-    frontier, sweep = graph_rows(g)
+    (frontier, sweep), (unsigned_frontier, unsigned_sweep) = graph_rows(g, True, False)
     assert frontier == sweep
-    unsigned_frontier, unsigned_sweep = graph_rows(g, signed=False)
     assert unsigned_frontier == unsigned_sweep
     if traced:
         assert frontier == traced_graph_rows(g)
@@ -192,7 +195,8 @@ class TestGraphRoutes:
     def test_sample_ribbon(self):
         g = parse_ribbon(fixtures.SAMPLE_RIBBON)
         assert_graph_routes_agree(g)
-        assert str(swept_rank_poly(g)) == str(br_poly(g)) == "x*y + x + y^2*z^2 + 3*y + 2"
+        (swept,) = swept_rank_polys(g, False)
+        assert str(swept) == str(br_poly(g)) == "x*y + x + y^2*z^2 + 3*y + 2"
 
     @pytest.mark.parametrize("name", COLORABLE)
     def test_graph_of_every_colorable_fixture(self, name):
@@ -201,8 +205,8 @@ class TestGraphRoutes:
 
     def test_zero_edges(self):
         g = RibbonGraph([("u", ()), ("w", ())], [])
-        assert graph_rows(g) == ([((0, 0, 0, 0), 1)], [((0, 0, 0, 0), 1)])
-        assert swept_rank_poly(g) == br_poly(g) == LaurentPoly.one(ribbon.BR_VARS)
+        assert graph_rows(g, True) == [([((0, 0, 0, 0), 1)], [((0, 0, 0, 0), 1)])]
+        assert swept_rank_polys(g, False) == [br_poly(g)] == [LaurentPoly.one(ribbon.BR_VARS)]
 
     def test_random_graphs(self):
         # Loops, dart-less vertices, several components and negative edges
@@ -276,7 +280,7 @@ class TestRouteChoice:
         calls = _count_sweeps(monkeypatch)
         assert swept_bracket(d) == kauffman_bracket(d)
         g, _ = build_signed(d)
-        assert swept_rank_poly(g, signed=True) == br_poly(g, signed=True)
+        assert swept_rank_polys(g, True) == [br_poly(g, signed=True)]
         assert calls == {"state_delta_sweep": 1, "subgraph_sweep": 1}
 
     def test_no_production_command_sweeps(self, monkeypatch, capsys):
@@ -479,9 +483,9 @@ class TestOnePointJoins:
             v1, v2 = (rng.randrange(g.vertex_count) for g in (g1, g2))
             join = one_point_join(g1, g2, v1, v2)
             assert join.edge_count == sum(sizes)
-            for signed in (False, True):
-                pieces = [swept_rank_poly(g, signed) for g in (g1, g2)]
-                assert br_poly(join, signed=signed) == pieces[0] * pieces[1]
+            pieces = [swept_rank_polys(g, False, True) for g in (g1, g2)]
+            for signed, first, second in zip((False, True), *pieces):
+                assert br_poly(join, signed=signed) == first * second
 
 
 class VertexStepRan(Exception):
@@ -528,19 +532,19 @@ class TestNoVertexBookkeeping:
         for g in graphs:
             bare = sum(not darts for _, darts in g.vertices)
             neg = g.negative_mask()
-            for signed in (False, True):
-                mask = neg if signed else 0
+            for signed, mask, rows in zip((False, True), (0, neg), graph_sweep_rows(g, 0, neg)):
                 folded = Counter()
-                for (ef, eneg, _, bc), count in graph_sweep_rows(g, mask):
+                for (ef, eneg, _, bc), count in rows:
                     # alpha: positive edges in F and negative edges outside it
                     folded[ef - 2 * eneg + mask.bit_count(), bc + bare] += count
                 assert ribbon.identity_rows(g, signed) == sorted(folded.items())
 
 
 class TestRouteGate:
-    """tools/route_gate.py is run only by hand; this keeps it importable
-    without numpy and its timers in step with the routes.  main() is not
-    called: its tables run past the cap and take minutes."""
+    """tools/route_gate.py is run only by hand; this keeps it importable,
+    with numpy unloaded as for every command, and its timers in step with
+    the routes.  main() is not called: its tables run past the cap and
+    take minutes."""
 
     def test_timers_run(self):
         root = Path(__file__).resolve().parents[1]

@@ -1,5 +1,6 @@
-"""Every top-level import of a vkbr module is read by that module, and
-every function it defines is named somewhere.
+"""Every top-level import of a vkbr module is read by that module, every
+function it defines is named somewhere, and no module or test imports
+numpy.
 
 No linter ships with the project, so this reads each module's syntax tree:
 a name bound by a top-level import must be loaded somewhere in the module.
@@ -115,31 +116,50 @@ def test_the_scan_sees_an_unnamed_function():
 
 
 # -- the kernels' boundary -------------------------------------------------
-# numpy serves only the reference sweeps, which stay in _kernels for the
-# tests and the benchmark's traces; every other module reaches _kernels
-# through frontier_histogram alone.
+# No module imports numpy, and no test does: the reference sweeps are
+# plain loops.  Every module but _kernels reaches _kernels through
+# frontier_histogram alone, since the sweeps are the tests' reference.
 
 KERNELS = "_kernels"
+
+
+def imported_names(source: str) -> list[str]:
+    """What each import anywhere in a module names, at any depth, dotted:
+    `import a.b` names a.b, and `from a import b` names a.b."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+    return names
+
+
+def numpy_imports(source: str) -> list[str]:
+    """Imports anywhere in a module, at any depth, of numpy."""
+    return [name for name in imported_names(source) if name.split(".")[0] == "numpy"]
 
 
 def boundary_faults(source: str) -> list[str]:
     """Imports anywhere in a module, at any depth, of numpy, or of any
     name from _kernels but frontier_histogram (_kernels itself included)."""
-    faults = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                parts = alias.name.split(".")
-                if parts[0] == "numpy" or KERNELS in parts:
-                    faults.append(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            parts = (node.module or "").split(".")
-            for alias in node.names:
-                if parts[0] == "numpy" or alias.name == KERNELS:
-                    faults.append(f"{node.module}.{alias.name}")
-                elif KERNELS in parts and alias.name != "frontier_histogram":
-                    faults.append(f"{node.module}.{alias.name}")
-    return faults
+    return [
+        name for name in imported_names(source)
+        if name.split(".")[0] == "numpy"
+        or KERNELS in name.split(".") and name.split(".")[-2:] != [KERNELS, "frontier_histogram"]
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES + [Path(vkbr.__file__)], ids=lambda path: path.name)
+def test_no_module_imports_numpy(path):
+    assert numpy_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "tests").glob("*.py")), ids=lambda path: path.name
+)
+def test_no_test_imports_numpy(path):
+    assert numpy_imports(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize(
@@ -161,4 +181,5 @@ def test_the_scan_sees_the_boundary_crossed():
     assert boundary_faults(source) == [
         "_kernels.histogram", "vkbr._kernels", "vkbr._kernels", "numpy", "numpy.arange"
     ]
+    assert numpy_imports(source) == ["numpy", "numpy.arange"]
     assert boundary_faults("from ._kernels import frontier_histogram\n") == []

@@ -1,18 +1,22 @@
 """Invariance oracles at any size.  The Jones polynomial is an invariant
 of virtual links (L. H. Kauffman, "Virtual knot theory", European J.
-Combin. 20, 1999), so a chain of Reidemeister II moves on any diagram
-leaves it unchanged, and a mirror image takes t to t^-1.  Only the
-unmoved diagrams, all small, are summed by the sweep; the moved ones
-are checked against them, however large they grow."""
+Combin. 20, 1999), so a chain of Reidemeister I and II moves on any
+diagram leaves it unchanged, and a mirror image takes t to t^-1.  A kink
+multiplies the bracket by a factor of its own, exactly in A, B and d.
+Only the unmoved diagrams, all small, are summed by the sweep; the moved
+ones are checked against them, however large they grow."""
 
+import json
 import random
 
 import pytest
 
-from helpers import mirror, r2_move, torus_braid, torus_knot_jones
+from helpers import mirror, r1_move, r2_move, torus_braid, torus_knot_jones
 from reference import diagram_sweep_rows
 from vkbr import _kernels, diagram, fixtures
-from vkbr.diagram import jones, parse_diagram, writhe
+from vkbr.build import find_switch_set
+from vkbr.cli import main
+from vkbr.diagram import jones, kauffman_bracket, parse_diagram, writhe
 from vkbr.laurent import LaurentPoly
 from vkbr.limits import CAP_ENV_VAR
 from vkbr.randgen import random_diagram
@@ -40,12 +44,28 @@ def r2_chain(text, seed, same_entry=False):
     return text
 
 
+def mixed_chain(text, seed):
+    """text after 1 to 3 seeded moves, each a kink on any arc or an R2
+    move between any two arcs."""
+    rng = random.Random(seed)
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            text = r1_move(text, rng.choice(arcs(text)), rng.choice((1, 3)))
+        else:
+            text = r2_move(text, *rng.sample(arcs(text), 2), rng.choice((1, 3)))
+    return text
+
+
+def swept_bracket(text):
+    """The bracket from the state sweep's rows."""
+    d = parse_diagram(text)
+    return diagram._bracket_sum(len(d.crossings), diagram_sweep_rows(d._mate), d.free_loops)
+
+
 def swept_jones(text):
     """The Jones polynomial from the state sweep's rows, read at the Jones
     point."""
-    d = parse_diagram(text)
-    bracket = diagram._bracket_sum(len(d.crossings), diagram_sweep_rows(d._mate), d.free_loops)
-    return diagram.at_jones_point(bracket, writhe(d))
+    return diagram.at_jones_point(swept_bracket(text), writhe(parse_diagram(text)))
 
 
 def inverted(poly):
@@ -56,6 +76,35 @@ def inverted(poly):
 @pytest.fixture(scope="module")
 def expected():
     return [swept_jones(text) for text in INPUTS]
+
+
+# Every fixture with an arc, and random diagrams of 1 to 7 crossings.
+KINKED = [text for _, text in sorted(fixtures.DIAGRAMS.items()) if arcs(text)] + [
+    diagram.format_diagram(random_diagram(n, seed, "any")) for n in range(1, 8) for seed in range(5)
+]
+A, B, D = (LaurentPoly.variable(diagram.BRACKET_VARS, name) for name in diagram.BRACKET_VARS)
+# A kink entered over at port o multiplies the bracket by this factor: its
+# crossing's A-splitting closes a loop of its own when o = 3, and its
+# B-splitting does when o = 1.
+KINK_FACTORS = {1: A + B * D, 3: A * D + B}
+
+
+def kinked(text, seed):
+    """(o, text with a kink entered over at o on a seeded arc) for o = 1, 3."""
+    arc = random.Random(seed).choice(arcs(text))
+    return [(o, r1_move(text, arc, o)) for o in KINK_FACTORS]
+
+
+def add_kernel_fault(monkeypatch):
+    """Patch the frontier so that a chosen join that closes two or more
+    loops counts one more."""
+    program = _kernels._site_program
+
+    def faulty(shape, pattern):
+        (writes, loops), unchosen = program(shape, pattern)
+        return (writes, loops + (loops >= 2)), unchosen
+
+    monkeypatch.setattr(_kernels, "_site_program", faulty)
 
 
 class TestR2Moves:
@@ -69,15 +118,8 @@ class TestR2Moves:
         assert changed > 3 * len(INPUTS) // 4
 
     def test_a_kernel_fault_shows(self, monkeypatch):
-        # A chosen join that closes two or more loops counts one more.
         # Both polynomials come from the faulty frontier; no sweep runs.
-        program = _kernels._site_program
-
-        def faulty(shape, pattern):
-            (writes, loops), unchosen = program(shape, pattern)
-            return (writes, loops + (loops >= 2)), unchosen
-
-        monkeypatch.setattr(_kernels, "_site_program", faulty)
+        add_kernel_fault(monkeypatch)
         changed = sum(jones(parse_diagram(r2_chain(text, seed))) != jones(parse_diagram(text))
                       for seed, text in enumerate(INPUTS))
         assert changed > 0
@@ -95,6 +137,54 @@ class TestR2Moves:
         d = parse_diagram(text)
         assert len(d.crossings) == 220
         assert jones(d) == torus_knot_jones(3, 100)
+
+
+class TestR1Moves:
+    def test_a_kink_multiplies_the_bracket(self):
+        for seed, text in enumerate(KINKED):
+            bracket = swept_bracket(text)
+            for o, moved in kinked(text, seed):
+                assert kauffman_bracket(parse_diagram(moved)) == bracket * KINK_FACTORS[o], moved
+
+    def test_a_kink_keeps_jones(self):
+        for seed, text in enumerate(KINKED):
+            value = swept_jones(text)
+            for _, moved in kinked(text, seed):
+                assert jones(parse_diagram(moved)) == value, moved
+
+    def test_mixed_chains_keep_jones(self, expected):
+        for seed, (text, value) in enumerate(zip(INPUTS, expected)):
+            assert jones(parse_diagram(mixed_chain(text, seed))) == value, text
+
+    def test_a_kernel_fault_shows(self, monkeypatch):
+        # Both brackets come from the faulty frontier; no sweep runs.
+        add_kernel_fault(monkeypatch)
+        changed = sum(
+            kauffman_bracket(parse_diagram(moved))
+            != kauffman_bracket(parse_diagram(text)) * KINK_FACTORS[o]
+            for seed, text in enumerate(KINKED) for o, moved in kinked(text, seed)
+        )
+        assert changed > 0
+
+
+class TestVerifyOnChains:
+    def test_colorable_chains_verify_signed(self, expected, capsys, tmp_path):
+        # The left side is the moved diagram's bracket, so at its writhe it
+        # reads as the unmoved diagram's Jones polynomial.
+        path = tmp_path / "moved.txt"
+        checked = 0
+        for seed, (text, value) in enumerate(zip(INPUTS, expected)):
+            for moved in (r2_chain(text, seed), mixed_chain(text, seed)):
+                d = parse_diagram(moved)
+                if find_switch_set(d) is None:
+                    continue
+                path.write_text(moved)
+                assert main(["--json", "verify", "--signed", str(path)]) == 0, moved
+                left = LaurentPoly.parse(json.loads(capsys.readouterr().out)["left"],
+                                         diagram.BRACKET_VARS)
+                assert diagram.at_jones_point(left, writhe(d)) == value, moved
+                checked += 1
+        assert checked > 10
 
 
 class TestMirror:
