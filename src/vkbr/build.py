@@ -133,15 +133,16 @@ def _build(d: Diagram, negative: frozenset) -> RibbonGraph:
             "diagram does not alternate; switch crossings first"
         )
     rotations = _trace_rotations(d)
+    names = [edge_of_crossing(ci) for ci in range(len(d.crossings))]
     vertices = [
-        (f"v{vi}", tuple(f"e{p >> 2}{'a' if p & 3 == 1 else 'b'}" for p in curve))
+        (f"v{vi}", tuple(names[p >> 2] + ("a" if p & 3 == 1 else "b") for p in curve))
         for vi, curve in enumerate(rotations)
     ]
     for extra in range(d.free_loops):
         vertices.append((f"v{len(rotations) + extra}", ()))
     edges = [
-        Edge(f"e{ci}", (f"e{ci}a", f"e{ci}b"), -1 if ci in negative else 1)
-        for ci in range(len(d.crossings))
+        Edge(name, (name + "a", name + "b"), -1 if ci in negative else 1)
+        for ci, name in enumerate(names)
     ]
     return RibbonGraph(vertices, edges)
 

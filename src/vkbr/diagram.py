@@ -365,32 +365,38 @@ def state_table(d: Diagram) -> tuple[StateStats, ...]:
 def kauffman_bracket(d: Diagram) -> LaurentPoly:
     """The bracket state sum as an exact polynomial in A, B, d, with the
     states summed by frontier contraction."""
-    return _bracket_sum(len(d.crossings), _frontier_rows(_plan(d)), d.free_loops)
-
-
-def _plan(d: Diagram) -> tuple[int, ...]:
-    """The arc pairing, after the cap check."""
     n = len(d.crossings)
     check_enumeration_size(n, f"bracket of a {n}-crossing diagram")
-    return d._mate
+    return _bracket_contraction(d._mate, [1] * n, 0, d.free_loops)
 
 
-def _frontier_rows(mate: tuple[int, ...]):
-    """((alpha, curves), count) over all states, free loops excluded, by
-    frontier contraction of the crossings."""
-    n = len(mate) // 4
-    rows = frontier_histogram(mate, [1] * n)
-    return [((alpha, curves), count) for (alpha, _, curves), count in rows]
+def _bracket_contraction(mate, steps, alpha0, isolated) -> LaurentPoly:
+    """The sum over the ways of choosing the sites of arc pairing `mate`
+    of A^alpha B^(n-alpha) d^(loops + isolated - 1), by frontier
+    contraction: n = len(steps), alpha is alpha0 plus steps[s] over the
+    chosen sites s, loops counts the closed loops of arcs and joins, and
+    `isolated` counts the loops no site touches.
+
+    On a diagram's crossings, with every step 1 and alpha0 = 0, a choice
+    is a state, alpha its A-splittings and loops its curves: the sum is
+    the bracket.  On a ribbon graph's edges (ribbon._identity_plan) it is
+    the right side of the bracket identity, A^r B^n d^(k-1) R_G at
+    x = Bd/A, y = Ad/B, z = 1/d, evaluated at that point.  There a closed
+    vertex class weighs x y z^2 = 1, so k(F) drops out, and a spanning
+    subgraph F contributes A^alpha B^(e-alpha) d^(bc(F)-1), alpha
+    counting the positive edges in F and the negative edges outside it:
+    alpha0 is the number of negative edges, a chosen edge steps 1, or -1
+    when negative, the loops are F's boundary components and `isolated`
+    counts the dart-less vertices.
+    """
+    rows = frontier_histogram(mate, steps)
+    return _bracket_sum(len(steps), [((alpha0 + shift, loops), count)
+                                     for (shift, _, loops), count in rows], isolated)
 
 
 def _bracket_sum(n: int, rows, isolated: int = 0) -> LaurentPoly:
     """The bracket from ((alpha, loops), count) rows over n sites, each
-    contributing count A^alpha B^(n-alpha) d^(loops + isolated - 1).
-
-    A row counts states of a diagram, or the matching spanning subgraphs
-    of its ribbon graph as identity_rows counts them.  `isolated` counts
-    the loops no site touches, a diagram's free loops (identity_rows adds
-    the dart-less vertices itself)."""
+    contributing count A^alpha B^(n-alpha) d^(loops + isolated - 1)."""
     return LaurentPoly._make(BRACKET_VARS, {
         (4 * alpha, 4 * (n - alpha), 4 * (loops + isolated - 1)): count
         for (alpha, loops), count in rows
@@ -399,14 +405,8 @@ def _bracket_sum(n: int, rows, isolated: int = 0) -> LaurentPoly:
 
 def jones(d: Diagram) -> LaurentPoly:
     """The Jones polynomial in t^(1/4), the bracket state sum evaluated at
-    its point directly.
-
-    At A = t^(-1/4), B = t^(1/4), d = D = -t^(1/2) - t^(-1/2) a state
-    with alpha A-splittings and `curves` closed curves contributes
-    t^((n-2 alpha)/4) D^(curves + free_loops - 1), under the prefactor
-    (-1)^w t^(3w/4).  _jones_contraction sums the states with each
-    A-splitting weighing t^(-1/2) and each curve D.  The bracket itself
-    is never built.
+    its point directly by _jones_contraction; the bracket itself is never
+    built.
 
     The empty diagram has none: its bracket d^-1 needs 1/d, which is not a
     Laurent polynomial in t^(1/4).
@@ -414,23 +414,28 @@ def jones(d: Diagram) -> LaurentPoly:
     _check_jones(d)
     n = len(d.crossings)
     check_enumeration_size(n, f"Jones polynomial of a {n}-crossing diagram")
-    return _jones_contraction(d._mate, [-2] * n, n, d.free_loops, writhe(d))
+    return _jones_contraction(d._mate, [1] * n, 0, d.free_loops, writhe(d))
 
 
-def _jones_contraction(mate, site_shift, base, isolated, w) -> LaurentPoly:
-    """The sum over the ways of choosing sites of t^((base + shift)/4)
-    D^(loops + isolated - 1) under (-1)^w t^(3w/4), where shift sums
-    site_shift, in quarters of t, over the chosen sites, and `isolated`
-    counts the loops no site touches.  frontier_histogram carries the sum
-    with D as its loop weight; D^m for the m loops left follows, its
-    coefficients +-C(m, k) built in one pass.
+def _jones_contraction(mate, steps, alpha0, isolated, w) -> LaurentPoly:
+    """_bracket_contraction's sum at the Jones point A = t^(-1/4),
+    B = t^(1/4), d = D = -t^(1/2) - t^(-1/2), under the prefactor
+    (-1)^w t^(3w/4): a choice contributes t^((n - 2 alpha)/4)
+    D^(loops + isolated - 1).  On a ribbon graph's edges the substitution
+    values factor as x = D t^(1/2), y = D t^(-1/2), z = 1/D, and again
+    x y z^2 = 1, r and n entering only as r + n = e: the sum is the right
+    side of the Jones identity.
 
+    frontier_histogram carries the sum with D as its loop weight, a
+    chosen site shifting t's quarter exponent by -2 step; D^m for the m
+    loops left follows, its coefficients +-C(m, k) built in one pass.
     Each coefficient is below 2^(bits + m) in absolute value, bits being
     the bit length of the largest one before D^m, since D^m's sum to 2^m.
     When that has more decimal digits than Python converts an int to text
     (sys.get_int_max_str_digits), the sum is refused before D^m is built.
     """
-    rows = frontier_histogram(mate, site_shift, loop_weight=_D_QUARTERS)
+    rows = frontier_histogram(mate, [-2 * step for step in steps], loop_weight=_D_QUARTERS)
+    base = len(steps) - 2 * alpha0
     counts = {base + q: c for (q, _, _), c in rows}
     m = isolated - (not mate)  # with no site, the sum's one D fewer falls here
     if m < 0:

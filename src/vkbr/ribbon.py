@@ -340,43 +340,24 @@ def br_poly(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
     one to v, k(F) and bc(F) alike.  k(G) is the least k(F), since adding
     edges never splits a component.
     """
-    neg, sites = _plan(g, signed)
-    return _rank_poly(g, _frontier_rows(sites, neg), neg)
-
-
-def identity_rows(g: RibbonGraph, signed: bool = False):
-    """((alpha(F), bc(F)), count) over the spanning subgraphs F of g, by
-    frontier contraction over the edges alone, with no vertex partitions.
-
-    alpha(F) counts the positive edges in F and the negative edges outside
-    it; without `signed` every edge counts as positive.  bc(F) counts the
-    boundary components of F, each dart-less vertex adding one.  These
-    are all the bracket identity needs of F: at x = Bd/A, y = Ad/B,
-    z = 1/d a closed vertex class weighs x y z^2 = 1, so k(F) drops out,
-    and F's term of A^r B^n d^(k-1) R_G is A^alpha B^(e-alpha) d^(bc-1).
-    alpha starts from the number of negative edges, and a chosen edge
-    adds 1 to it, or -1 when negative.
-    """
-    mate, steps, alpha0, bare = _identity_plan(g, signed, "bracket")
-    rows = frontier_histogram(mate, steps)
-    return [((alpha0 + shift, loops + bare), count) for (shift, _, loops), count in rows]
+    e = g.edge_count
+    check_enumeration_size(e, f"rank polynomial of a {e}-edge ribbon graph")
+    neg = g.negative_mask() if signed else 0
+    return _rank_poly(g, _frontier_rows(g._sites, neg), neg)
 
 
 def _identity_plan(g: RibbonGraph, signed: bool, what: str):
-    """(arc_mate, steps, alpha0, bare) of identity_rows and
-    verify.jones_from_graph, after the cap check on `what`: alpha(F) is
-    alpha0 plus the steps of F's edges, and bare counts dart-less vertices."""
-    neg, (mate, _) = _plan(g, signed, what)
-    steps = [-1 if (neg >> s) & 1 else 1 for s in range(g.edge_count)]
-    return mate, steps, neg.bit_count(), sum(not darts for _, darts in g.vertices)
-
-
-def _plan(g: RibbonGraph, signed: bool, what: str = "rank polynomial"):
-    """(negative mask, the graph's site table), after the cap check on
-    the computation `what`."""
+    """(arc_mate, steps, alpha0, bare), the input of the identity's point
+    sums diagram._bracket_contraction and _jones_contraction over g's
+    edges, after the cap check on `what`.  A chosen edge steps alpha by
+    1, or by -1 when negative, from alpha0, the number of negative edges;
+    without `signed` every edge counts as positive.  bare counts the
+    dart-less vertices."""
     e = g.edge_count
     check_enumeration_size(e, f"{what} of a {e}-edge ribbon graph")
-    return g.negative_mask() if signed else 0, g._sites
+    neg = g.negative_mask() if signed else 0
+    steps = [-1 if (neg >> s) & 1 else 1 for s in range(e)]
+    return g._sites[0], steps, neg.bit_count(), sum(not darts for _, darts in g.vertices)
 
 
 def _frontier_rows(sites, neg: int):

@@ -10,22 +10,10 @@ sides, a state sum over the crossings on the left and a subgraph sum over
 the edges on the right, and compares canonical polynomials exactly.
 
 The right side is evaluated at the identity's own point, never built as
-R_G.  At x = Bd/A, y = Ad/B, z = 1/d a closed vertex class weighs
-x y z^2 = 1, so the component count k(F) drops out of every subgraph's
-term, and F contributes A^alpha B^(e-alpha) d^(bc(F)-1), where alpha
-counts the positive edges in F and the negative edges outside it.  So the
-subgraph sum needs only (alpha, bc) rows, which ribbon.identity_rows
-counts by frontier contraction with no vertex partitions.
-
-The Jones polynomial admits the same treatment, on both sides.  The
-substitution values factor over D = -t^(1/2) - t^(-1/2) as
-x = D t^(1/2), y = D t^(-1/2), z = 1/D, and again x y z^2 = 1: F
-contributes t^((e-2 alpha)/4) D^(bc(F)-1) under the prefactor
-(-1)^w t^(3w/4), the term of the matching state on the left (r and n
-enter only as r + n = e).  So both sides sum their terms by the same
-frontier contraction, diagram._jones_contraction, which carries each
-key's polynomial in t^(1/4) and multiplies it by D for each loop a
-join closes; neither side substitutes or divides.
+R_G, and so is the Jones polynomial on both sides: each side is one of
+the two point sums diagram._bracket_contraction and _jones_contraction,
+the left over the crossings, the right over the edges as
+ribbon._identity_plan lays them out.  Neither substitutes or divides.
 
 bracket_via_rank_poly keeps the assembly through the whole rank
 polynomial, substituted term by term, as the reference the direct
@@ -51,7 +39,7 @@ from .diagram import (
     BRACKET_VARS,
     JONES_VARS,
     Diagram,
-    _bracket_sum,
+    _bracket_contraction,
     _jones_contraction,
     at_jones_point,
     jones,
@@ -59,7 +47,7 @@ from .diagram import (
     writhe,
 )
 from .laurent import LaurentPoly
-from .ribbon import RibbonGraph, _identity_plan, br_poly, graph_stats, identity_rows, tutte_via_br
+from .ribbon import RibbonGraph, _identity_plan, br_poly, graph_stats, tutte_via_br
 
 
 @dataclass(frozen=True)
@@ -91,13 +79,13 @@ class VerifyReport:
 
 def bracket_from_graph(g: RibbonGraph, signed: bool = False, isolated: int = 0) -> LaurentPoly:
     """The right side of the bracket identity, A^r B^n d^(k-1) times the
-    (signed) rank polynomial at x = Bd/A, y = Ad/B, z = 1/d, evaluated at
-    that point directly: the sum over spanning subgraphs F of
-    A^alpha(F) B^(e-alpha(F)) d^(bc(F)-1), as identity_rows counts them.
-    `isolated` counts further dart-less vertices that g leaves out, each
-    one more boundary component of every F.
+    (signed) rank polynomial at x = Bd/A, y = Ad/B, z = 1/d, summed at
+    that point directly by diagram._bracket_contraction.  `isolated`
+    counts further dart-less vertices that g leaves out, each one more
+    boundary component of every spanning subgraph.
     """
-    return _bracket_sum(g.edge_count, identity_rows(g, signed), isolated)
+    mate, steps, alpha0, bare = _identity_plan(g, signed, "bracket")
+    return _bracket_contraction(mate, steps, alpha0, bare + isolated)
 
 
 def bracket_via_rank_poly(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
@@ -121,16 +109,12 @@ def bracket_via_rank_poly(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
 
 def jones_from_graph(g: RibbonGraph, w: int, isolated: int = 0) -> LaurentPoly:
     """The right side of the Jones identity for a signed ribbon graph and
-    writhe, evaluated at its point directly: the sum over F of
-    t^((e-2 alpha(F))/4) D^(bc(F)-1) under (-1)^w t^(3w/4), with alpha and
-    bc as identity_rows counts them.  r and n enter only as r + n = e, so
-    no graph statistic is read.  diagram._jones_contraction sums it with
-    a chosen edge weighing t^(-1/2), or t^(1/2) when negative; `isolated`
-    is as in bracket_from_graph.
+    writhe, summed at its point directly by diagram._jones_contraction,
+    which reads no graph statistic; `isolated` is as in
+    bracket_from_graph.
     """
     mate, steps, alpha0, bare = _identity_plan(g, True, "Jones polynomial")
-    shifts = [-2 * step for step in steps]  # t's quarter exponent e - 2 alpha
-    return _jones_contraction(mate, shifts, g.edge_count - 2 * alpha0, bare + isolated, w)
+    return _jones_contraction(mate, steps, alpha0, bare + isolated, w)
 
 
 def jones_via_rank_poly(g: RibbonGraph, w: int) -> LaurentPoly:

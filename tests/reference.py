@@ -31,8 +31,9 @@ def histogram(*columns):
 
 
 def diagram_sweep_rows(mate):
-    """The ((alpha, curves), count) rows of diagram._frontier_rows, from
-    the state sweep of the same arc pairing."""
+    """The ((alpha, curves), count) rows of the states of arc pairing
+    `mate`, free loops excluded, from its state sweep: the rows whose
+    terms diagram._bracket_contraction sums for kauffman_bracket."""
     n = len(mate) // 4
     check_sweep_memory(n, f"state sweep of a {n}-crossing diagram")
     return histogram(map(int.bit_count, range(1 << n)), _kernels.state_delta_sweep(n, mate))

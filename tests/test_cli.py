@@ -13,7 +13,7 @@ import pytest
 
 import vkbr
 from helpers import production_calls, torus_braid
-from vkbr import _kernels, fixtures, limits, ribbon, verify
+from vkbr import _kernels, fixtures, limits, verify
 from vkbr.build import build_signed
 from vkbr.cli import _COMMANDS, _build_parser, _named_command, main
 from vkbr.diagram import apply_switches, format_diagram, is_alternating, parse_diagram
@@ -432,13 +432,12 @@ class TestErrorsAndSelftest:
         # A graph side that counts every edge as positive agrees on every
         # fixture's graph, which has none negative; the switched trefoil's
         # graph has one.
-        unsigned = ribbon.identity_rows
+        plan = verify._identity_plan
 
-        def ignore_signs(g, signed=False):
-            return unsigned(g, signed=False)
+        def ignore_signs(g, signed, what):
+            return plan(g, False, what)
 
-        monkeypatch.setattr(ribbon, "identity_rows", ignore_signs)
-        monkeypatch.setattr(verify, "identity_rows", ignore_signs)
+        monkeypatch.setattr(verify, "_identity_plan", ignore_signs)
         code, out, _ = run(capsys, "selftest")
         assert code == 1
         assert "switched-trefoil: graph side equals substituted rank polynomial: FAIL" in out

@@ -42,7 +42,7 @@ from vkbr.ribbon import (
     parse_ribbon,
     subgraph_stats,
 )
-from vkbr.verify import verify_jones, verify_main, verify_signed
+from vkbr.verify import bracket_from_graph, verify_jones, verify_main, verify_signed
 
 
 COLORABLE = [
@@ -52,9 +52,12 @@ COLORABLE = [
 
 
 def diagram_rows(d):
-    """((alpha, curves), count) rows of a diagram: (frontier, sweep)."""
-    mate = diagram._plan(d)
-    return diagram._frontier_rows(mate), diagram_sweep_rows(mate)
+    """((alpha, curves), count) rows of a diagram: (frontier, sweep).  The
+    frontier's are read back from the terms of kauffman_bracket(d), one
+    term A^alpha B^(n-alpha) d^(curves + free loops - 1) per row."""
+    frontier = sorted(((a // 4, c // 4 + 1 - d.free_loops), count)
+                      for (a, _, c), count in kauffman_bracket(d)._terms.items())
+    return frontier, diagram_sweep_rows(d._mate)
 
 
 def traced_diagram_rows(d):
@@ -69,9 +72,9 @@ def traced_diagram_rows(d):
 def graph_rows(g, *signs):
     """((e(F), e-(F), k(F), bc(F)), count) rows of a graph, signed or not
     as each of signs says: (frontier, sweep) for each, from one sweep."""
-    plans = [ribbon._plan(g, signed) for signed in signs]
-    sweeps = graph_sweep_rows(g, *(neg for neg, _ in plans))
-    return [(ribbon._frontier_rows(sites, neg), sweep) for (neg, sites), sweep in zip(plans, sweeps)]
+    negs = [g.negative_mask() if signed else 0 for signed in signs]
+    sweeps = graph_sweep_rows(g, *negs)
+    return [(ribbon._frontier_rows(g._sites, neg), sweep) for neg, sweep in zip(negs, sweeps)]
 
 
 def swept_bracket(d):
@@ -157,7 +160,7 @@ class TestDiagramRoutes:
         diagrams = [parse_diagram(text) for text in texts]
         diagrams += [random_diagram(n, seed, kind) for n in range(1, 11) for seed in range(3)]
         for d in diagrams:
-            mate = diagram._plan(d)
+            mate = d._mate
             unit = len(mate)  # above curves - 1
             weighed = _kernels.frontier_histogram(mate, [unit] * (unit // 4), loop_weight={1: 1})
             expected = [((unit * alpha + curves - 1, 0, 0), count)
@@ -537,7 +540,8 @@ class TestNoVertexBookkeeping:
                 for (ef, eneg, _, bc), count in rows:
                     # alpha: positive edges in F and negative edges outside it
                     folded[ef - 2 * eneg + mask.bit_count(), bc + bare] += count
-                assert ribbon.identity_rows(g, signed) == sorted(folded.items())
+                expected = diagram._bracket_sum(g.edge_count, folded.items())
+                assert bracket_from_graph(g, signed) == expected
 
 
 class TestRouteGate:

@@ -2,7 +2,8 @@
 of virtual links (L. H. Kauffman, "Virtual knot theory", European J.
 Combin. 20, 1999), so a chain of Reidemeister I and II moves on any
 diagram leaves it unchanged, and a mirror image takes t to t^-1.  A kink
-multiplies the bracket by a factor of its own, exactly in A, B and d.
+multiplies the bracket by a factor of its own, exactly in A, B and d, and
+reversing every strand changes neither polynomial.
 Only the unmoved diagrams, all small, are summed by the sweep; the moved
 ones are checked against them, however large they grow."""
 
@@ -11,7 +12,7 @@ import random
 
 import pytest
 
-from helpers import mirror, r1_move, r2_move, torus_braid, torus_knot_jones
+from helpers import mirror, r1_move, r2_move, reverse, torus_braid, torus_knot_jones
 from reference import diagram_sweep_rows
 from vkbr import _kernels, diagram, fixtures
 from vkbr.build import find_switch_set
@@ -107,6 +108,36 @@ def add_kernel_fault(monkeypatch):
     monkeypatch.setattr(_kernels, "_site_program", faulty)
 
 
+def add_loop_cap_fault(monkeypatch):
+    """Patch the frontier so that a join closes at most one loop."""
+    program = _kernels._site_program
+
+    def faulty(shape, pattern):
+        return tuple((writes, min(loops, 1)) for writes, loops in program(shape, pattern))
+
+    monkeypatch.setattr(_kernels, "_site_program", faulty)
+
+
+def add_slot_fault(monkeypatch):
+    """Patch the frontier so that, once a site's step is built, its fresh
+    ports hold their slots in reverse order, while the step still writes
+    them in the order it was built with."""
+    port_step = _kernels._port_step
+
+    def faulty(arc_mate, s, slot_of, free):
+        step = port_step(arc_mate, s, slot_of, free)
+        fresh = [q for q in range(4 * s, 4 * s + 4) if q in slot_of]
+        slot_of.update(zip(fresh, [slot_of[q] for q in reversed(fresh)]))
+        return step
+
+    monkeypatch.setattr(_kernels, "_port_step", faulty)
+
+
+# The kernel faults besides add_kernel_fault's, each caught by the R2
+# chains with no sweep run.
+OTHER_FAULTS = {"loop_cap": add_loop_cap_fault, "slots_reversed": add_slot_fault}
+
+
 class TestR2Moves:
     def test_chains_keep_jones(self, expected):
         for seed, (text, value) in enumerate(zip(INPUTS, expected)):
@@ -120,6 +151,13 @@ class TestR2Moves:
     def test_a_kernel_fault_shows(self, monkeypatch):
         # Both polynomials come from the faulty frontier; no sweep runs.
         add_kernel_fault(monkeypatch)
+        changed = sum(jones(parse_diagram(r2_chain(text, seed))) != jones(parse_diagram(text))
+                      for seed, text in enumerate(INPUTS))
+        assert changed > 0
+
+    @pytest.mark.parametrize("fault", sorted(OTHER_FAULTS))
+    def test_the_other_faults_show(self, monkeypatch, fault):
+        OTHER_FAULTS[fault](monkeypatch)
         changed = sum(jones(parse_diagram(r2_chain(text, seed))) != jones(parse_diagram(text))
                       for seed, text in enumerate(INPUTS))
         assert changed > 0
@@ -166,6 +204,16 @@ class TestR1Moves:
         )
         assert changed > 0
 
+    @pytest.mark.parametrize("fault", sorted(OTHER_FAULTS))
+    def test_the_other_faults_show(self, monkeypatch, fault):
+        OTHER_FAULTS[fault](monkeypatch)
+        changed = sum(
+            kauffman_bracket(parse_diagram(moved))
+            != kauffman_bracket(parse_diagram(text)) * KINK_FACTORS[o]
+            for seed, text in enumerate(KINKED) for o, moved in kinked(text, seed)
+        )
+        assert changed > 0
+
 
 class TestVerifyOnChains:
     def test_colorable_chains_verify_signed(self, expected, capsys, tmp_path):
@@ -191,3 +239,17 @@ class TestMirror:
     def test_mirror_inverts_t(self, expected):
         for text, value in zip(INPUTS, expected):
             assert jones(parse_diagram(mirror(text))) == inverted(value), text
+
+
+class TestReverse:
+    def test_reverse_keeps_bracket_and_jones(self, expected):
+        for text, value in zip(INPUTS, expected):
+            moved = parse_diagram(reverse(text))
+            assert kauffman_bracket(moved) == swept_bracket(text), text
+            assert jones(moved) == value, text
+
+    def test_the_slot_fault_shows(self, monkeypatch):
+        add_slot_fault(monkeypatch)
+        changed = sum(jones(parse_diagram(reverse(text))) != jones(parse_diagram(text))
+                      for text in INPUTS)
+        assert changed > 0

@@ -496,10 +496,20 @@ class TestSiteTable:
         g, _ = build_signed(parse_diagram(torus_braid(p, q)))
         assert g._sites == _rotation_table(g)
 
-    def test_built_once(self):
+    def test_built_once(self, monkeypatch):
         g = parse_ribbon(SAMPLE)
-        assert ribbon._plan(g, True)[1] is g._sites
-        assert ribbon._plan(g, False, "bracket")[1] is g._sites
+        assert ribbon._identity_plan(g, True, "Jones polynomial")[0] is g._sites[0]
+        assert ribbon._identity_plan(g, False, "bracket")[0] is g._sites[0]
+        read = []
+        rows = ribbon._frontier_rows
+
+        def spy(sites, neg):
+            read.append(sites)
+            return rows(sites, neg)
+
+        monkeypatch.setattr(ribbon, "_frontier_rows", spy)
+        br_poly(g, signed=True)
+        assert len(read) == 1 and read[0] is g._sites
 
     def test_equality_and_repr_ignore_the_table(self):
         g = parse_ribbon(SAMPLE)

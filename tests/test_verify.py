@@ -304,9 +304,8 @@ class TestDirectEvaluation:
         def refuse(*args):
             raise AssertionError("a row count ran")
 
-        monkeypatch.setattr(diagram, "_frontier_rows", refuse)
-        monkeypatch.setattr(ribbon, "identity_rows", refuse)
-        monkeypatch.setattr(verify, "identity_rows", refuse)
+        monkeypatch.setattr(diagram, "_bracket_contraction", refuse)
+        monkeypatch.setattr(verify, "_bracket_contraction", refuse)
         for d, w, g, left, right in cases:
             assert jones(d) == left
             if g is not None:
