@@ -32,7 +32,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from operator import add, index
+from functools import reduce
+from operator import add, index, mul
 from typing import Mapping
 
 
@@ -214,13 +215,7 @@ class LaurentPoly:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        terms: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(map(add, e1, e2))
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return LaurentPoly._make(self.variables, terms)
+        return LaurentPoly._make(self.variables, _product(self._terms, self._coerce(other)._terms))
 
     __rmul__ = __mul__
 
@@ -233,22 +228,15 @@ class LaurentPoly:
         """self**power; power may be any quarter rational.
 
         A nonnegative integer power of a polynomial that is not a single
-        term is taken by repeated squaring.  Every other power only makes
-        sense for a single term whose coefficient power stays an integer,
-        e.g. coefficient 1 with any power, or -1 with an integer power.
+        term is the repeated product.  Every other power only makes sense
+        for a single term whose coefficient power stays an integer, e.g.
+        coefficient 1 with any power, or -1 with an integer power.
         """
         if len(self._terms) != 1:
             if power.denominator != 1 or power < 0:
                 raise PolyError(f"power {power} of a {len(self._terms)}-term polynomial "
                                 "is not a Laurent polynomial")
-            result, base, m = None, self, int(power)
-            while m:
-                if m & 1:
-                    result = base if result is None else result * base
-                m >>= 1
-                if m:
-                    base = base * base
-            return LaurentPoly.one(self.variables) if result is None else result
+            return reduce(mul, [self] * int(power), LaurentPoly.one(self.variables))
         (exps, coeff), = self._terms.items()
         if power.denominator != 1 and coeff != 1 or power < 0 and coeff not in (1, -1):
             raise PolyError(f"coefficient {coeff} has no integer power {power}")
@@ -288,11 +276,9 @@ class LaurentPoly:
                     f"assignment for {name!r} is over {value.variables}, "
                     f"expected {variables}"
                 )
-        # Single-term replacements fold into each term's monomial, each
-        # power computed once.  The terms are then grouped by their powers
-        # of the other replacements, so each group costs one product per
-        # power it carries.  A multi-term replacement's positive integer
-        # powers are built in a ladder, each from the power one below.
+        # Each term is the product of its powers, each computed once.  A
+        # multi-term replacement's positive integer powers are built in a
+        # ladder, each from the power one below.
         powers: dict[tuple[str, int], LaurentPoly] = {}
         ladders: dict[str, list[LaurentPoly]] = {}
 
@@ -308,28 +294,14 @@ class LaurentPoly:
                     powers[name, q] = value._fractional_power(Fraction(q, 4))
             return powers[name, q]
 
-        groups: dict[tuple[tuple[str, int], ...], dict[tuple[int, ...], int]] = {}
-        for exps, coeff in self._terms.items():
-            mono = (0,) * len(variables)
-            rest = []
-            for name, q in zip(self.variables, exps):
-                if not q:
-                    continue
-                if len(assignments[name]._terms) == 1:
-                    ((m_exps, m_coeff),) = power(name, q)._terms.items()
-                    mono = tuple(map(add, mono, m_exps))
-                    coeff *= m_coeff
-                else:
-                    rest.append((name, q))
-            group = groups.setdefault(tuple(rest), {})
-            group[mono] = group.get(mono, 0) + coeff
         result: dict[tuple[int, ...], int] = {}
-        for rest, terms in groups.items():
-            part = LaurentPoly._make(variables, terms)
-            for name, q in rest:
-                part = part * power(name, q)
-            for exps, coeff in part._terms.items():
-                result[exps] = result.get(exps, 0) + coeff
+        for exps, coeff in self._terms.items():
+            part = {(0,) * len(variables): coeff}
+            for name, q in zip(self.variables, exps):
+                if q:
+                    part = _product(part, power(name, q)._terms)
+            for key, c in part.items():
+                result[key] = result.get(key, 0) + c
         return LaurentPoly._make(variables, result)
 
     # -- canonical text form ------------------------------------------
@@ -394,6 +366,16 @@ class LaurentPoly:
             key = tuple(exps)
             terms[key] = terms.get(key, 0) + coeff
         return cls._make(variables, terms)
+
+
+def _product(left: dict, right: dict) -> dict:
+    """The term dict of the product of two term dicts."""
+    terms: dict[tuple[int, ...], int] = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            key = tuple(map(add, e1, e2))
+            terms[key] = terms.get(key, 0) + c1 * c2
+    return terms
 
 
 def _format_exponent(q: int) -> str:

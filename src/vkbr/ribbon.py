@@ -45,6 +45,8 @@ so every graph they accept prints as a file that parses back equal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
+from math import comb
 
 from ._kernels import frontier_histogram
 from .diagram import _is_name, _lines, _tuple
@@ -391,7 +393,15 @@ def signed_br_poly(g: RibbonGraph) -> LaurentPoly:
 
 
 def tutte_via_br(g: RibbonGraph) -> LaurentPoly:
-    """The Tutte polynomial of the underlying graph, via R_G(x-1, y-1, 1)."""
-    x, y = (LaurentPoly.variable(TUTTE_VARS, name) for name in TUTTE_VARS)
-    one = LaurentPoly.one(TUTTE_VARS)
-    return br_poly(g).substitute({"x": x - 1, "y": y - 1, "z": one}, TUTTE_VARS)
+    """The Tutte polynomial of the underlying graph, R_G(x-1, y-1, 1):
+    br_poly's terms merged with z = 1, each (x-1)^a (y-1)^b expanded by
+    binomial coefficients."""
+    merged: dict[tuple[int, int], int] = {}
+    for (a, b, _), c in br_poly(g)._terms.items():
+        merged[a >> 2, b >> 2] = merged.get((a >> 2, b >> 2), 0) + c
+    terms: dict[tuple[int, int], int] = {}
+    for (a, b), c in merged.items():
+        for i, j in product(range(a + 1), range(b + 1)):
+            sign = -1 if (a + b - i - j) % 2 else 1
+            terms[4 * i, 4 * j] = terms.get((4 * i, 4 * j), 0) + sign * comb(a, i) * comb(b, j) * c
+    return LaurentPoly._make(TUTTE_VARS, terms)

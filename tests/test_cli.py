@@ -465,7 +465,10 @@ class TestErrorsAndSelftest:
         code, out, _ = run(capsys, "--json", "selftest")
         results = json.loads(out)["results"]
         assert code == 1 and len(results) == 48
-        assert [item["error"] for item in results if "error" in item] == [
+        # verify's point check fails the identity lines of the fixtures
+        # whose brackets the fault changes at A = B = 1, d = -2.
+        errors = [item["error"] for item in results if "error" in item]
+        assert [error for error in errors if not error.startswith("RuntimeError: point check")] == [
             "PolyError: power -1 of a 2-term polynomial is not a Laurent polynomial"
         ]
 
@@ -587,6 +590,21 @@ HELP = {
         "  -h, --help  show this help message and exit",
     ]),
 }
+if sys.version_info >= (3, 13):
+    # 3.13 keeps "{...} ..." on one usage line, and prints an option that
+    # takes a value as "-o, --output OUTPUT", in narrower columns.
+    HELP[()] = HELP[()].replace(f"{COMMAND_LIST}\n            ...\n", f"{COMMAND_LIST} ...\n")
+    for command in ("build-ribbon", "build-signed"):
+        HELP[command,] = _help_block([
+            f"usage: vkbr {command} [-h] [-o OUTPUT] file",
+            "",
+            "positional arguments:",
+            "  file                 diagram file, or - for stdin",
+            "",
+            "options:",
+            "  -h, --help           show this help message and exit",
+            "  -o, --output OUTPUT  write the graph here and the crossing map to OUTPUT.map",
+        ])
 
 
 def call(capsys, monkeypatch, argv, stdin=""):
@@ -603,7 +621,7 @@ def call(capsys, monkeypatch, argv, stdin=""):
 class TestHelpText:
     """The help of vkbr and of each command, byte for byte.  Python 3.10
     heads the options "optional arguments:", which reads here as 3.11's
-    "options:"."""
+    "options:", and HELP holds 3.13's own text where it differs."""
 
     @pytest.mark.parametrize("argv", sorted(HELP), ids=lambda argv: " ".join(argv) or "vkbr")
     def test_help(self, capsys, monkeypatch, argv):

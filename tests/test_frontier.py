@@ -244,6 +244,13 @@ class TestGraphRoutes:
         assert_graph_routes_agree(g, traced=False)
 
 
+# The fixtures and random diagrams of every kind, on which every
+# production command runs.
+PRODUCTION_TEXTS = list(fixtures.DIAGRAMS.values()) + [
+    format_diagram(random_diagram(n, 0, kind)) for kind in KINDS for n in range(8)
+]
+
+
 def _forbid_sweeps(monkeypatch):
     def refuse(*_):
         raise AssertionError("a sweep ran")
@@ -287,14 +294,27 @@ class TestRouteChoice:
         assert calls == {"state_delta_sweep": 1, "subgraph_sweep": 1}
 
     def test_no_production_command_sweeps(self, monkeypatch, capsys):
-        texts = list(fixtures.DIAGRAMS.values()) + [
-            format_diagram(random_diagram(n, 0, kind)) for kind in KINDS for n in range(8)
-        ]
         _forbid_sweeps(monkeypatch)
-        for text in texts:
+        for text in PRODUCTION_TEXTS:
             for argv, stdin, code in production_calls(text):
                 monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
                 assert main(argv) == code, (argv, text, capsys.readouterr().err)
+            capsys.readouterr()
+
+    def test_no_production_command_does_polynomial_arithmetic(self, monkeypatch, capsys):
+        # Every command sums at its own point and reads or writes term
+        # dicts; only selftest and the references substitute or multiply.
+        def refuse(*_):
+            raise AssertionError("polynomial arithmetic ran")
+
+        for name in ("substitute", "__add__", "__radd__", "__sub__", "__rsub__",
+                     "__neg__", "__mul__", "__rmul__", "__pow__"):
+            monkeypatch.setattr(LaurentPoly, name, refuse)
+        for text in PRODUCTION_TEXTS:
+            for argv, stdin, code in production_calls(text):
+                for flags in ([], ["--json"]):
+                    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+                    assert main(flags + argv) == code, (flags + argv, text, capsys.readouterr().err)
             capsys.readouterr()
 
 

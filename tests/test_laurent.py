@@ -88,6 +88,11 @@ class TestConstruction:
         p = LaurentPoly(ABD, {(4, 0, 0): 1})
         q = mono(1, A=1)
         assert p == q
+        # Two keys that operator.index reads as one exponent tuple: their
+        # coefficients add up, and a sum that cancels leaves no term.
+        assert LaurentPoly(ABD, {(Index(4), 0, 0): 2, (4, 0, 0): 1}) == mono(3, A=1)
+        cancelled = LaurentPoly(ABD, {(Index(4), 0, 0): 2, (4, 0, 0): -2, (0, 0, 4): 1})
+        assert cancelled == mono(1, d=1) and cancelled._terms == {(0, 0, 4): 1}
 
     def test_off_lattice_exponent_rejected(self):
         with pytest.raises(PolyError):

@@ -5,22 +5,41 @@ diagram leaves it unchanged, and a mirror image takes t to t^-1.  A kink
 multiplies the bracket by a factor of its own, exactly in A, B and d, and
 reversing every strand changes neither polynomial.
 Only the unmoved diagrams, all small, are summed by the sweep; the moved
-ones are checked against them, however large they grow."""
+ones are checked against them, however large they grow.  Switching every
+crossing gives the graph of the other checkerboard colouring, a second
+right side; and under each kernel fault, verify's point check flags most
+of the wrong results that it would otherwise report as equal."""
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from helpers import mirror, r1_move, r2_move, reverse, torus_braid, torus_knot_jones
 from reference import diagram_sweep_rows
-from vkbr import _kernels, diagram, fixtures
-from vkbr.build import find_switch_set
+from vkbr import _kernels, diagram, fixtures, verify
+from vkbr.build import build_ribbon, build_signed, find_switch_set
 from vkbr.cli import main
-from vkbr.diagram import jones, kauffman_bracket, parse_diagram, writhe
+from vkbr.diagram import (
+    Diagram,
+    apply_switches,
+    is_alternating,
+    jones,
+    kauffman_bracket,
+    parse_diagram,
+    writhe,
+)
 from vkbr.laurent import LaurentPoly
 from vkbr.limits import CAP_ENV_VAR
-from vkbr.randgen import random_diagram
+from vkbr.randgen import KINDS, random_diagram
+from vkbr.verify import (
+    bracket_from_graph,
+    jones_from_graph,
+    verify_jones,
+    verify_main,
+    verify_signed,
+)
 
 
 def arcs(text):
@@ -253,3 +272,138 @@ class TestReverse:
         changed = sum(jones(parse_diagram(reverse(text))) != jones(parse_diagram(text))
                       for text in INPUTS)
         assert changed > 0
+
+
+# Colourable diagrams of 1 to 11 crossings, on which the point check
+# and the other colour's graph are measured.
+COLORABLE = [random_diagram(n, seed, "colorable") for n in range(1, 12) for seed in range(60)]
+FAULTS = {"kernel": add_kernel_fault, **OTHER_FAULTS}
+
+
+def swap_a_b(poly):
+    """poly with A and B exchanged."""
+    return LaurentPoly._make(poly.variables, {(b, a, e): c for (a, b, e), c in poly._terms.items()})
+
+
+def other_colour(d):
+    """d with every crossing switched, whose graph belongs to d's other
+    checkerboard colouring."""
+    return apply_switches(d, range(len(d.crossings)))
+
+
+@pytest.fixture(scope="module")
+def clean():
+    """Each COLORABLE diagram's bracket and Jones polynomial, and the
+    signed graph of its other colour, all with no fault."""
+    return [(kauffman_bracket(d), jones(d), build_signed(other_colour(d))[0]) for d in COLORABLE]
+
+
+def record_point_checks(monkeypatch):
+    """Let verify run on past its point check; the list returned gets
+    True for each check that fails, False for each that holds."""
+    flagged = []
+    check = verify._check_point
+
+    def recording(*args):
+        try:
+            check(*args)
+        except RuntimeError:
+            flagged.append(True)
+        else:
+            flagged.append(False)
+
+    monkeypatch.setattr(verify, "_check_point", recording)
+    return flagged
+
+
+class TestPointCheck:
+    """verify reads each side at A = B = 1, d = -2, where every state
+    weighs (-2)^(loops-1); a side that misses exits 4."""
+
+    def test_holds_on_every_kind(self):
+        for kind in KINDS:
+            for n in range(13):
+                for seed in range(4):
+                    base = random_diagram(n, seed, kind)
+                    for extra in (0, 2):
+                        d = Diagram(base.crossings, base.free_loops + extra)
+                        if find_switch_set(d) is None:
+                            continue
+                        checks = (verify_signed, verify_jones) + (verify_main,) * is_alternating(d)
+                        for check in checks:
+                            assert check(d).equal, (check.__name__, diagram.format_diagram(d))
+
+    def test_a_kernel_fault_exits_4(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "knot.txt"
+        path.write_text(fixtures.SAMPLE_KNOT)
+        add_kernel_fault(monkeypatch)
+        for mode in ("--main", "--signed", "--jones"):
+            assert main(["verify", mode, str(path)]) == 4, mode
+            captured = capsys.readouterr()
+            assert captured.out == "" and "point check failed" in captured.err
+
+    def test_selftest_fails_the_identity_lines(self, monkeypatch, capsys):
+        add_kernel_fault(monkeypatch)
+        assert main(["selftest"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        for check in ("bracket identity", "signed identity", "both Jones routes agree"):
+            line = next(line for line in lines if line.startswith(f"sample-knot: {check}: "))
+            assert line.startswith(f"sample-knot: {check}: FAIL (RuntimeError: point check failed")
+
+    @pytest.mark.parametrize("fault, share", [("kernel", 0.9), ("loop_cap", 0.9),
+                                              ("slots_reversed", 0.5)])
+    def test_flags_wrong_results_reported_equal(self, monkeypatch, clean, fault, share):
+        # Measured: 270 of 285 and 273 of 286, 659 of 660 in both modes,
+        # and 71 of 104 and 73 of 106 for the slot fault.
+        FAULTS[fault](monkeypatch)
+        flagged = record_point_checks(monkeypatch)
+        for check, index in ((verify_signed, 0), (verify_jones, 1)):
+            counts = Counter()
+            for d, values in zip(COLORABLE, clean):
+                report = check(d)
+                if report.equal and report.left != values[index]:
+                    counts[flagged[-1]] += 1
+            assert counts[True] >= share * sum(counts.values()) > 0, (check.__name__, counts)
+
+
+class TestOtherColour:
+    """Switching every crossing gives the signed graph of the other
+    checkerboard colouring.  Its bracket side, with A and B exchanged, is
+    the bracket, and its Jones side at the opposite writhe, with t taken
+    to t^-1, is the Jones polynomial."""
+
+    @pytest.mark.parametrize("name", [name for name, text in sorted(fixtures.DIAGRAMS.items())
+                                      if find_switch_set(parse_diagram(text)) is not None])
+    def test_fixtures(self, name):
+        d = parse_diagram(fixtures.DIAGRAMS[name])
+        g = build_signed(other_colour(d))[0]
+        assert swap_a_b(bracket_from_graph(g, True)) == kauffman_bracket(d)
+        assert inverted(jones_from_graph(g, -writhe(d))) == jones(d)
+        if is_alternating(d):
+            g = build_ribbon(other_colour(d))
+            assert swap_a_b(bracket_from_graph(g)) == kauffman_bracket(d)
+
+    def test_random_colourable_diagrams(self, clean):
+        for d, (bracket, value, g) in zip(COLORABLE, clean):
+            assert swap_a_b(bracket_from_graph(g, True)) == bracket, diagram.format_diagram(d)
+            assert inverted(jones_from_graph(g, -writhe(d))) == value, diagram.format_diagram(d)
+            if is_alternating(d):
+                assert swap_a_b(bracket_from_graph(build_ribbon(other_colour(d)))) == bracket
+
+    def test_a_kernel_fault_shows(self, monkeypatch, clean):
+        # Each site's chosen and unchosen joins trade places, so a fault
+        # that treats them differently shows: measured, 260 of the 285
+        # wrong results verify --signed reports equal, and with the point
+        # check all 285.
+        add_kernel_fault(monkeypatch)
+        flagged = record_point_checks(monkeypatch)
+        counts = Counter()
+        for d, (bracket, _, g) in zip(COLORABLE, clean):
+            report = verify_signed(d)
+            if report.equal and report.left != bracket:
+                other = swap_a_b(bracket_from_graph(g, True)) != report.left
+                counts["wrong"] += 1
+                counts["other colour"] += other
+                counts["either"] += other or flagged[-1]
+        assert counts["other colour"] >= 0.9 * counts["wrong"] > 0, counts
+        assert counts["either"] == counts["wrong"], counts

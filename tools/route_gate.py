@@ -13,8 +13,8 @@ Each input is timed on both routes, each time the best of 3 calls.  One
 line per class of input gives the median times and the least, median and
 greatest ratio of the first route's time to the second's.  Both tables
 run past the default cap of 24 and stop when the two routes give
-different polynomials.  No route here runs a sweep; the README
-keeps the last table of frontier against sweep times.
+different polynomials.  No route here runs a sweep; the last table of
+frontier against sweep times is in the README at commit d9ffe12.
 """
 
 import os
