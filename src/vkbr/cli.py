@@ -15,9 +15,8 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 
-from . import fixtures
+from . import diagram, fixtures, ribbon
 from .build import (
     NotColorableError,
     build_ribbon,
@@ -26,6 +25,7 @@ from .build import (
     find_switch_set,
 )
 from .diagram import (
+    BRACKET_VARS,
     _bracket_sum,
     apply_switches,
     is_alternating,
@@ -34,9 +34,9 @@ from .diagram import (
     kauffman_bracket,
     parse_diagram,
     format_diagram,
-    state_table,
     writhe,
 )
+from .laurent import LaurentPoly
 from .limits import SizeLimitError
 from .randgen import MAX_RANDOM_CROSSINGS, random_diagram
 from .ribbon import (
@@ -46,7 +46,6 @@ from .ribbon import (
     genus,
     graph_stats,
     parse_ribbon,
-    subgraph_stats,
     tutte_via_br,
 )
 from .verify import (
@@ -211,36 +210,19 @@ def _selftest_diagrams():
     yield "switched-trefoil", apply_switches(parse_diagram(fixtures.TREFOIL), (1,))
 
 
-def _bracket_by_traces(d):
-    """The bracket summed from state_table, the per-state traces, which
-    share no code with the frontier contraction."""
-    rows = Counter((stats.alpha, stats.delta) for stats in state_table(d))
-    return _bracket_sum(len(d.crossings), rows.items())
-
-
-def _br_poly_by_traces(g):
-    """The signed rank polynomial summed from subgraph_stats, the
-    per-subgraph traces, over every subset of edges.  Dart-less vertices
-    are taken out of k and bc, as br_poly's contraction leaves them out."""
-    neg = g.negative_mask()
-    bare = sum(not darts for _, darts in g.vertices)
-    rows = Counter()
-    for subset in range(1 << g.edge_count):
-        stats = subgraph_stats(g, subset)
-        rows[subset.bit_count(), (subset & neg).bit_count(),
-             stats.k - bare, stats.bc - bare] += 1
-    return _rank_poly(g, rows.items(), neg)
-
-
 def _selftest_cases():
     """(name, check) of each selftest line, check() being true when the
     line holds.  Each check is called before the next pair is made."""
+    # A and B exchanged, d kept.
+    swap = dict(zip(BRACKET_VARS, (LaurentPoly.variable(BRACKET_VARS, var) for var in "BAd")))
     for name, d in _selftest_diagrams():
         colorable = find_switch_set(d) is not None
         g = build_signed(d)[0] if colorable else None
         yield f"{name}: frontier route equals traces", lambda: (
-            kauffman_bracket(d) == _bracket_by_traces(d)
-            and (g is None or br_poly(g, signed=True) == _br_poly_by_traces(g))
+            kauffman_bracket(d)
+            == _bracket_sum(len(d.crossings), diagram._trace_rows(d), d.free_loops)
+            and (g is None or br_poly(g, signed=True)
+                 == _rank_poly(g, ribbon._trace_rows(g, g.negative_mask()), g.negative_mask()))
         )
         if colorable:
             yield f"{name}: graph side equals substituted rank polynomial", lambda: (
@@ -249,6 +231,13 @@ def _selftest_cases():
             )
             yield f"{name}: Jones at its point equals substituted bracket", lambda: (
                 jones(d) == jones_via_bracket(d)
+            )
+        if colorable and d.crossings:
+            # Switching every crossing gives the signed graph of the other
+            # checkerboard colouring, on which A- and B-splittings trade places.
+            yield f"{name}: other colour's graph gives the bracket with A and B swapped", lambda: (
+                bracket_from_graph(build_signed(apply_switches(d, range(len(d.crossings))))[0],
+                                   True).substitute(swap, BRACKET_VARS) == kauffman_bracket(d)
             )
         if name == "virtual-hopf":
             yield f"{name}: reports not colorable", lambda: not colorable
@@ -268,7 +257,8 @@ def _selftest_cases():
     )
     yield "sample-ribbon: genus", lambda: genus(g) == 1
     yield "sample-ribbon: frontier route equals traces", lambda: (
-        br_poly(g, signed=True) == _br_poly_by_traces(g)
+        br_poly(g, signed=True)
+        == _rank_poly(g, ribbon._trace_rows(g, g.negative_mask()), g.negative_mask())
     )
 
 

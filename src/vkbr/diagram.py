@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from math import ceil, log10
 
@@ -360,6 +361,14 @@ def state_table(d: Diagram) -> tuple[StateStats, ...]:
     check_enumeration_size(n, f"state table of a {n}-crossing diagram")
     mate = _slot_mate(d)
     return tuple(_split_trace(d, mate, s) for s in range(1 << n))
+
+
+def _trace_rows(d: Diagram):
+    """The ((alpha, curves), count) rows of state_table(d), in increasing
+    order, with the free loops left out of the curves as the frontier and
+    sweep rows leave them out: _bracket_sum(n, rows, d.free_loops) is the
+    bracket by the per-state traces."""
+    return sorted(Counter((s.alpha, s.delta - d.free_loops) for s in state_table(d)).items())
 
 
 def kauffman_bracket(d: Diagram) -> LaurentPoly:

@@ -44,6 +44,7 @@ so every graph they accept prints as a file that parses back equal.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from math import comb
@@ -307,6 +308,22 @@ def subgraph_stats(g: RibbonGraph, subset: int) -> SubgraphStats:
             x = nxt[partner[x]]
     r = v - k
     return SubgraphStats(k, r, len(partner) // 2 - r, bc)
+
+
+def _trace_rows(g: RibbonGraph, neg: int):
+    """The ((e(F), e-(F), k(F), bc(F)), count) rows of subgraph_stats over
+    every subset of edges, in increasing order, with the negative edges
+    in mask `neg` and the dart-less vertices left out of k and bc, as
+    _frontier_rows leaves them out: _rank_poly(g, rows, neg) is the rank
+    polynomial by the per-subgraph traces."""
+    e = g.edge_count
+    check_enumeration_size(e, f"subgraph table of a {e}-edge ribbon graph")
+    bare = sum(not darts for _, darts in g.vertices)
+    rows = Counter()
+    for subset in range(1 << e):
+        stats = subgraph_stats(g, subset)
+        rows[subset.bit_count(), (subset & neg).bit_count(), stats.k - bare, stats.bc - bare] += 1
+    return sorted(rows.items())
 
 
 def genus(g: RibbonGraph) -> int:

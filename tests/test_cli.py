@@ -13,7 +13,8 @@ import pytest
 
 import vkbr
 from helpers import production_calls, torus_braid
-from vkbr import _kernels, fixtures, limits, verify
+from reference import add_kernel_fault
+from vkbr import fixtures, limits, verify
 from vkbr.build import build_signed
 from vkbr.cli import _COMMANDS, _build_parser, _named_command, main
 from vkbr.diagram import apply_switches, format_diagram, is_alternating, parse_diagram
@@ -448,23 +449,18 @@ class TestErrorsAndSelftest:
         # one more.  The positive kink's bracket then has no inverse at
         # the Jones point, so jones_via_bracket raises; that check fails
         # on its own line, the others still run, and selftest exits 1.
-        original = _kernels._site_program
-
-        def miscount(shape, pattern):
-            (writes, loops), unchosen = original(shape, pattern)
-            return (writes, loops + (loops >= 2)), unchosen
-
-        monkeypatch.setattr(_kernels, "_site_program", miscount)
+        add_kernel_fault(monkeypatch)
         code, out, err = run(capsys, "selftest")
         lines = out.splitlines()
         assert (code, err) == (1, "")
-        assert len(lines) == 49 and lines[-1].endswith("/48 checks passed")
+        assert len(lines) == 55 and lines[-1].endswith("/54 checks passed")
         assert "trefoil: frontier route equals traces: FAIL" in lines
+        assert "trefoil: other colour's graph gives the bracket with A and B swapped: FAIL" in lines
         assert ("positive-kink: Jones at its point equals substituted bracket: FAIL "
                 "(PolyError: power -1 of a 2-term polynomial is not a Laurent polynomial)") in lines
         code, out, _ = run(capsys, "--json", "selftest")
         results = json.loads(out)["results"]
-        assert code == 1 and len(results) == 48
+        assert code == 1 and len(results) == 54
         # verify's point check fails the identity lines of the fixtures
         # whose brackets the fault changes at A = B = 1, d = -2.
         errors = [item["error"] for item in results if "error" in item]

@@ -21,7 +21,7 @@ from helpers import (
     random_ribbon,
     torus_braid,
 )
-from reference import check_sweep_memory, diagram_sweep_rows, graph_sweep_rows
+from reference import check_sweep_memory, diagram_sweep_rows, graph_sweep_rows, swept_bracket
 from vkbr import _kernels, diagram, fixtures, limits, ribbon
 from vkbr.build import NotColorableError, build_signed, find_switch_set
 from vkbr.cli import main
@@ -31,7 +31,6 @@ from vkbr.diagram import (
     jones,
     kauffman_bracket,
     parse_diagram,
-    split_stats,
 )
 from vkbr.laurent import LaurentPoly
 from vkbr.limits import SizeLimitError
@@ -60,29 +59,12 @@ def diagram_rows(d):
     return frontier, diagram_sweep_rows(d._mate)
 
 
-def traced_diagram_rows(d):
-    """The same rows from split_stats, one call per state."""
-    counts = Counter()
-    for state in range(1 << len(d.crossings)):
-        stats = split_stats(d, state)
-        counts[stats.alpha, stats.delta - d.free_loops] += 1
-    return sorted(counts.items())
-
-
 def graph_rows(g, *signs):
     """((e(F), e-(F), k(F), bc(F)), count) rows of a graph, signed or not
     as each of signs says: (frontier, sweep) for each, from one sweep."""
     negs = [g.negative_mask() if signed else 0 for signed in signs]
     sweeps = graph_sweep_rows(g, *negs)
     return [(ribbon._frontier_rows(g._sites, neg), sweep) for neg, sweep in zip(negs, sweeps)]
-
-
-def swept_bracket(d):
-    """The bracket assembled from the sweep's rows, once they equal the
-    frontier's."""
-    frontier, sweep = diagram_rows(d)
-    assert frontier == sweep
-    return diagram._bracket_sum(len(d.crossings), sweep, d.free_loops)
 
 
 def swept_rank_polys(g, *signs):
@@ -95,24 +77,11 @@ def swept_rank_polys(g, *signs):
     return polys
 
 
-def traced_graph_rows(g):
-    """The signed rows from subgraph_stats, one call per subgraph; both
-    routes leave out the dart-less vertices."""
-    bare = sum(not darts for _, darts in g.vertices)
-    neg = g.negative_mask()
-    counts = Counter()
-    for mask in range(1 << g.edge_count):
-        stats = subgraph_stats(g, mask)
-        row = (mask.bit_count(), (mask & neg).bit_count(), stats.k - bare, stats.bc - bare)
-        counts[row] += 1
-    return sorted(counts.items())
-
-
 def assert_diagram_routes_agree(d, traced=True):
     frontier, sweep = diagram_rows(d)
     assert frontier == sweep
     if traced:
-        assert frontier == traced_diagram_rows(d)
+        assert frontier == diagram._trace_rows(d)
 
 
 def assert_graph_routes_agree(g, traced=True):
@@ -120,7 +89,7 @@ def assert_graph_routes_agree(g, traced=True):
     assert frontier == sweep
     assert unsigned_frontier == unsigned_sweep
     if traced:
-        assert frontier == traced_graph_rows(g)
+        assert frontier == ribbon._trace_rows(g, g.negative_mask())
 
 
 def disjoint_union(*texts):
@@ -342,7 +311,7 @@ class TestSweepMemoryCheck:
         monkeypatch.setattr(limits, "physical_memory", lambda: 300)
         _forbid_sweeps(monkeypatch)
         assert main(["selftest"]) == 0
-        assert capsys.readouterr().out.endswith("48/48 checks passed\n")
+        assert capsys.readouterr().out.endswith("54/54 checks passed\n")
 
     def test_raised_cap_sweep_refused(self, monkeypatch):
         # 2^40 indices: refused from the estimate, nothing allocated.
@@ -471,7 +440,9 @@ class TestConnectedSums:
             assert len(d.crossings) == pieces * size
             bracket = LaurentPoly.one(diagram.BRACKET_VARS)
             for part in parts:
-                bracket = bracket * swept_bracket(part)
+                swept = swept_bracket(part)
+                assert kauffman_bracket(part) == swept
+                bracket = bracket * swept
             assert kauffman_bracket(d) == bracket
             # The sum keeps every strand's direction, so the writhes add,
             # for link pieces as for knots.
@@ -588,7 +559,10 @@ class TestRouteGate:
             "gate.report('T(2,11)', 11, [gate.two_route_times(jones, jones_via_bracket, d)])\n"
             "print('numpy' in sys.modules)\n"
         )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(["src", "tests"])}
+        # src and tests go in front of any inherited path, which may be
+        # where pytest and hypothesis come from.
+        inherited = [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(["src", "tests", *inherited])}
         proc = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
                               capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stderr) == (0, "")

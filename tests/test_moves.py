@@ -17,13 +17,14 @@ from collections import Counter
 import pytest
 
 from helpers import mirror, r1_move, r2_move, reverse, torus_braid, torus_knot_jones
-from reference import diagram_sweep_rows
-from vkbr import _kernels, diagram, fixtures, verify
+from reference import add_kernel_fault, add_loop_cap_fault, add_slot_fault, swept_bracket
+from vkbr import diagram, fixtures, verify
 from vkbr.build import build_ribbon, build_signed, find_switch_set
 from vkbr.cli import main
 from vkbr.diagram import (
     Diagram,
     apply_switches,
+    components,
     is_alternating,
     jones,
     kauffman_bracket,
@@ -33,6 +34,7 @@ from vkbr.diagram import (
 from vkbr.laurent import LaurentPoly
 from vkbr.limits import CAP_ENV_VAR
 from vkbr.randgen import KINDS, random_diagram
+from vkbr.ribbon import genus
 from vkbr.verify import (
     bracket_from_graph,
     jones_from_graph,
@@ -76,16 +78,11 @@ def mixed_chain(text, seed):
     return text
 
 
-def swept_bracket(text):
-    """The bracket from the state sweep's rows."""
-    d = parse_diagram(text)
-    return diagram._bracket_sum(len(d.crossings), diagram_sweep_rows(d._mate), d.free_loops)
-
-
 def swept_jones(text):
     """The Jones polynomial from the state sweep's rows, read at the Jones
     point."""
-    return diagram.at_jones_point(swept_bracket(text), writhe(parse_diagram(text)))
+    d = parse_diagram(text)
+    return diagram.at_jones_point(swept_bracket(d), writhe(d))
 
 
 def inverted(poly):
@@ -113,43 +110,6 @@ def kinked(text, seed):
     """(o, text with a kink entered over at o on a seeded arc) for o = 1, 3."""
     arc = random.Random(seed).choice(arcs(text))
     return [(o, r1_move(text, arc, o)) for o in KINK_FACTORS]
-
-
-def add_kernel_fault(monkeypatch):
-    """Patch the frontier so that a chosen join that closes two or more
-    loops counts one more."""
-    program = _kernels._site_program
-
-    def faulty(shape, pattern):
-        (writes, loops), unchosen = program(shape, pattern)
-        return (writes, loops + (loops >= 2)), unchosen
-
-    monkeypatch.setattr(_kernels, "_site_program", faulty)
-
-
-def add_loop_cap_fault(monkeypatch):
-    """Patch the frontier so that a join closes at most one loop."""
-    program = _kernels._site_program
-
-    def faulty(shape, pattern):
-        return tuple((writes, min(loops, 1)) for writes, loops in program(shape, pattern))
-
-    monkeypatch.setattr(_kernels, "_site_program", faulty)
-
-
-def add_slot_fault(monkeypatch):
-    """Patch the frontier so that, once a site's step is built, its fresh
-    ports hold their slots in reverse order, while the step still writes
-    them in the order it was built with."""
-    port_step = _kernels._port_step
-
-    def faulty(arc_mate, s, slot_of, free):
-        step = port_step(arc_mate, s, slot_of, free)
-        fresh = [q for q in range(4 * s, 4 * s + 4) if q in slot_of]
-        slot_of.update(zip(fresh, [slot_of[q] for q in reversed(fresh)]))
-        return step
-
-    monkeypatch.setattr(_kernels, "_port_step", faulty)
 
 
 # The kernel faults besides add_kernel_fault's, each caught by the R2
@@ -199,7 +159,7 @@ class TestR2Moves:
 class TestR1Moves:
     def test_a_kink_multiplies_the_bracket(self):
         for seed, text in enumerate(KINKED):
-            bracket = swept_bracket(text)
+            bracket = swept_bracket(parse_diagram(text))
             for o, moved in kinked(text, seed):
                 assert kauffman_bracket(parse_diagram(moved)) == bracket * KINK_FACTORS[o], moved
 
@@ -264,7 +224,7 @@ class TestReverse:
     def test_reverse_keeps_bracket_and_jones(self, expected):
         for text, value in zip(INPUTS, expected):
             moved = parse_diagram(reverse(text))
-            assert kauffman_bracket(moved) == swept_bracket(text), text
+            assert kauffman_bracket(moved) == swept_bracket(parse_diagram(text)), text
             assert jones(moved) == value, text
 
     def test_the_slot_fault_shows(self, monkeypatch):
@@ -407,3 +367,43 @@ class TestOtherColour:
                 counts["either"] += other or flagged[-1]
         assert counts["other colour"] >= 0.9 * counts["wrong"] > 0, counts
         assert counts["either"] == counts["wrong"], counts
+
+
+def at_omega(value):
+    """V(omega), omega = e^(2 pi i / 3), as the integers (u, v) with
+    V(omega) = u + v omega, or None when V has a fractional power of t.
+    omega^k depends on k mod 3 only, and 1 + omega + omega^2 = 0."""
+    sums = [0, 0, 0]
+    for (q,), c in value._terms.items():
+        if q % 4:
+            return None
+        sums[q // 4 % 3] += c
+    return sums[0] - sums[2], sums[1] - sums[2]
+
+
+class TestOmega:
+    """V(omega) = 1 for a classical knot (V. F. R. Jones, "Hecke algebra
+    representations of braid groups and link polynomials", Ann. of Math.
+    126, 1987), here the one-component diagrams whose graphs have genus
+    0, which are classical; a virtual knot's V may have half-integer
+    powers of t."""
+
+    @pytest.fixture(scope="class")
+    def knots(self, clean):
+        """(d, its Jones polynomial) of each such COLORABLE diagram."""
+        return [(d, values[1]) for d, values in zip(COLORABLE, clean)
+                if len(components(d)) + d.free_loops == 1 and genus(build_signed(d)[0]) == 0]
+
+    def test_holds(self, knots):
+        # Measured: 128 diagrams.
+        assert len(knots) > 100
+        for d, value in knots:
+            assert at_omega(value) == (1, 0), diagram.format_diagram(d)
+
+    def test_flags_every_result_a_kernel_fault_changes(self, monkeypatch, knots):
+        # Measured: the fault changes 63 of them.
+        add_kernel_fault(monkeypatch)
+        results = [(jones(d), value) for d, value in knots]
+        changed = [result for result, value in results if result != value]
+        assert len(changed) > 50
+        assert all(at_omega(value) != (1, 0) for value in changed)
