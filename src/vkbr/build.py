@@ -90,14 +90,15 @@ def _trace_rotations(d: Diagram):
 
 
 def build_ribbon(d: Diagram) -> RibbonGraph:
-    """The ribbon graph of an alternating diagram.
+    """The ribbon graph of an alternating diagram: build_signed with no
+    switch, so every edge is positive, and a diagram that does not
+    alternate raises NotAlternatingError.
 
     Vertices are named v0, v1, ... in discovery order; the edge of
     crossing i is named ei with darts eia and eib.  Free loops become
     isolated vertices, after a check that they fit in memory.
     """
-    _check_free_loops(d)
-    return _build(d, frozenset())
+    return build_signed(d, ())[0]
 
 
 def build_signed(d: Diagram, switches=None):
@@ -105,10 +106,11 @@ def build_signed(d: Diagram, switches=None):
 
     Switches the crossings in `switches` (found automatically when None),
     builds the graph of the switched diagram, and marks the switched edges
-    negative.  Returns (graph, switches).  The free loops' memory is
-    checked first, as in build_ribbon.
+    negative.  Returns (graph, switches).  A graph whose dart-less
+    vertices, one per free loop, would not fit in memory is refused first.
     """
-    _check_free_loops(d)
+    check_memory(BYTES_PER_FREE_LOOP * d.free_loops,
+                 f"ribbon graph of a diagram with {d.free_loops} free loops")
     if switches is None:
         switches = find_switch_set(d)
         if switches is None:
@@ -118,13 +120,6 @@ def build_signed(d: Diagram, switches=None):
     switches = tuple(sorted(set(switches)))
     switched = apply_switches(d, switches) if switches else d
     return _build(switched, frozenset(switches)), switches
-
-
-def _check_free_loops(d: Diagram) -> None:
-    """Refuse, before anything is allocated, a graph whose dart-less
-    vertices, one per free loop, would not fit in memory."""
-    check_memory(BYTES_PER_FREE_LOOP * d.free_loops,
-                 f"ribbon graph of a diagram with {d.free_loops} free loops")
 
 
 def _build(d: Diagram, negative: frozenset) -> RibbonGraph:

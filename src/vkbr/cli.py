@@ -226,7 +226,7 @@ def _selftest_cases():
         )
         if colorable:
             yield f"{name}: graph side equals substituted rank polynomial", lambda: (
-                bracket_from_graph(g, signed=True) == bracket_via_rank_poly(g, signed=True)
+                bracket_from_graph(g) == bracket_via_rank_poly(g)
                 and jones_from_graph(g, writhe(d)) == jones_via_rank_poly(g, writhe(d))
             )
             yield f"{name}: Jones at its point equals substituted bracket", lambda: (
@@ -236,8 +236,8 @@ def _selftest_cases():
             # Switching every crossing gives the signed graph of the other
             # checkerboard colouring, on which A- and B-splittings trade places.
             yield f"{name}: other colour's graph gives the bracket with A and B swapped", lambda: (
-                bracket_from_graph(build_signed(apply_switches(d, range(len(d.crossings))))[0],
-                                   True).substitute(swap, BRACKET_VARS) == kauffman_bracket(d)
+                bracket_from_graph(build_signed(apply_switches(d, range(len(d.crossings))))[0])
+                .substitute(swap, BRACKET_VARS) == kauffman_bracket(d)
             )
         if name == "virtual-hopf":
             yield f"{name}: reports not colorable", lambda: not colorable

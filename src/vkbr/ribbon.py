@@ -365,16 +365,15 @@ def br_poly(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
     return _rank_poly(g, _frontier_rows(g._sites, neg), neg)
 
 
-def _identity_plan(g: RibbonGraph, signed: bool, what: str):
+def _identity_plan(g: RibbonGraph, what: str):
     """(arc_mate, steps, alpha0, bare), the input of the identity's point
     sums diagram._bracket_contraction and _jones_contraction over g's
-    edges, after the cap check on `what`.  A chosen edge steps alpha by
-    1, or by -1 when negative, from alpha0, the number of negative edges;
-    without `signed` every edge counts as positive.  bare counts the
-    dart-less vertices."""
+    edges, after the cap check on `what`.  The signs are g's own: a
+    chosen edge steps alpha by 1, or by -1 when negative, from alpha0,
+    the number of negative edges.  bare counts the dart-less vertices."""
     e = g.edge_count
     check_enumeration_size(e, f"{what} of a {e}-edge ribbon graph")
-    neg = g.negative_mask() if signed else 0
+    neg = g.negative_mask()
     steps = [-1 if (neg >> s) & 1 else 1 for s in range(e)]
     return g._sites[0], steps, neg.bit_count(), sum(not darts for _, darts in g.vertices)
 

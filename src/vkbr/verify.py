@@ -85,23 +85,25 @@ class VerifyReport:
         return self.stats["k"]
 
 
-def bracket_from_graph(g: RibbonGraph, signed: bool = False, isolated: int = 0) -> LaurentPoly:
+def bracket_from_graph(g: RibbonGraph, isolated: int = 0) -> LaurentPoly:
     """The right side of the bracket identity, A^r B^n d^(k-1) times the
-    (signed) rank polynomial at x = Bd/A, y = Ad/B, z = 1/d, summed at
-    that point directly by diagram._bracket_contraction.  `isolated`
-    counts further dart-less vertices that g leaves out, each one more
-    boundary component of every spanning subgraph.
+    signed rank polynomial at x = Bd/A, y = Ad/B, z = 1/d, summed at
+    that point directly by diagram._bracket_contraction.  The signs are
+    g's own edge signs; a graph with no negative edge, such as
+    build_ribbon's, gives the unsigned form.  `isolated` counts further
+    dart-less vertices that g leaves out, each one more boundary
+    component of every spanning subgraph.
     """
-    mate, steps, alpha0, bare = _identity_plan(g, signed, "bracket")
+    mate, steps, alpha0, bare = _identity_plan(g, "bracket")
     return _bracket_contraction(mate, steps, alpha0, bare + isolated)
 
 
-def bracket_via_rank_poly(g: RibbonGraph, signed: bool = False) -> LaurentPoly:
-    """bracket_from_graph by way of the whole rank polynomial: R_G from
-    br_poly, substituted, times A^r B^n d^(k-1).  The reference the direct
-    evaluation is checked against."""
+def bracket_via_rank_poly(g: RibbonGraph) -> LaurentPoly:
+    """bracket_from_graph by way of the whole rank polynomial: the signed
+    R_G from br_poly, with g's own edge signs, substituted, times A^r B^n
+    d^(k-1).  The reference the direct evaluation is checked against."""
     stats = graph_stats(g)
-    assembled = br_poly(g, signed=signed).substitute(
+    assembled = br_poly(g, signed=True).substitute(
         {
             "x": LaurentPoly.monomial(BRACKET_VARS, 1, A=-1, B=1, d=1),
             "y": LaurentPoly.monomial(BRACKET_VARS, 1, A=1, B=-1, d=1),
@@ -121,7 +123,7 @@ def jones_from_graph(g: RibbonGraph, w: int, isolated: int = 0) -> LaurentPoly:
     which reads no graph statistic; `isolated` is as in
     bracket_from_graph.
     """
-    mate, steps, alpha0, bare = _identity_plan(g, True, "Jones polynomial")
+    mate, steps, alpha0, bare = _identity_plan(g, "Jones polynomial")
     return _jones_contraction(mate, steps, alpha0, bare + isolated, w)
 
 
@@ -132,7 +134,7 @@ def jones_via_rank_poly(g: RibbonGraph, w: int) -> LaurentPoly:
     checked against."""
     if not g.vertices:
         raise ValueError("a graph with no vertices has no Jones polynomial")
-    return at_jones_point(bracket_via_rank_poly(g, True), w)
+    return at_jones_point(bracket_via_rank_poly(g), w)
 
 
 def jones_via_tutte(g: RibbonGraph, w: int) -> LaurentPoly:
@@ -189,7 +191,7 @@ def _verify(d: Diagram, mode: str) -> VerifyReport:
         right = jones_from_graph(g, w, loops)
     else:
         left = kauffman_bracket(d)
-        right = bracket_from_graph(g, mode == "signed", loops)
+        right = bracket_from_graph(g, loops)
     _check_point(d, w, mode, left, right)
     return VerifyReport(left, right, left == right, stats, used)
 

@@ -91,25 +91,37 @@ def closed_braid(n: int) -> str:
 
 def torus_braid(p: int, q: int) -> str:
     """Diagram text of the closed p-braid (sigma_1 ... sigma_(p-1))^q, whose
-    closure is the torus link T(p, q).
+    closure is the torus link T(p, q)."""
+    return braid_closure(p, [i for _ in range(q) for i in range(1, p)])
+
+
+def braid_closure(p: int, word) -> str:
+    """Diagram text of the closure of a p-strand braid word, each letter i
+    standing for sigma_i and -i for its inverse, 1 <= i < p.
 
     Strand position i carries the arcs s{i}_0, s{i}_1, ..., one per
-    crossing it passes, and the closure joins its last arc to its first.
-    Each crossing lists its ports counterclockwise from the left strand's
-    incoming arc, the over strand entering from the right.
+    crossing it passes, and the closure joins its last arc to its first; a
+    position that no letter crosses closes up as a free loop.  sigma_i
+    lists its ports counterclockwise from the incoming arc at position
+    i - 1, the over strand entering from position i; its inverse is the
+    same crossing switched, as diagram.switch_crossing switches it.
     """
-    word = [i for _ in range(q) for i in range(p - 1)]
-    passes = [word.count(i - 1) + word.count(i) for i in range(p)]
+    passes = [sum(abs(g) in (i, i + 1) for g in word) for i in range(p)]
     seen = [0] * p
     lines = []
-    for i in word:
+    for g in word:
+        i = abs(g) - 1
         a, b = seen[i], seen[i + 1]
         left_in, left_out = f"s{i}_{a}", f"s{i}_{(a + 1) % passes[i]}"
         right_in, right_out = f"s{i + 1}_{b}", f"s{i + 1}_{(b + 1) % passes[i + 1]}"
-        lines.append(f"X {left_in} {right_in} {right_out} {left_out} o=1\n")
+        if g > 0:
+            lines.append(f"X {left_in} {right_in} {right_out} {left_out} o=1\n")
+        else:
+            lines.append(f"X {right_in} {right_out} {left_out} {left_in} o=3\n")
         seen[i] += 1
         seen[i + 1] += 1
-    return "".join(lines)
+    free = passes.count(0)
+    return "".join(lines) + (f"O {free}\n" if free else "")
 
 
 def torus_knot_jones(p, q):

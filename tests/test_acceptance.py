@@ -167,7 +167,7 @@ def test_signed_identity_verifies_on_200_random_colorable_diagrams():
         bracket = kauffman_bracket(d)
         for combo in valid:
             g, _ = build_signed(d, switches=combo)
-            assert bracket_from_graph(g, signed=True) == bracket, (seed, combo)
+            assert bracket_from_graph(g) == bracket, (seed, combo)
     assert checked == 20
 
 

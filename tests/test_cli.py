@@ -435,8 +435,9 @@ class TestErrorsAndSelftest:
         # graph has one.
         plan = verify._identity_plan
 
-        def ignore_signs(g, signed, what):
-            return plan(g, False, what)
+        def ignore_signs(g, what):
+            mate, steps, _, bare = plan(g, what)
+            return mate, [1] * len(steps), 0, bare
 
         monkeypatch.setattr(verify, "_identity_plan", ignore_signs)
         code, out, _ = run(capsys, "selftest")

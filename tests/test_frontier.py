@@ -526,13 +526,11 @@ class TestNoVertexBookkeeping:
         for g in graphs:
             bare = sum(not darts for _, darts in g.vertices)
             neg = g.negative_mask()
-            for signed, mask, rows in zip((False, True), (0, neg), graph_sweep_rows(g, 0, neg)):
-                folded = Counter()
-                for (ef, eneg, _, bc), count in rows:
-                    # alpha: positive edges in F and negative edges outside it
-                    folded[ef - 2 * eneg + mask.bit_count(), bc + bare] += count
-                expected = diagram._bracket_sum(g.edge_count, folded.items())
-                assert bracket_from_graph(g, signed) == expected
+            folded = Counter()
+            for (ef, eneg, _, bc), count in graph_sweep_rows(g, neg)[0]:
+                # alpha: positive edges in F and negative edges outside it
+                folded[ef - 2 * eneg + neg.bit_count(), bc + bare] += count
+            assert bracket_from_graph(g) == diagram._bracket_sum(g.edge_count, folded.items())
 
 
 class TestRouteGate:
@@ -554,7 +552,7 @@ class TestRouteGate:
             "from vkbr.verify import bracket_from_graph, bracket_via_rank_poly\n"
             "g, _ = build_signed(random_diagram(6, 0, 'colorable'))\n"
             "gate.report('graph side', 6, [gate.two_route_times(\n"
-            "    bracket_from_graph, bracket_via_rank_poly, g, True)])\n"
+            "    bracket_from_graph, bracket_via_rank_poly, g)])\n"
             "d = parse_diagram(torus_braid(2, 11))\n"
             "gate.report('T(2,11)', 11, [gate.two_route_times(jones, jones_via_bracket, d)])\n"
             "print('numpy' in sys.modules)\n"

@@ -16,7 +16,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import mirror, r1_move, r2_move, reverse, torus_braid, torus_knot_jones
+from helpers import braid_closure, mirror, r1_move, r2_move, reverse, torus_braid, torus_knot_jones
 from reference import add_kernel_fault, add_loop_cap_fault, add_slot_fault, swept_bracket
 from vkbr import diagram, fixtures, verify
 from vkbr.build import build_ribbon, build_signed, find_switch_set
@@ -115,6 +115,7 @@ def kinked(text, seed):
 # The kernel faults besides add_kernel_fault's, each caught by the R2
 # chains with no sweep run.
 OTHER_FAULTS = {"loop_cap": add_loop_cap_fault, "slots_reversed": add_slot_fault}
+FAULTS = {"kernel": add_kernel_fault, **OTHER_FAULTS}
 
 
 class TestR2Moves:
@@ -142,18 +143,52 @@ class TestR2Moves:
         assert changed > 0
 
     def test_local_moves_past_the_cap(self, monkeypatch):
-        # Each move joins two arcs of one crossing of T(3,100)'s mirror
+        # Each move joins two arcs of one crossing of a torus knot's mirror
         # braid, whose Jones polynomial is the closed form itself.
-        monkeypatch.setenv(CAP_ENV_VAR, "220")
-        text = mirror(torus_braid(3, 100))
-        rng = random.Random(3)
-        for _ in range(10):
-            ports = rng.choice(parse_diagram(text).crossings).ports
-            a, b = rng.sample(sorted(set(ports)), 2)
-            text = r2_move(text, a, b, rng.choice((1, 3)))
-        d = parse_diagram(text)
-        assert len(d.crossings) == 220
-        assert jones(d) == torus_knot_jones(3, 100)
+        for p, q, moves in ((3, 100, 10), (2, 201, 20)):
+            crossings = (p - 1) * q + 2 * moves
+            monkeypatch.setenv(CAP_ENV_VAR, str(crossings))
+            text = mirror(torus_braid(p, q))
+            rng = random.Random(3)
+            for _ in range(moves):
+                ports = rng.choice(parse_diagram(text).crossings).ports
+                a, b = rng.sample(sorted(set(ports)), 2)
+                text = r2_move(text, a, b, rng.choice((1, 3)))
+            d = parse_diagram(text)
+            assert len(d.crossings) == crossings
+            assert jones(d) == torus_knot_jones(p, q), (p, q)
+
+
+def r3_pair(seed):
+    """The closures of two seeded braid words of 3 to 12 letters on 3 or 4
+    strands that differ by one braid relation, s_i s_(i+1) s_i against
+    s_(i+1) s_i s_(i+1), all three letters of one sign: an R3 move."""
+    rng = random.Random(seed)
+    p = rng.choice((3, 4))
+    i, e = rng.randint(1, p - 2), rng.choice((1, -1))
+    rest = [rng.choice((g, -g)) for g in rng.choices(range(1, p), k=rng.randint(0, 9))]
+    cut = rng.randint(0, len(rest))
+    return [braid_closure(p, rest[:cut] + [e * a, e * b, e * a] + rest[cut:])
+            for a, b in ((i, i + 1), (i + 1, i))]
+
+
+R3_PAIRS = [r3_pair(seed) for seed in range(60)]
+
+
+class TestR3Moves:
+    def test_the_braid_relation_keeps_jones(self):
+        for first, second in R3_PAIRS:
+            value = swept_jones(first)
+            assert jones(parse_diagram(first)) == jones(parse_diagram(second)) == value, first
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_every_fault_shows(self, monkeypatch, fault):
+        # Both polynomials come from the faulty frontier; no sweep runs.
+        # Measured: 18, 18 and 50 of the 60 pairs differ under the kernel,
+        # loop-cap and slot faults.
+        FAULTS[fault](monkeypatch)
+        assert any(jones(parse_diagram(first)) != jones(parse_diagram(second))
+                   for first, second in R3_PAIRS)
 
 
 class TestR1Moves:
@@ -237,7 +272,6 @@ class TestReverse:
 # Colourable diagrams of 1 to 11 crossings, on which the point check
 # and the other colour's graph are measured.
 COLORABLE = [random_diagram(n, seed, "colorable") for n in range(1, 12) for seed in range(60)]
-FAULTS = {"kernel": add_kernel_fault, **OTHER_FAULTS}
 
 
 def swap_a_b(poly):
@@ -337,7 +371,7 @@ class TestOtherColour:
     def test_fixtures(self, name):
         d = parse_diagram(fixtures.DIAGRAMS[name])
         g = build_signed(other_colour(d))[0]
-        assert swap_a_b(bracket_from_graph(g, True)) == kauffman_bracket(d)
+        assert swap_a_b(bracket_from_graph(g)) == kauffman_bracket(d)
         assert inverted(jones_from_graph(g, -writhe(d))) == jones(d)
         if is_alternating(d):
             g = build_ribbon(other_colour(d))
@@ -345,7 +379,7 @@ class TestOtherColour:
 
     def test_random_colourable_diagrams(self, clean):
         for d, (bracket, value, g) in zip(COLORABLE, clean):
-            assert swap_a_b(bracket_from_graph(g, True)) == bracket, diagram.format_diagram(d)
+            assert swap_a_b(bracket_from_graph(g)) == bracket, diagram.format_diagram(d)
             assert inverted(jones_from_graph(g, -writhe(d))) == value, diagram.format_diagram(d)
             if is_alternating(d):
                 assert swap_a_b(bracket_from_graph(build_ribbon(other_colour(d)))) == bracket
@@ -361,7 +395,7 @@ class TestOtherColour:
         for d, (bracket, _, g) in zip(COLORABLE, clean):
             report = verify_signed(d)
             if report.equal and report.left != bracket:
-                other = swap_a_b(bracket_from_graph(g, True)) != report.left
+                other = swap_a_b(bracket_from_graph(g)) != report.left
                 counts["wrong"] += 1
                 counts["other colour"] += other
                 counts["either"] += other or flagged[-1]
@@ -385,8 +419,9 @@ class TestOmega:
     """V(omega) = 1 for a classical knot (V. F. R. Jones, "Hecke algebra
     representations of braid groups and link polynomials", Ann. of Math.
     126, 1987), here the one-component diagrams whose graphs have genus
-    0, which are classical; a virtual knot's V may have half-integer
-    powers of t."""
+    0, which are classical.  It held too, with integer powers of t, on
+    every COLORABLE diagram whose components and free loops number an
+    odd count, of any genus, virtual ones included."""
 
     @pytest.fixture(scope="class")
     def knots(self, clean):
@@ -406,4 +441,24 @@ class TestOmega:
         results = [(jones(d), value) for d, value in knots]
         changed = [result for result, value in results if result != value]
         assert len(changed) > 50
+        assert all(at_omega(value) != (1, 0) for value in changed)
+
+    @pytest.fixture(scope="class")
+    def odd(self, clean):
+        """(d, its Jones polynomial) of each COLORABLE diagram whose
+        components and free loops number an odd count."""
+        return [(d, values[1]) for d, values in zip(COLORABLE, clean)
+                if (len(components(d)) + d.free_loops) % 2]
+
+    def test_holds_on_odd_component_counts(self, odd):
+        # Measured: 365 diagrams.
+        assert len(odd) > 300
+        for d, value in odd:
+            assert at_omega(value) == (1, 0), diagram.format_diagram(d)
+
+    def test_flags_every_change_on_odd_component_counts(self, monkeypatch, odd):
+        # Measured: the fault changes 253 of them.
+        add_kernel_fault(monkeypatch)
+        changed = [result for d, value in odd if (result := jones(d)) != value]
+        assert len(changed) > 200
         assert all(at_omega(value) != (1, 0) for value in changed)

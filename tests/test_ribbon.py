@@ -498,8 +498,7 @@ class TestSiteTable:
 
     def test_built_once(self, monkeypatch):
         g = parse_ribbon(SAMPLE)
-        assert ribbon._identity_plan(g, True, "Jones polynomial")[0] is g._sites[0]
-        assert ribbon._identity_plan(g, False, "bracket")[0] is g._sites[0]
+        assert ribbon._identity_plan(g, "Jones polynomial")[0] is g._sites[0]
         read = []
         rows = ribbon._frontier_rows
 

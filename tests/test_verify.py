@@ -126,7 +126,7 @@ class TestSignedIdentity:
             bracket = kauffman_bracket(d)
             for v in valid:
                 g, _ = build_signed(d, switches=v)
-                assert bracket_from_graph(g, signed=True) == bracket, (seed, v)
+                assert bracket_from_graph(g) == bracket, (seed, v)
         assert checked > 5
 
     def test_not_colorable_is_rejected(self):
@@ -220,10 +220,9 @@ class TestJonesIdentity:
 
 def assert_direct_equals_rank_poly(g, w=0):
     """The right sides evaluated at their points directly against the whole
-    (signed) rank polynomial, substituted: the bracket form signed and
-    unsigned, and the Jones form in powers of D."""
-    for signed in (False, True):
-        assert bracket_from_graph(g, signed) == bracket_via_rank_poly(g, signed)
+    signed rank polynomial, substituted: the bracket form and the Jones
+    form in powers of D."""
+    assert bracket_from_graph(g) == bracket_via_rank_poly(g)
     assert jones_from_graph(g, w) == jones_via_rank_poly(g, w)
 
 
@@ -322,7 +321,7 @@ class TestDirectEvaluation:
             except NotColorableError:
                 continue
             w = writhe(d)
-            cases.append((g, w, bracket_via_rank_poly(g, True), jones_via_rank_poly(g, w)))
+            cases.append((g, w, bracket_via_rank_poly(g), jones_via_rank_poly(g, w)))
         assert len(cases) >= 9
 
         def refuse(*args):
@@ -331,7 +330,7 @@ class TestDirectEvaluation:
         monkeypatch.setattr(verify, "graph_stats", refuse)
         monkeypatch.setattr(ribbon, "subgraph_stats", refuse)
         for g, w, bracket, jones_value in cases:
-            assert bracket_from_graph(g, True) == bracket
+            assert bracket_from_graph(g) == bracket
             assert jones_from_graph(g, w) == jones_value
 
     def test_dartless_vertices_add_to_the_d_power(self):
@@ -448,7 +447,7 @@ class TestFreeLoops:
             report = check(d)
             assert report.equal and report.switches == switches
             assert report.stats == graph_stats(g)
-        assert verify_signed(d).right == bracket_from_graph(g, signed=True)
+        assert verify_signed(d).right == bracket_from_graph(g)
         assert verify_jones(d).right == jones_from_graph(g, writhe(d))
         if is_alternating(d):
             assert verify_main(d).right == bracket_from_graph(build_ribbon(d))

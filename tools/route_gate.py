@@ -76,7 +76,7 @@ def main():
     for n in GRAPH_SIDE_SIZES:
         graphs = [build_signed(randgen.random_diagram(n, seed, "colorable"))[0] for seed in SEEDS]
         report("bracket, graph of a `colorable` diagram", n,
-               [two_route_times(bracket_from_graph, bracket_via_rank_poly, g, True)
+               [two_route_times(bracket_from_graph, bracket_via_rank_poly, g)
                 for g in graphs])
     for q in TORUS_TWISTS:
         d = parse_diagram(torus_braid(3, q))
