@@ -222,7 +222,7 @@ def _selftest_cases():
             kauffman_bracket(d)
             == _bracket_sum(len(d.crossings), diagram._trace_rows(d), d.free_loops)
             and (g is None or br_poly(g, signed=True)
-                 == _rank_poly(g, ribbon._trace_rows(g, g.negative_mask()), g.negative_mask()))
+                 == _rank_poly(g, ribbon._trace_rows(g), g.negative_mask()))
         )
         if colorable:
             yield f"{name}: graph side equals substituted rank polynomial", lambda: (
@@ -258,7 +258,7 @@ def _selftest_cases():
     yield "sample-ribbon: genus", lambda: genus(g) == 1
     yield "sample-ribbon: frontier route equals traces", lambda: (
         br_poly(g, signed=True)
-        == _rank_poly(g, ribbon._trace_rows(g, g.negative_mask()), g.negative_mask())
+        == _rank_poly(g, ribbon._trace_rows(g), g.negative_mask())
     )
 
 

@@ -310,14 +310,15 @@ def subgraph_stats(g: RibbonGraph, subset: int) -> SubgraphStats:
     return SubgraphStats(k, r, len(partner) // 2 - r, bc)
 
 
-def _trace_rows(g: RibbonGraph, neg: int):
+def _trace_rows(g: RibbonGraph):
     """The ((e(F), e-(F), k(F), bc(F)), count) rows of subgraph_stats over
-    every subset of edges, in increasing order, with the negative edges
-    in mask `neg` and the dart-less vertices left out of k and bc, as
-    _frontier_rows leaves them out: _rank_poly(g, rows, neg) is the rank
-    polynomial by the per-subgraph traces."""
+    every subset of edges, in increasing order, with the dart-less
+    vertices left out of k and bc, as _frontier_rows leaves them out:
+    _rank_poly(g, rows, g.negative_mask()) is the signed rank polynomial
+    by the per-subgraph traces."""
     e = g.edge_count
     check_enumeration_size(e, f"subgraph table of a {e}-edge ribbon graph")
+    neg = g.negative_mask()
     bare = sum(not darts for _, darts in g.vertices)
     rows = Counter()
     for subset in range(1 << e):

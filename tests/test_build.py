@@ -19,7 +19,6 @@ from vkbr.diagram import (
     apply_switches,
     components,
     is_alternating,
-    kauffman_bracket,
     parse_diagram,
     split_stats,
 )

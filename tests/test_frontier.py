@@ -89,7 +89,7 @@ def assert_graph_routes_agree(g, traced=True):
     assert frontier == sweep
     assert unsigned_frontier == unsigned_sweep
     if traced:
-        assert frontier == ribbon._trace_rows(g, g.negative_mask())
+        assert frontier == ribbon._trace_rows(g)
 
 
 def disjoint_union(*texts):

@@ -415,33 +415,19 @@ def at_omega(value):
     return sums[0] - sums[2], sums[1] - sums[2]
 
 
+def classical_knot(d):
+    """Whether d is one component whose graph has genus 0, which makes it
+    a classical knot."""
+    return len(components(d)) + d.free_loops == 1 and genus(build_signed(d)[0]) == 0
+
+
 class TestOmega:
-    """V(omega) = 1 for a classical knot (V. F. R. Jones, "Hecke algebra
-    representations of braid groups and link polynomials", Ann. of Math.
-    126, 1987), here the one-component diagrams whose graphs have genus
-    0, which are classical.  It held too, with integer powers of t, on
-    every COLORABLE diagram whose components and free loops number an
-    odd count, of any genus, virtual ones included."""
-
-    @pytest.fixture(scope="class")
-    def knots(self, clean):
-        """(d, its Jones polynomial) of each such COLORABLE diagram."""
-        return [(d, values[1]) for d, values in zip(COLORABLE, clean)
-                if len(components(d)) + d.free_loops == 1 and genus(build_signed(d)[0]) == 0]
-
-    def test_holds(self, knots):
-        # Measured: 128 diagrams.
-        assert len(knots) > 100
-        for d, value in knots:
-            assert at_omega(value) == (1, 0), diagram.format_diagram(d)
-
-    def test_flags_every_result_a_kernel_fault_changes(self, monkeypatch, knots):
-        # Measured: the fault changes 63 of them.
-        add_kernel_fault(monkeypatch)
-        results = [(jones(d), value) for d, value in knots]
-        changed = [result for result, value in results if result != value]
-        assert len(changed) > 50
-        assert all(at_omega(value) != (1, 0) for value in changed)
+    """V(omega) = 1, with integer powers of t, on every COLORABLE diagram
+    whose components and free loops number an odd count, of any genus,
+    virtual ones included.  Among them are classical knots, where it is
+    Jones's theorem (V. F. R. Jones, "Hecke algebra representations of
+    braid groups and link polynomials", Ann. of Math. 126, 1987); the
+    tests count them so that the oracle keeps that known case."""
 
     @pytest.fixture(scope="class")
     def odd(self, clean):
@@ -451,14 +437,16 @@ class TestOmega:
                 if (len(components(d)) + d.free_loops) % 2]
 
     def test_holds_on_odd_component_counts(self, odd):
-        # Measured: 365 diagrams.
+        # Measured: 365 diagrams, 128 of them classical knots.
         assert len(odd) > 300
+        assert sum(classical_knot(d) for d, _ in odd) > 100
         for d, value in odd:
             assert at_omega(value) == (1, 0), diagram.format_diagram(d)
 
     def test_flags_every_change_on_odd_component_counts(self, monkeypatch, odd):
-        # Measured: the fault changes 253 of them.
+        # Measured: the fault changes 253 of them, 63 classical knots.
         add_kernel_fault(monkeypatch)
-        changed = [result for d, value in odd if (result := jones(d)) != value]
+        changed = [(d, result) for d, value in odd if (result := jones(d)) != value]
         assert len(changed) > 200
-        assert all(at_omega(value) != (1, 0) for value in changed)
+        assert sum(classical_knot(d) for d, _ in changed) > 50
+        assert all(at_omega(result) != (1, 0) for _, result in changed)
