@@ -195,8 +195,9 @@ def test_structural_invariants_hold_across_generated_objects():
         n = len(d.crossings)
         for st in state_table(d):
             assert st.alpha + st.beta == n
-        for (ea, eb, _), _coeff in kauffman_bracket(d).terms():
-            assert ea + eb == n
+        terms = kauffman_bracket(d).terms()
+        assert all(ea + eb == n for (ea, eb, _), _ in terms)
+        assert sum(coeff for _, coeff in terms) == 2**n
     for _ in range(30):
         g = random_ribbon(rng, rng.randint(1, 4), rng.randint(0, 7))
         for subset in range(1 << g.edge_count):
@@ -216,16 +217,24 @@ def test_structural_invariants_hold_across_generated_objects():
     if not checked_ten:
         g = random_ribbon(rng, 3, 10)
         assert tutte_via_br(g) == tutte_whitney(g.vertex_count, end_vertices(g))
+    rng = random.Random(13)
+    for _ in range(15):
+        g = random_ribbon(rng, rng.randint(1, 4), rng.randint(0, 6))
+        assert tutte_via_br(g) == tutte_whitney(g.vertex_count, end_vertices(g))
 
 
 @criterion
 def test_state_subgraph_bijection_is_exhaustive_up_to_ten_crossings():
-    diagrams = [parse_diagram(fixtures.TREFOIL), parse_diagram(fixtures.SAMPLE_KNOT)]
+    texts = [fixtures.NEGATIVE_KINK, fixtures.POSITIVE_KINK, fixtures.TREFOIL,
+             fixtures.HOPF_LINK, fixtures.SAMPLE_KNOT]
+    diagrams = [parse_diagram(text) for text in texts]
     diagrams += [random_diagram(n, n, kind="alternating") for n in range(1, 11)]
+    diagrams += [random_diagram(6, seed, kind="alternating") for seed in range(15)]
     for d in diagrams:
         g = build_ribbon(d)
         n = len(d.crossings)
         full = (1 << n) - 1
+        assert g.vertex_count == split_stats(d, full).delta
         for state in range(1 << n):
             kept = full & ~state
             st = split_stats(d, state)

@@ -20,7 +20,6 @@ from vkbr.diagram import (
     components,
     is_alternating,
     parse_diagram,
-    split_stats,
 )
 from vkbr.limits import SizeLimitError
 from vkbr.randgen import KINDS, random_diagram
@@ -229,40 +228,6 @@ class TestBuildRibbon:
     def test_round_trips_through_text(self):
         g = build_ribbon(parse_diagram(fixtures.SAMPLE_KNOT))
         assert parse_ribbon(format_ribbon(g)) == g
-
-
-class TestStateSubgraphCorrespondence:
-    # A state and the subgraph keeping its A-split crossings carry the
-    # same statistics: loops of the state = boundary components of the
-    # subgraph, A-splittings = edges kept.
-    @pytest.mark.parametrize(
-        "text",
-        [
-            fixtures.NEGATIVE_KINK,
-            fixtures.POSITIVE_KINK,
-            fixtures.TREFOIL,
-            fixtures.HOPF_LINK,
-            fixtures.SAMPLE_KNOT,
-        ],
-    )
-    def test_fixture_states_match_subgraphs(self, text):
-        self._check(parse_diagram(text))
-
-    def test_random_states_match_subgraphs(self):
-        for seed in range(15):
-            self._check(random_diagram(6, seed, kind="alternating"))
-
-    def _check(self, d):
-        g = build_ribbon(d)
-        n = len(d.crossings)
-        full = (1 << n) - 1
-        assert g.vertex_count == split_stats(d, full).delta
-        for state in range(1 << n):
-            kept = full & ~state
-            stats = subgraph_stats(g, kept)
-            st = split_stats(d, state)
-            assert stats.bc == st.delta
-            assert bin(kept).count("1") == st.alpha
 
 
 class TestBuildSigned:

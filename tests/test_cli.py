@@ -806,30 +806,11 @@ def test_no_stdout_at_all_is_not_an_error():
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
-def imported_modules(argv, stdin=""):
-    """(exit code, names of the modules imported) of one ``python -X
-    importtime -m vkbr.cli`` run of this tree."""
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "vkbr.cli", *argv],
-        input=stdin,
-        capture_output=True,
-        text=True,
-        env=child_env(),
-    )
-    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
-    return proc.returncode, {line.rsplit("|", 1)[1].strip() for line in lines}
-
-
-def loads_numpy(modules):
-    return any(name.split(".")[0] == "numpy" for name in modules)
-
-
-STARTUP_CALLS = production_calls(fixtures.SAMPLE_KNOT) + [(["selftest"], "", 0)]
-
-
 class TestStartup:
-    """No module of vkbr imports numpy, and no command loads it, selftest
-    included: its import alone would take about 150 ms of a call."""
+    """Importing the command line leaves numpy unloaded: its import alone
+    would take about 150 ms of a call.  vkbr has no dependencies, and
+    tests/test_imports.py finds no import of numpy in any of its modules,
+    so no command can load it either."""
 
     def test_import_leaves_numpy_unloaded(self):
         proc = subprocess.run(
@@ -839,16 +820,6 @@ class TestStartup:
             env=child_env(),
         )
         assert proc.returncode == 0 and proc.stdout.strip() == "False"
-
-    @pytest.mark.parametrize(
-        "argv, stdin, code",
-        STARTUP_CALLS,
-        ids=[" ".join(arg for arg in argv if arg != "-") for argv, _, _ in STARTUP_CALLS],
-    )
-    def test_production_command_leaves_numpy_unloaded(self, argv, stdin, code):
-        returncode, modules = imported_modules(argv, stdin)
-        assert returncode == code
-        assert "vkbr.diagram" in modules and not loads_numpy(modules)
 
 
 class TestSameOutput:

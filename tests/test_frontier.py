@@ -33,7 +33,7 @@ from vkbr.diagram import (
     parse_diagram,
 )
 from vkbr.laurent import LaurentPoly
-from vkbr.limits import SizeLimitError
+from vkbr.limits import SizeLimitError, check_memory
 from vkbr.randgen import KINDS, random_diagram
 from vkbr.ribbon import (
     RibbonGraph,
@@ -104,6 +104,11 @@ def disjoint_union(*texts):
     return "".join(lines)
 
 
+_draws = random.Random(17)
+# (crossings, seed) of 25 more diagrams of any kind, of 0 to 6 crossings.
+ANY_DRAWS = [(_draws.randrange(0, 7), _draws.randrange(10**6)) for _ in range(25)]
+
+
 class TestDiagramRoutes:
     @pytest.mark.parametrize("name", sorted(fixtures.DIAGRAMS))
     def test_every_fixture(self, name):
@@ -112,7 +117,8 @@ class TestDiagramRoutes:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", range(11))
     def test_random_diagrams(self, kind, n):
-        for seed in range(3):
+        drawn = [seed for m, seed in ANY_DRAWS if kind == "any" and m == n]
+        for seed in [0, 1, 2, *drawn]:
             d = random_diagram(n, seed, kind)
             assert_diagram_routes_agree(d, traced=n <= 7)
             try:
@@ -213,11 +219,11 @@ class TestGraphRoutes:
         assert_graph_routes_agree(g, traced=False)
 
 
-# The fixtures and random diagrams of every kind, on which every
-# production command runs.
+# The fixtures, random diagrams of every kind, a closed braid past the
+# traces and a knot with free loops, on which every production command runs.
 PRODUCTION_TEXTS = list(fixtures.DIAGRAMS.values()) + [
     format_diagram(random_diagram(n, 0, kind)) for kind in KINDS for n in range(8)
-]
+] + [closed_braid(13), fixtures.SAMPLE_KNOT + "O 3\n"]
 
 
 def _forbid_sweeps(monkeypatch):
@@ -245,15 +251,6 @@ class TestRouteChoice:
     """Production commands go by frontier contraction alone; the sweeps
     run only in the reference routes."""
 
-    def test_closed_braid_verifies_without_a_sweep(self, monkeypatch, capsys, tmp_path):
-        path = tmp_path / "braid.txt"
-        path.write_text(closed_braid(13))
-        _forbid_sweeps(monkeypatch)
-        code = main(["verify", "--jones", str(path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "equal: yes" in out
-
     def test_reference_routes_run_each_sweep_once(self, monkeypatch):
         d = parse_diagram(fixtures.TREFOIL)
         calls = _count_sweeps(monkeypatch)
@@ -269,6 +266,8 @@ class TestRouteChoice:
                 monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
                 assert main(argv) == code, (argv, text, capsys.readouterr().err)
             capsys.readouterr()
+        # selftest checks the frontier against the per-state traces.
+        assert main(["selftest"]) == 0
 
     def test_no_production_command_does_polynomial_arithmetic(self, monkeypatch, capsys):
         # Every command sums at its own point and reads or writes term
@@ -292,6 +291,27 @@ class TestSweepMemoryCheck:
         size = limits.physical_memory()
         assert size is None or size > 0
 
+    def test_probe_without_sysconf_reports_none(self, monkeypatch):
+        resource = pytest.importorskip("resource")
+
+        def refuse(_):
+            raise OSError("no such value")
+
+        monkeypatch.setattr(os, "sysconf", refuse)
+        monkeypatch.setattr(resource, "getrlimit", lambda _: (resource.RLIM_INFINITY,) * 2)
+        assert limits.physical_memory() is None
+        check_memory(1 << 60, "an exabyte table")
+
+    def test_unknown_address_space_limit_leaves_physical_memory(self, monkeypatch):
+        resource = pytest.importorskip("resource")
+
+        def refuse(_):
+            raise OSError("no such limit")
+
+        monkeypatch.setattr(limits, "physical_memory", lambda: 1000)
+        monkeypatch.setattr(resource, "getrlimit", refuse)
+        assert limits.memory_budget() == (1000, "physical memory")
+
     def test_refuses_before_allocating(self, monkeypatch):
         monkeypatch.setattr(limits, "physical_memory", lambda: 100)
         _forbid_sweeps(monkeypatch)
@@ -304,15 +324,6 @@ class TestSweepMemoryCheck:
         with pytest.raises(SizeLimitError, match=r"a 4-index sweep: it needs about 192 bytes"):
             check_sweep_memory(2, "a 4-index sweep")
 
-    def test_selftest_needs_no_sweep_memory(self, monkeypatch, capsys):
-        # selftest checks the frontier against the per-state traces and
-        # runs no sweep, so a memory too small for the trefoil's sweep
-        # still lets it pass; the unknot's one free loop (300 bytes) fits.
-        monkeypatch.setattr(limits, "physical_memory", lambda: 300)
-        _forbid_sweeps(monkeypatch)
-        assert main(["selftest"]) == 0
-        assert capsys.readouterr().out.endswith("54/54 checks passed\n")
-
     def test_raised_cap_sweep_refused(self, monkeypatch):
         # 2^40 indices: refused from the estimate, nothing allocated.
         monkeypatch.setenv("VKBR_MAX_CROSSINGS", "40")
@@ -321,11 +332,6 @@ class TestSweepMemoryCheck:
         mate = parse_diagram(closed_braid(40))._mate
         with pytest.raises(SizeLimitError, match="40-crossing"):
             diagram_sweep_rows(mate)
-
-    def test_frontier_route_needs_no_sweep_memory(self, monkeypatch):
-        monkeypatch.setattr(limits, "physical_memory", lambda: 100)
-        d = parse_diagram(closed_braid(13))
-        assert verify_jones(d).equal
 
     def test_unknown_memory_allows_the_sweep(self, monkeypatch):
         monkeypatch.setattr(limits, "physical_memory", lambda: None)

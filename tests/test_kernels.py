@@ -40,14 +40,11 @@ class TestStateSweep:
     def test_matches_pure_reference_trace(self):
         diagrams = [random_diagram(1 + seed % 7, seed) for seed in range(10)]
         diagrams += [random_diagram(2 + seed, 40 + seed) for seed in range(4)]
-        for d in diagrams:
-            _check_states(d)
-
-    def test_every_state_across_chunks(self):
         # 4096 states, of a diagram whose arcs may join ports of one
         # parity and of one whose arcs all join an even port to an odd one.
-        for kind in ("any", "alternating"):
-            _check_states(random_diagram(12, 5, kind))
+        diagrams += [random_diagram(12, 5, kind) for kind in ("any", "alternating")]
+        for d in diagrams:
+            _check_states(d)
 
     def test_zero_crossings(self):
         d = parse_diagram("O 1\n")
@@ -61,17 +58,13 @@ class TestSubgraphSweep:
         for seed in (2, 16, 64):
             rng = random.Random(seed)
             graphs += [random_ribbon(rng, rng.randint(1, 5), rng.randint(0, 7)) for _ in range(4)]
-        for g in graphs:
-            _check_subgraphs(g)
-
-    def test_every_subgraph_across_chunks(self):
         # Up to 4096 subgraphs; dart-less vertices, loops and parallel
-        # edges all occur here.
+        # edges all occur among these.
         rng = random.Random(23)
-        graphs = [random_ribbon(rng, v, rng.randint(11, 12)) for v in (2, 7, 16)]
-        assert any(not darts for g in graphs for _, darts in g.vertices)
-        assert any(u == w for g in graphs for u, w in g._sites[1])
-        for g in graphs:
+        large = [random_ribbon(rng, v, rng.randint(11, 12)) for v in (2, 7, 16)]
+        assert any(not darts for g in large for _, darts in g.vertices)
+        assert any(u == w for g in large for u, w in g._sites[1])
+        for g in graphs + large:
             _check_subgraphs(g)
 
     def test_zero_edges(self):

@@ -181,6 +181,10 @@ class TestCanonicalString:
         p = LaurentPoly.monomial(T, -1, t=1) + LaurentPoly.monomial(T, -1, t=-1)
         assert str(p) == "-t - t^-1"
 
+    def test_repr_names_the_variables(self):
+        p = parse_poly("2*t^(1/2)*u^-1 - t + 3", TU)
+        assert repr(p) == "LaurentPoly(t*u: -t + 2*t^(1/2)*u^-1 + 3)"
+
 
 class TestParse:
     def test_parse_bracket_string(self):
