@@ -24,6 +24,7 @@ memory before it runs and counts the distinct rows of its statistics.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from heapq import heappop, heappush
 
@@ -126,7 +127,7 @@ def frontier_histogram(arc_mate, site_shift, site_verts=(), loop_weight=None):
     adding a site shifts a whole count table by one offset.
     """
     n = len(arc_mate) >> 2
-    left = _vertex_degrees(site_verts)
+    left = Counter(v for ends in site_verts for v in ends)  # a loop's vertex counts twice
     unit_comp = 2 * n + 1  # loops <= joins
     unit_shift = 1 if loop_weight else unit_comp * (len(left) + 1)
     slot_of, free, open_verts = {}, [], []
@@ -381,12 +382,3 @@ def _vert_step(port_step, open_verts, ends, left, unit_comp):
         return [(on, on_blocks), on_loops + on_comps, (off, off_blocks), off_loops + off_comps]
 
     return [grown[i] for i in stay], step
-
-
-def _vertex_degrees(site_verts):
-    """Site ends at each vertex; a site with both ends at one vertex counts twice."""
-    degrees = [0] * (1 + max((max(ends) for ends in site_verts), default=-1))
-    for ends in site_verts:
-        for vert in ends:
-            degrees[vert] += 1
-    return degrees

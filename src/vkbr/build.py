@@ -22,7 +22,7 @@ the graph of the switched diagram, and mark the switched edges negative.
 
 from __future__ import annotations
 
-from .diagram import Diagram, _fails_to_alternate, apply_switches, is_alternating
+from .diagram import Diagram, _cycles, _fails_to_alternate, apply_switches, is_alternating
 from .limits import BYTES_PER_FREE_LOOP, check_memory
 from .ribbon import Edge, RibbonGraph
 
@@ -76,17 +76,7 @@ def _trace_rotations(d: Diagram):
     port 2 or port 0 of the next connector, which the curve leaves at
     that port ^ 3.
     """
-    rotations = []
-    seen: set[int] = set()
-    for start in range(1, len(d._mate), 2):
-        curve, p = [], start
-        while p not in seen:
-            seen.add(p)
-            curve.append(p)
-            p = d._mate[p] ^ 3
-        if curve:
-            rotations.append(curve)
-    return rotations
+    return list(_cycles(range(1, len(d._mate), 2), lambda p: d._mate[p] ^ 3))
 
 
 def build_ribbon(d: Diagram) -> RibbonGraph:

@@ -76,6 +76,8 @@ def _load(kind: str, path: str):
     The parsers are looked up when called, so that a wrapper installed
     on this module's globals sees every call."""
     if path == "-":
+        if sys.stdin is None:  # None when started with descriptor 0 closed
+            raise OSError("standard input is closed")
         text = sys.stdin.read()
     else:
         with open(path, encoding="utf-8") as handle:

@@ -250,20 +250,24 @@ def components(d: Diagram) -> tuple[tuple[tuple[int, bool], ...], ...]:
     as (crossing index, pass is on the over strand) pairs, starting from
     its least incoming port.
     """
+    ins = (4 * ci + port for ci, c in enumerate(d.crossings) for port in (0, c.over_in))
+    # a strand leaves opposite the port it enters
+    strands = _cycles(ins, lambda slot: d._mate[slot ^ 2])
+    return tuple(tuple((slot >> 2, slot & 3 != 0) for slot in strand) for strand in strands)
+
+
+def _cycles(starts, step):
+    """The cycles of the permutation `step` through `starts`, each as a
+    list that begins at the cycle's first start, in the order of `starts`."""
     seen: set[int] = set()
-    result = []
-    for ci, c in enumerate(d.crossings):
-        for port in (0, c.over_in):
-            passes = []
-            slot = 4 * ci + port
-            while slot not in seen:
-                seen.add(slot)
-                passes.append((slot >> 2, slot & 3 != 0))
-                # a strand leaves opposite the port it enters
-                slot = d._mate[slot ^ 2]
-            if passes:
-                result.append(tuple(passes))
-    return tuple(result)
+    for start in starts:
+        cycle, p = [], start
+        while p not in seen:
+            seen.add(p)
+            cycle.append(p)
+            p = step(p)
+        if cycle:
+            yield cycle
 
 
 def writhe(d: Diagram) -> int:

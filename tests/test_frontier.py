@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    closed_braid,
     connected_sum,
     one_point_join,
     production_calls,
@@ -165,7 +164,7 @@ class TestDiagramRoutes:
         assert_diagram_routes_agree(d)
 
     def test_bracket_routes_agree_past_the_traces(self):
-        d = parse_diagram(closed_braid(13))
+        d = parse_diagram(torus_braid(2, 13))
         assert swept_bracket(d) == kauffman_bracket(d)
 
 
@@ -223,7 +222,7 @@ class TestGraphRoutes:
 # traces and a knot with free loops, on which every production command runs.
 PRODUCTION_TEXTS = list(fixtures.DIAGRAMS.values()) + [
     format_diagram(random_diagram(n, 0, kind)) for kind in KINDS for n in range(8)
-] + [closed_braid(13), fixtures.SAMPLE_KNOT + "O 3\n"]
+] + [torus_braid(2, 13), fixtures.SAMPLE_KNOT + "O 3\n"]
 
 
 def _forbid_sweeps(monkeypatch):
@@ -329,7 +328,7 @@ class TestSweepMemoryCheck:
         monkeypatch.setenv("VKBR_MAX_CROSSINGS", "40")
         monkeypatch.setattr(limits, "physical_memory", lambda: 1 << 34)
         _forbid_sweeps(monkeypatch)
-        mate = parse_diagram(closed_braid(40))._mate
+        mate = parse_diagram(torus_braid(2, 40))._mate
         with pytest.raises(SizeLimitError, match="40-crossing"):
             diagram_sweep_rows(mate)
 

@@ -510,7 +510,8 @@ class TestSubstitution:
         assert value == expected
 
     def test_substitution_values_compose_to_one(self):
-        # The three bracket-side substitution monomials satisfy x*y*z^2 = 1.
+        # x, y, z as substituted satisfy x*y*z^2 = 1, which is why the
+        # bracket has one variable fewer than the rank polynomial.
         x = LaurentPoly.monomial(ABD, 1, B=1, d=1, A=-1)
         y = LaurentPoly.monomial(ABD, 1, A=1, d=1, B=-1)
         z = LaurentPoly.monomial(ABD, 1, d=-1)

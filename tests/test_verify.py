@@ -16,7 +16,6 @@ from vkbr.build import (
     build_signed,
 )
 from vkbr.diagram import (
-    BRACKET_VARS,
     apply_switches,
     format_diagram,
     is_alternating,
@@ -47,14 +46,6 @@ ALTERNATING = ["unknot", "negative-kink", "positive-kink", "hopf-link", "trefoil
 
 
 class TestBracketIdentity:
-    def test_substitution_values_multiply_to_one(self):
-        # x, y, z as substituted satisfy x*y*z^2 = 1, which is why the
-        # bracket has one variable fewer than the rank polynomial.
-        x = LaurentPoly.monomial(BRACKET_VARS, 1, A=-1, B=1, d=1)
-        y = LaurentPoly.monomial(BRACKET_VARS, 1, A=1, B=-1, d=1)
-        z = LaurentPoly.monomial(BRACKET_VARS, 1, d=-1)
-        assert x * y * z ** 2 == LaurentPoly.one(BRACKET_VARS)
-
     def test_non_alternating_is_rejected(self):
         with pytest.raises(NotAlternatingError):
             verify_main(parse_diagram(fixtures.VIRTUAL_HOPF))
